@@ -27,7 +27,7 @@ use simkit::SimRng;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use workloads::catalog::Catalog;
 use workloads::signatures;
 
@@ -38,6 +38,14 @@ pub trait FootprintModel: fmt::Debug {
 
     /// Largest slice (GB) whose predicted footprint fits `budget_gb`;
     /// `None` when nothing fits, `f64::INFINITY` when everything does.
+    ///
+    /// Implementations must be monotone in the budget: if `budget_gb`
+    /// gives `Some(x)`, every larger budget gives `Some(y)` with `y >= x`.
+    /// So if a budget fits a request (`Some(x)` with
+    /// `x.min(want) >= min_slice`), every larger budget fits it too.
+    /// Placement's early exits rely on this (DESIGN.md §11, "Scheduler
+    /// sweep"); `tests::inverse_is_monotone_in_the_budget_*` pin it for
+    /// every model here.
     fn max_input_for_budget(&self, budget_gb: f64) -> Option<f64>;
 }
 
@@ -572,7 +580,7 @@ pub struct QuasarPredictor {
     exemplars: Vec<Vec<f64>>,
     cpus: Vec<f64>,
     svd: mlkit::svd::TruncatedSvd,
-    grid: Vec<f64>,
+    grid: Arc<SizeGrid>,
 }
 
 impl QuasarPredictor {
@@ -606,8 +614,32 @@ impl QuasarPredictor {
             exemplars,
             cpus: system.program_cpus.clone(),
             svd,
-            grid,
+            grid: Arc::new(SizeGrid::new(grid)),
         })
+    }
+}
+
+/// Quasar's size grid, shared by every profile reconstructed on it, with
+/// the probe sizes of the footprint inverse worked out once.
+#[derive(Debug)]
+struct SizeGrid {
+    /// Positive and strictly increasing, with at least two points.
+    sizes: Vec<f64>,
+    /// The inverse's probe sizes: `sizes[0] / 10`, growing 5% a step, up
+    /// to `16 × sizes.last()`, in walk order.
+    probes: Vec<f64>,
+}
+
+impl SizeGrid {
+    fn new(sizes: Vec<f64>) -> Self {
+        let hi = sizes.last().copied().unwrap_or(1.0) * 16.0;
+        let mut x = sizes.first().copied().unwrap_or(0.0) * 0.1;
+        let mut probes = Vec::new();
+        while x > 0.0 && x <= hi {
+            probes.push(x);
+            x *= 1.05;
+        }
+        SizeGrid { sizes, probes }
     }
 }
 
@@ -615,12 +647,16 @@ impl QuasarPredictor {
 /// linear over the size grid, extrapolating the last segment's slope.
 #[derive(Debug)]
 struct GridModel {
-    grid: Vec<f64>,
+    grid: Arc<SizeGrid>,
     footprints: Vec<f64>,
+    /// Running maximum of `footprint_gb` over the grid's probes, cut
+    /// before the first NaN footprint (a budget check fails there, so the
+    /// walk never passes it).
+    probe_peak: Vec<f64>,
 }
 
 impl GridModel {
-    fn new(grid: Vec<f64>, mut footprints: Vec<f64>) -> Self {
+    fn new(grid: Arc<SizeGrid>, mut footprints: Vec<f64>) -> Self {
         // Enforce monotone non-decreasing, non-negative profiles: the
         // reconstruction can wiggle where the basis is weak.
         let mut run_max = 0.0f64;
@@ -628,38 +664,44 @@ impl GridModel {
             run_max = run_max.max(f.max(0.0));
             *f = run_max;
         }
-        GridModel { grid, footprints }
-    }
-}
-
-impl FootprintModel for GridModel {
-    fn footprint_gb(&self, slice_gb: f64) -> f64 {
-        let n = self.grid.len();
-        if slice_gb <= self.grid[0] {
-            // Scale toward zero below the grid.
-            return self.footprints[0] * (slice_gb / self.grid[0]).clamp(0.0, 1.0);
-        }
-        for w in 0..n - 1 {
-            if slice_gb <= self.grid[w + 1] {
-                let t = (slice_gb - self.grid[w]) / (self.grid[w + 1] - self.grid[w]);
-                return self.footprints[w] + t * (self.footprints[w + 1] - self.footprints[w]);
-            }
-        }
-        // Extrapolate the last segment's slope.
-        let slope = (self.footprints[n - 1] - self.footprints[n - 2])
-            / (self.grid[n - 1] - self.grid[n - 2]).max(1e-12);
-        (self.footprints[n - 1] + slope * (slice_gb - self.grid[n - 1])).max(0.0)
+        let mut model = GridModel {
+            grid,
+            footprints,
+            probe_peak: Vec::new(),
+        };
+        model.tabulate_probes();
+        model
     }
 
-    fn max_input_for_budget(&self, budget_gb: f64) -> Option<f64> {
+    /// Fills the inverse's table from the current profile.
+    fn tabulate_probes(&mut self) {
+        let mut peak = f64::NEG_INFINITY;
+        let peaks = self
+            .grid
+            .probes
+            .iter()
+            .map(|&x| self.footprint_gb(x))
+            .take_while(|f| !f.is_nan())
+            .map(|f| {
+                peak = peak.max(f);
+                peak
+            })
+            .collect();
+        self.probe_peak = peaks;
+    }
+
+    /// The inverse as a geometric walk from `sizes[0] / 10`, stopping at
+    /// the first probe over budget: the reference the table lookup must
+    /// match bit for bit.
+    #[cfg(test)]
+    fn max_input_for_budget_walk(&self, budget_gb: f64) -> Option<f64> {
         if budget_gb <= 0.0 {
             return None;
         }
-        // Walk the monotone profile; binary precision is unnecessary at
-        // scheduling granularity.
+        let sizes = &self.grid.sizes;
         let mut best = None;
-        let mut x = self.grid[0] * 0.1;
-        let hi = self.grid.last().copied().unwrap_or(1.0) * 16.0;
+        let mut x = sizes[0] * 0.1;
+        let hi = sizes.last().copied().unwrap_or(1.0) * 16.0;
         while x <= hi {
             if self.footprint_gb(x) <= budget_gb {
                 best = Some(x);
@@ -669,6 +711,38 @@ impl FootprintModel for GridModel {
             x *= 1.05;
         }
         best
+    }
+}
+
+impl FootprintModel for GridModel {
+    fn footprint_gb(&self, slice_gb: f64) -> f64 {
+        let grid = &self.grid.sizes;
+        let n = grid.len();
+        if slice_gb <= grid[0] {
+            // Scale toward zero below the grid.
+            return self.footprints[0] * (slice_gb / grid[0]).clamp(0.0, 1.0);
+        }
+        for w in 0..n - 1 {
+            if slice_gb <= grid[w + 1] {
+                let t = (slice_gb - grid[w]) / (grid[w + 1] - grid[w]);
+                return self.footprints[w] + t * (self.footprints[w + 1] - self.footprints[w]);
+            }
+        }
+        // Extrapolate the last segment's slope.
+        let slope = (self.footprints[n - 1] - self.footprints[n - 2])
+            / (grid[n - 1] - grid[n - 2]).max(1e-12);
+        (self.footprints[n - 1] + slope * (slice_gb - grid[n - 1])).max(0.0)
+    }
+
+    fn max_input_for_budget(&self, budget_gb: f64) -> Option<f64> {
+        if budget_gb <= 0.0 {
+            return None;
+        }
+        // The last probe before the first one over budget. A probe's
+        // running peak fits iff it and every probe before it fit, so the
+        // peaks partition the walk at exactly that point.
+        let fits = self.probe_peak.partition_point(|&peak| peak <= budget_gb);
+        fits.checked_sub(1).map(|k| self.grid.probes[k])
     }
 }
 
@@ -693,7 +767,7 @@ impl MemoryPredictor for QuasarPredictor {
             .min_by(|(_, a), (_, b)| a.total_cmp(b))
             .map(|(i, _)| i)
             .ok_or_else(|| ColocateError::Config("Quasar has no historical workloads".into()))?;
-        if self.grid.is_empty() {
+        if self.grid.sizes.is_empty() {
             return Err(ColocateError::Config(
                 "Quasar has an empty size grid".into(),
             ));
@@ -705,6 +779,7 @@ impl MemoryPredictor for QuasarPredictor {
         let nearest_col = |x: f64| {
             let lx = x.max(1e-9).ln();
             self.grid
+                .sizes
                 .iter()
                 .map(|a| (a.ln() - lx).abs())
                 .enumerate()
@@ -724,7 +799,7 @@ impl MemoryPredictor for QuasarPredictor {
             .complete_row(&observed)
             .map_err(ColocateError::from)?;
         Ok(Prediction {
-            model: Box::new(GridModel::new(self.grid.clone(), footprints)),
+            model: Box::new(GridModel::new(Arc::clone(&self.grid), footprints)),
             low_confidence: false,
             cpu_estimate: Some(self.cpus[nearest]),
         })
@@ -1017,6 +1092,198 @@ mod tests {
             if x.is_finite() {
                 assert!(pred.model.footprint_gb(x) <= 24.0 * 1.01);
             }
+        }
+    }
+
+    /// A random reconstructed profile `(grid, footprints)`: a power curve
+    /// over the Quasar grid (or a random ascending one), plus `wiggle`
+    /// times `noise` — so profiles may dip, go negative or be non-monotone
+    /// before `GridModel::new` clamps them — and an optional infinite
+    /// footprint at `inf_at`, which makes some interpolations NaN.
+    fn random_profile(
+        custom_grid: bool,
+        gaps: &[f64],
+        (scale, power): (f64, f64),
+        wiggle: f64,
+        noise: &[f64],
+        inf_at: usize,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let grid: Vec<f64> = if custom_grid {
+            gaps.iter()
+                .scan(0.0, |x, gap| {
+                    *x += gap;
+                    Some(*x)
+                })
+                .collect()
+        } else {
+            TrainingConfig::default().profile_sizes_gb
+        };
+        let mut footprints: Vec<f64> = grid
+            .iter()
+            .zip(noise.iter().cycle())
+            .map(|(&x, &n)| scale * x.powf(power) + wiggle * n)
+            .collect();
+        if let Some(f) = footprints.get_mut(inf_at) {
+            *f = f64::INFINITY;
+        }
+        (grid, footprints)
+    }
+
+    /// Budgets on and around every boundary a model can have: the edge
+    /// values, the grid, the footprints at a sweep of slices and the
+    /// neighbouring floats of each.
+    fn edge_budgets(model: &dyn FootprintModel, grid: &[f64], random: &[f64]) -> Vec<f64> {
+        let mut budgets = vec![
+            0.0,
+            -0.0,
+            -1.0,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        budgets.extend_from_slice(grid);
+        budgets.extend_from_slice(random);
+        for i in 0..48 {
+            let f = model.footprint_gb(0.002 * 1.3f64.powi(i));
+            budgets.extend([f, f.next_down(), f.next_up()]);
+        }
+        budgets
+    }
+
+    /// `Some` results compared bit for bit.
+    fn bits(x: Option<f64>) -> Option<u64> {
+        x.map(f64::to_bits)
+    }
+
+    /// Checks the `FootprintModel::max_input_for_budget` contract: over
+    /// ascending budgets, once one gives `Some(x)` every larger one gives
+    /// `Some(y)` with `y >= x`.
+    fn assert_monotone_inverse(model: &dyn FootprintModel, budgets: &mut [f64]) {
+        budgets.sort_by(f64::total_cmp);
+        let mut best: Option<(f64, f64)> = None;
+        for &budget in budgets.iter().filter(|b| !b.is_nan()) {
+            let got = model.max_input_for_budget(budget);
+            if let Some((low, x)) = best {
+                match got {
+                    Some(y) => assert!(y >= x, "{model:?}: {low} -> {x}, {budget} -> {y}"),
+                    None => panic!("{model:?}: {low} fits {x}, {budget} fits nothing"),
+                }
+            }
+            if let Some(y) = got {
+                best = Some((budget, y));
+            }
+        }
+    }
+
+    fn trained_ann() -> &'static (Catalog, AnnPredictor) {
+        static ANN: std::sync::OnceLock<(Catalog, AnnPredictor)> = std::sync::OnceLock::new();
+        ANN.get_or_init(|| {
+            let (catalog, system, mut rng) = setup();
+            let sizes = TrainingConfig::default().profile_sizes_gb;
+            let ann =
+                AnnPredictor::train(&catalog, &system.program_benchmarks, &sizes, 0.01, &mut rng)
+                    .unwrap();
+            (catalog, ann)
+        })
+    }
+
+    proptest::proptest! {
+        /// The table-driven `GridModel` inverse returns exactly the bits
+        /// of the linear walk it replaced, on random profiles (wiggly,
+        /// negative and NaN-producing ones included, and with `unclamped`
+        /// even non-monotone ones) at random budgets, non-positive, NaN
+        /// and infinite budgets, grid values and the footprints at sweep
+        /// points and their neighbouring floats.
+        #[test]
+        fn grid_inverse_table_matches_the_walk(
+            custom_grid in proptest::prelude::any::<bool>(),
+            gaps in proptest::collection::vec(0.01f64..3.0, 2..16),
+            curve in (0.05f64..20.0, 0.0f64..1.5),
+            wiggle in 0.0f64..4.0,
+            noise in proptest::collection::vec(-1.0f64..1.0, 1..16),
+            inf_at in 0usize..40,
+            unclamped in proptest::prelude::any::<bool>(),
+            random in proptest::collection::vec(-5.0f64..400.0, 64),
+        ) {
+            let (grid, footprints) =
+                random_profile(custom_grid, &gaps, curve, wiggle, &noise, inf_at);
+            let mut model = GridModel::new(Arc::new(SizeGrid::new(grid)), footprints.clone());
+            if unclamped {
+                model.footprints = footprints;
+                model.tabulate_probes();
+            }
+            for budget in edge_budgets(&model, &model.grid.sizes, &random) {
+                proptest::prop_assert_eq!(
+                    bits(model.max_input_for_budget(budget)),
+                    bits(model.max_input_for_budget_walk(budget)),
+                    "budget {}", budget
+                );
+            }
+            // Probe sizes are budget answers too: the footprint at each is
+            // the tightest budget that still admits it.
+            for &x in &model.grid.probes {
+                let budget = model.footprint_gb(x);
+                proptest::prop_assert_eq!(
+                    bits(model.max_input_for_budget(budget)),
+                    bits(model.max_input_for_budget_walk(budget))
+                );
+            }
+        }
+
+        /// The monotonicity contract for `CalibratedModel`, every family,
+        /// over coefficients of either sign.
+        #[test]
+        fn inverse_is_monotone_in_the_budget_calibrated(
+            family in 0usize..3,
+            m in -2.0f64..60.0,
+            b in -3.0f64..12.0,
+            random in proptest::collection::vec(-5.0f64..400.0, 64),
+        ) {
+            let family = [CurveFamily::Linear, CurveFamily::Exponential, CurveFamily::NapierianLog]
+                [family];
+            let model = CalibratedModel::from_curve(FittedCurve { family, m, b });
+            let mut budgets = edge_budgets(&model, &[m, b, m + b, m - 27.7 * b], &random);
+            assert_monotone_inverse(&model, &mut budgets);
+        }
+
+        /// The monotonicity contract for Quasar's `GridModel`.
+        #[test]
+        fn inverse_is_monotone_in_the_budget_grid(
+            custom_grid in proptest::prelude::any::<bool>(),
+            gaps in proptest::collection::vec(0.01f64..3.0, 2..16),
+            curve in (0.05f64..20.0, 0.0f64..1.5),
+            wiggle in 0.0f64..4.0,
+            noise in proptest::collection::vec(-1.0f64..1.0, 1..16),
+            inf_at in 0usize..40,
+            random in proptest::collection::vec(-5.0f64..400.0, 64),
+        ) {
+            let (grid, footprints) =
+                random_profile(custom_grid, &gaps, curve, wiggle, &noise, inf_at);
+            let model = GridModel::new(Arc::new(SizeGrid::new(grid)), footprints);
+            let mut budgets = edge_budgets(&model, &model.grid.sizes, &random);
+            assert_monotone_inverse(&model, &mut budgets);
+        }
+
+        /// The monotonicity contract for the unified ANN's model, on the
+        /// observed features of random catalog programs.
+        #[test]
+        fn inverse_is_monotone_in_the_budget_ann(
+            program in 0usize..1000,
+            seed in 0u64..1000,
+            random in proptest::collection::vec(-5.0f64..400.0, 24),
+        ) {
+            let (catalog, ann) = trained_ann();
+            let bench = &catalog.all()[program % catalog.all().len()];
+            let features = signatures::observe_default(bench, &mut SimRng::seed_from(seed));
+            let model = AnnModel {
+                scaler: ann.scaler.clone(),
+                net: ann.net.clone(),
+                features: features.as_slice().to_vec(),
+                y_max: ann.y_max,
+            };
+            let mut budgets = edge_budgets(&model, &[], &random);
+            assert_monotone_inverse(&model, &mut budgets);
         }
     }
 }

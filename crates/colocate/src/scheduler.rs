@@ -33,7 +33,7 @@ use crate::predictors::{
 use crate::profiling::{profile_app, ProfilingConfig, ProfilingCost};
 use crate::training::{TrainedSystem, TrainingConfig};
 use crate::ColocateError;
-use mlkit::regression::CurveFamily;
+use mlkit::regression::{CurveFamily, FittedCurve};
 use simkit::faults::{FaultEvent, FaultKind, FaultPlan};
 use simkit::SimRng;
 use sparklite::app::AppId;
@@ -575,7 +575,7 @@ fn run_schedule_inner(
     // so the resolver scans this short list instead of the whole cluster.
     let mut hot_nodes: Vec<NodeId> = Vec::new();
     // Placement scratch, hoisted out of the per-event placement calls.
-    let mut place_scratch = PlaceScratch::new();
+    let mut place_scratch = PlaceScratch::default();
     let mut guard = 0usize;
     let guard_limit = 200_000usize;
 
@@ -597,13 +597,6 @@ fn run_schedule_inner(
 
     loop {
         guard += 1;
-        if guard.is_multiple_of(20_000) && std::env::var_os("SPARK_MOE_DEBUG").is_some() {
-            let live = engine.live_executors();
-            let unfinished = apps.iter().filter(|a| a.finished_at.is_none()).count();
-            eprintln!(
-                "[debug] iter {guard}: t={t:.0}s live={live} unfinished={unfinished} ooms={oom_kills}"
-            );
-        }
         if guard > guard_limit {
             return Err(ColocateError::Config(
                 "scheduler event loop exceeded its iteration guard".into(),
@@ -995,40 +988,50 @@ pub(crate) fn build_predictor(
 }
 
 /// Reusable buffers for [`place_predictive`], owned by the event loop so
-/// per-event placement passes allocate nothing at steady state — the PR 4
-/// ranked/candidate pattern hoisted one level further, out of the call
-/// itself. Also carries the worker budget and fan-out slots for the
-/// storm-sized candidate-ranking pass (DESIGN.md §17).
-#[derive(Debug)]
+/// per-event placement passes allocate nothing at steady state.
+#[derive(Debug, Default)]
 pub(crate) struct PlaceScratch {
-    /// Worker budget for the parallel ranking pass.
-    workers: usize,
-    /// Nodes ranked by free memory, rebuilt per water-filling round.
+    /// Eligible nodes ranked by free memory, rebuilt for each application
+    /// the water-filling pass scans.
     ranked: Vec<(NodeId, f64)>,
     /// Dynamic-adjustment candidates: `(executor, node, free memory)`.
     candidates: Vec<(sparklite::ExecutorId, NodeId, f64)>,
-    /// Fan-out slots for the parallel ranking pass.
-    rank_out: Vec<Option<Option<(NodeId, f64)>>>,
-    /// Per-worker (stateless) arenas for the ranking fan-out.
-    rank_arenas: Vec<()>,
+    /// Per-call snapshot of each node's observed CPU load, by node index;
+    /// empty until the first scan of the call needs it.
+    node_load: Vec<f64>,
+    /// Per-call flags, by application position: the app's last scan found
+    /// no node passing both guards and the memory fit.
+    stalled: Vec<bool>,
 }
 
-impl PlaceScratch {
-    pub(crate) fn new() -> Self {
-        PlaceScratch {
-            workers: simkit::par::available_workers(),
-            ranked: Vec::new(),
-            candidates: Vec::new(),
-            rank_out: Vec::new(),
-            rank_arenas: Vec::new(),
-        }
-    }
+/// The CPU load the placement guard sees on `node`: the instantaneous
+/// load, raised toward the monitor's windowed view (§4.2) by at most 0.15
+/// so a node recovering from a burst is not immediately over-packed.
+fn observed_cpu_load(
+    engine: &ClusterEngine,
+    monitor: &sparklite::monitor::ResourceMonitor,
+    node: NodeId,
+) -> f64 {
+    let load = engine.node_cpu_load(node);
+    load.max(monitor.windowed_cpu(node).min(load + 0.15))
 }
 
-/// Minimum cluster size before the per-round ranking filter fans across
-/// workers; below this the filter is a few microseconds of pointer
-/// chasing and thread spawn would dominate.
-const PAR_RANK_MIN_NODES: usize = 4096;
+/// Dynalloc's executor target for `id` and the per-executor input share
+/// it implies.
+pub(crate) fn fair_share(
+    engine: &ClusterEngine,
+    id: AppId,
+    config: &SchedulerConfig,
+) -> (usize, f64) {
+    let spec = engine.app(id).spec();
+    let target = dynalloc::executors_for(
+        spec,
+        config.cluster.nodes,
+        config.cluster.node.ram_gb,
+        config.dynalloc,
+    );
+    (target, spec.input_gb / target as f64)
+}
 
 /// One placement round at time `t`. Returns the number of *abstain*
 /// placements made (isolated whole-node reservations forced by a tripped
@@ -1074,13 +1077,8 @@ pub(crate) fn force_place(
         if engine.app(id).unassigned_gb() <= 0.0 {
             continue;
         }
-        let spec = engine.app(id).spec().clone();
-        let target = dynalloc::executors_for(
-            &spec,
-            config.cluster.nodes,
-            config.cluster.node.ram_gb,
-            config.dynalloc,
-        );
+        let (_, share) = fair_share(engine, id, config);
+        let curve = engine.app(id).spec().memory_curve;
         // Emptiest *online* node; when every node is offline there is
         // nothing to force (the caller's restore schedule will unblock).
         let Some(node) = engine
@@ -1100,8 +1098,8 @@ pub(crate) fn force_place(
             continue;
         }
         let slice = fitting_slice(
-            &spec,
-            (spec.input_gb / target as f64).min(engine.app(id).unassigned_gb()),
+            curve,
+            share.min(engine.app(id).unassigned_gb()),
             free * 0.95,
         )
         .max(config.min_slice_gb)
@@ -1119,8 +1117,8 @@ pub(crate) fn force_place(
 /// Largest slice of `spec`'s input whose ground-truth footprint fits in
 /// `budget_gb` — the wave size a memory-observing baseline processes at a
 /// time when a node cannot hold the whole slice.
-fn fitting_slice(spec: &sparklite::app::AppSpec, want_gb: f64, budget_gb: f64) -> f64 {
-    let model = moe_core::calibration::CalibratedModel::from_curve(spec.memory_curve);
+fn fitting_slice(curve: FittedCurve, want_gb: f64, budget_gb: f64) -> f64 {
+    let model = moe_core::calibration::CalibratedModel::from_curve(curve);
     match model.max_input_for_budget(budget_gb) {
         Some(x) => want_gb.min(x),
         None => 0.0,
@@ -1141,14 +1139,8 @@ fn place_isolated(
     if engine.app(id).unassigned_gb() <= 0.0 {
         return Ok(());
     }
-    let spec = engine.app(id).spec().clone();
-    let target = dynalloc::executors_for(
-        &spec,
-        config.cluster.nodes,
-        config.cluster.node.ram_gb,
-        config.dynalloc,
-    );
-    let slice = spec.input_gb / target as f64;
+    let (target, slice) = fair_share(engine, id, config);
+    let curve = engine.app(id).spec().memory_curve;
     for &node in nodes {
         if engine.app(id).unassigned_gb() <= 0.0 {
             break;
@@ -1162,7 +1154,7 @@ fn place_isolated(
         // Exclusive: reserve the node's entire memory; process the input
         // in waves sized to what actually fits the heap.
         let ram = engine.cluster().node(node).spec().ram_gb;
-        let wave = fitting_slice(&spec, slice, ram * 0.95);
+        let wave = fitting_slice(curve, slice, ram * 0.95);
         if wave <= 0.0 {
             continue;
         }
@@ -1197,15 +1189,9 @@ fn place_pairwise(
         if engine.app(id).unassigned_gb() <= 0.0 {
             continue;
         }
-        let spec = engine.app(id).spec().clone();
         let bench = &catalog.all()[apps[i].benchmark];
-        let target = dynalloc::executors_for(
-            &spec,
-            config.cluster.nodes,
-            config.cluster.node.ram_gb,
-            config.dynalloc,
-        );
-        let slice = spec.input_gb / target as f64;
+        let (target, slice) = fair_share(engine, id, config);
+        let curve = engine.app(id).spec().memory_curve;
         // Prefer empty nodes, then singly occupied ones. Occupancy counts
         // come from one pass over the executor set instead of letting the
         // sort re-scan it per comparison key; the stable sort over equal
@@ -1231,7 +1217,7 @@ fn place_pairwise(
                 continue;
             }
             let want = fitting_slice(
-                &spec,
+                curve,
                 slice.min(engine.app(id).unassigned_gb()),
                 engine.cluster().node(node).spec().ram_gb * 0.95,
             );
@@ -1269,11 +1255,10 @@ pub(crate) fn place_predictive(
     scratch: &mut PlaceScratch,
 ) -> Result<usize, ColocateError> {
     let PlaceScratch {
-        workers,
         ranked,
         candidates,
-        rank_out,
-        rank_arenas,
+        node_load,
+        stalled,
     } = scratch;
     let mut abstain_placements = 0usize;
     // Graceful degradation: an application that burned through its retry
@@ -1295,7 +1280,7 @@ pub(crate) fn place_predictive(
             if engine.app(id).unassigned_gb() <= 0.0 || engine.app(id).live_executors() > 0 {
                 continue;
             }
-            let spec = engine.app(id).spec().clone();
+            let curve = engine.app(id).spec().memory_curve;
             for &node in nodes {
                 if !engine.node_online(node)
                     || resil.quarantined_until[node.index()] > t
@@ -1304,7 +1289,7 @@ pub(crate) fn place_predictive(
                     continue;
                 }
                 let ram = engine.cluster().node(node).spec().ram_gb;
-                let wave = fitting_slice(&spec, engine.app(id).unassigned_gb(), ram * 0.95);
+                let wave = fitting_slice(curve, engine.app(id).unassigned_gb(), ram * 0.95);
                 if wave < config.min_slice_gb {
                     continue;
                 }
@@ -1327,35 +1312,51 @@ pub(crate) fn place_predictive(
     // first. This models §4.3's "starts executing waiting applications as
     // soon as possible" + even thread distribution: late arrivals are not
     // starved behind large jobs the way strict per-slot FCFS would.
+    //
+    // Within the call a node's free memory only falls and its load and
+    // executor count only rise, so the per-call load snapshot, the
+    // `break` on the first failed memory fit and the `stalled` flags all
+    // leave the outcome bit-identical (DESIGN.md §11, "Scheduler sweep").
+    let quantize = |gb: f64| -> f64 {
+        // Whole RDD partitions only (never exceeding what was asked for; a
+        // final sub-partition tail is allowed so inputs drain completely).
+        if config.partition_gb <= 0.0 || gb <= config.partition_gb {
+            return gb;
+        }
+        (gb / config.partition_gb).floor() * config.partition_gb
+    };
+    node_load.clear();
+    stalled.clear();
+    stalled.resize(apps.len(), false);
     loop {
         let mut progress = false;
-        for app in apps.iter() {
-            if app.finished_at.is_some()
+        for (i, app) in apps.iter().enumerate() {
+            if stalled[i]
+                || app.finished_at.is_some()
                 || app.ready_at.max(app.retry_at) > t
                 || app.isolated_fallback
             {
                 continue;
             }
             let id = app.engine_id;
-            if engine.app(id).unassigned_gb() <= 0.0 {
+            let remaining = engine.app(id).unassigned_gb();
+            if remaining <= 0.0 {
                 continue;
             }
             let Some(prediction) = &app.prediction else {
                 continue;
             };
-            let margin = effective_margin(app, config);
-            let cpu = app.measured_cpu;
-            let spec = engine.app(id).spec().clone();
-            let target = dynalloc::executors_for(
-                &spec,
-                config.cluster.nodes,
-                config.cluster.node.ram_gb,
-                config.dynalloc,
-            );
+            let (target, slice_target) = fair_share(engine, id, config);
             if engine.app(id).live_executors() >= target {
                 continue;
             }
-            let slice_target = spec.input_gb / target as f64;
+            if node_load.is_empty() {
+                node_load.extend(nodes.iter().map(|&n| observed_cpu_load(engine, monitor, n)));
+            }
+            let margin = effective_margin(app, config);
+            let cpu = app.measured_cpu;
+            let want = slice_target.min(remaining);
+            let need = prediction.model.footprint_gb(want) * app.pred_scale * margin;
 
             // Nodes with the most free memory first (§4.3: spawn on
             // servers that have spare memory). Offline and quarantined
@@ -1365,65 +1366,22 @@ pub(crate) fn place_predictive(
             // relative pre-order) visits eligible nodes in exactly the
             // sequence the unfiltered scan did.
             ranked.clear();
-            if *workers > 1 && nodes.len() >= PAR_RANK_MIN_NODES {
-                // Storm-sized cluster: fan the per-node filter and
-                // free-memory read across workers. Survivors are taken in
-                // index order, so the stable sort below sees exactly the
-                // sequence the serial scan feeds it (DESIGN.md §17).
-                let engine_ref: &ClusterEngine = engine;
-                simkit::par::par_for_shards(
-                    nodes,
-                    *workers,
-                    rank_arenas,
-                    || (),
-                    rank_out,
-                    |_, &n, ()| {
-                        (engine_ref.node_online(n) && resil.quarantined_until[n.index()] <= t)
-                            .then(|| (n, engine_ref.node_free_memory(n)))
-                    },
-                );
-                ranked.extend(rank_out.iter_mut().filter_map(|slot| slot.take().flatten()));
-            } else {
-                ranked.extend(
-                    nodes
-                        .iter()
-                        .copied()
-                        .filter(|&n| {
-                            engine.node_online(n) && resil.quarantined_until[n.index()] <= t
-                        })
-                        .map(|n| (n, engine.node_free_memory(n))),
-                );
-            }
+            ranked.extend(
+                nodes
+                    .iter()
+                    .copied()
+                    .filter(|&n| engine.node_online(n) && resil.quarantined_until[n.index()] <= t)
+                    .map(|n| (n, engine.node_free_memory(n))),
+            );
             ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-            for &(node, _) in ranked.iter() {
-                if engine.node_executor_count(node) >= config.max_execs_per_node {
-                    continue;
-                }
+            let mut placement = None;
+            for &(node, free) in ranked.iter() {
                 // CPU guard: aggregate load stays under the cap (§4.3).
-                // The monitor's windowed view (§4.2) is consulted alongside
-                // the instantaneous load so a node recovering from a burst
-                // is not immediately over-packed.
-                let observed_load = engine.node_cpu_load(node).max(
-                    monitor
-                        .windowed_cpu(node)
-                        .min(engine.node_cpu_load(node) + 0.15),
-                );
-                if observed_load + cpu > config.cpu_cap {
+                if engine.node_executor_count(node) >= config.max_execs_per_node
+                    || node_load[node.index()] + cpu > config.cpu_cap
+                {
                     continue;
                 }
-                let free = engine.node_free_memory(node);
-                let remaining = engine.app(id).unassigned_gb();
-                let want = slice_target.min(remaining);
-                let need = prediction.model.footprint_gb(want) * app.pred_scale * margin;
-                let quantize = |gb: f64| -> f64 {
-                    // Whole RDD partitions only (never exceeding what was
-                    // asked for; a final sub-partition tail is allowed so
-                    // inputs drain completely).
-                    if config.partition_gb <= 0.0 || gb <= config.partition_gb {
-                        return gb;
-                    }
-                    (gb / config.partition_gb).floor() * config.partition_gb
-                };
                 let (slice, reserve) = if need <= free {
                     (want, need)
                 } else {
@@ -1439,13 +1397,25 @@ pub(crate) fn place_predictive(
                                     .min(free),
                             )
                         }
-                        _ => continue,
+                        // Later nodes have no more free memory, so by the
+                        // `FootprintModel` monotonicity contract none fits.
+                        _ => break,
                     }
                 };
-                if engine.spawn_executor(id, node, slice, reserve)?.is_some() {
-                    progress = true;
-                }
+                placement = Some((node, slice, reserve));
                 break; // one executor per app per round
+            }
+            let Some((node, slice, reserve)) = placement else {
+                stalled[i] = true;
+                continue;
+            };
+            if engine.spawn_executor(id, node, slice, reserve)?.is_some() {
+                progress = true;
+                node_load[node.index()] = observed_cpu_load(engine, monitor, node);
+            } else {
+                // A refused spawn releases its reservation, which may
+                // round free memory up: the stalls no longer hold.
+                stalled.fill(false);
             }
         }
         if !progress {
@@ -1478,14 +1448,7 @@ pub(crate) fn place_predictive(
             // adjustment restores an executor squeezed below its fair
             // slice by an earlier memory shortage — it must not serialise
             // work that future executors would process in parallel.
-            let spec = engine.app(id).spec().clone();
-            let target = dynalloc::executors_for(
-                &spec,
-                config.cluster.nodes,
-                config.cluster.node.ram_gb,
-                config.dynalloc,
-            );
-            let slice_target = spec.input_gb / target as f64;
+            let (_, slice_target) = fair_share(engine, id, config);
             // This app's executors, on the node with the most free memory
             // first. One pass over the executor set replaces the old
             // nodes-times-executors double scan; the (node, id) tie-break

@@ -31,8 +31,8 @@
 use crate::harness::{BaselineCache, ChaosSpec, RunConfig};
 use crate::metrics::percentiles;
 use crate::scheduler::{
-    apply_fault, build_predictor, effective_margin, force_place, note_completion, place,
-    process_revocations, resolve_ooms, AppRt, FaultStats, NextSeed, PolicyKind, ResilState,
+    apply_fault, build_predictor, effective_margin, fair_share, force_place, note_completion,
+    place, process_revocations, resolve_ooms, AppRt, FaultStats, NextSeed, PolicyKind, ResilState,
     ResilienceConfig, SchedulerConfig,
 };
 use crate::training::TrainedSystem;
@@ -41,7 +41,6 @@ use simkit::arrivals::{ArrivalPlan, ArrivalPlanConfig, ArrivalProcess};
 use simkit::faults::{FaultPlan, FaultPlanConfig};
 use simkit::stats::TimeWeighted;
 use simkit::{par, SimRng, SimTime};
-use sparklite::dynalloc;
 use sparklite::engine::ClusterEngine;
 use sparklite::NodeId;
 use std::collections::{HashMap, VecDeque};
@@ -419,14 +418,7 @@ fn admission_need_gb(app: &AppRt, engine: &ClusterEngine, config: &SchedulerConf
     let Some(prediction) = &app.prediction else {
         return 0.0;
     };
-    let spec = engine.app(app.engine_id).spec().clone();
-    let target = dynalloc::executors_for(
-        &spec,
-        config.cluster.nodes,
-        config.cluster.node.ram_gb,
-        config.dynalloc,
-    );
-    let slice = spec.input_gb / target as f64;
+    let (target, slice) = fair_share(engine, app.engine_id, config);
     prediction.model.footprint_gb(slice)
         * app.pred_scale
         * effective_margin(app, config)
@@ -744,7 +736,7 @@ pub fn run_service(
     let node_ids = engine.cluster().node_ids();
     let mut hot_nodes: Vec<NodeId> = Vec::new();
     // Placement scratch, hoisted out of the per-event placement calls.
-    let mut place_scratch = crate::scheduler::PlaceScratch::new();
+    let mut place_scratch = crate::scheduler::PlaceScratch::default();
     let mut guard = 0usize;
     let guard_limit = 500_000usize;
 
