@@ -1,13 +1,14 @@
 //! The chaos-search invariant battery: runs a [`simkit::chaoskit`]
-//! episode through the closed-loop scheduler or the open-system service
-//! and checks the contracts that must hold on *every* run, violating
-//! fault schedule or not:
+//! episode through the dispatcher's event loop — as the closed system (a
+//! batch plan, admission off) or as the open-system service — and checks
+//! the contracts that must hold on *every* run, violating fault schedule
+//! or not:
 //!
 //! * **job conservation** — every planned job finishes or is shed,
 //!   exactly once; shed jobs never start, kept jobs never vanish;
 //! * **timestamp sanity** — admissions happen at or after arrival,
-//!   finishes at or after admission, everything finite; the reported
-//!   makespan is exactly the last finish;
+//!   finishes at or after arrival and admission, everything finite; the
+//!   reported makespan is exactly the last finish;
 //! * **committed-GB accounting** — the admission layer's booked footprint
 //!   sum never goes negative and never exceeds the headroom budget with
 //!   more than one booking in flight (the single-booking empty-cluster
@@ -29,8 +30,9 @@
 //! episode order so the whole campaign — violations, shrink traces and
 //! all — is bit-for-bit identical at every worker count.
 
-use crate::scheduler::{run_schedule_with_faults, PolicyKind, ResilienceConfig, SchedulerConfig};
+use crate::scheduler::{PolicyKind, ResilienceConfig, SchedulerConfig};
 use crate::service::{run_service, AdmissionConfig, ServiceConfig, ServiceOutcome};
+use simkit::arrivals::ArrivalPlan;
 use simkit::chaoskit::{shrink, Episode, EpisodeSpace, ShrinkResult, Violation};
 use simkit::par;
 use sparklite::cluster::ClusterSpec;
@@ -159,28 +161,20 @@ fn check_episode_inner(catalog: &Catalog, episode: &Episode) -> Result<Option<Vi
             ));
         }
     }
-    let sched = scheduler_config(episode);
-    if episode.preset == 0 {
-        let mix: Vec<(usize, f64)> = episode
+    // Preset 0 is the closed system: the episode's jobs all land at t = 0
+    // (a batch plan) and admission stays off.
+    let plan = if episode.preset == 0 {
+        let jobs: Vec<(usize, usize)> = episode
             .arrivals
             .iter()
-            .map(|e| classes[e.job_class])
+            .map(|e| (e.tenant, e.job_class))
             .collect();
-        let outcome = run_schedule_with_faults(
-            PolicyKind::Oracle,
-            catalog,
-            &mix,
-            None,
-            &sched,
-            episode.seed,
-            &episode.fault_plan(),
-        )
-        .map_err(|e| format!("closed-loop run failed: {e}"))?;
-        return Ok(check_closed(&outcome));
-    }
-
+        ArrivalPlan::batch(&jobs)
+    } else {
+        episode.arrival_plan()
+    };
     let config = ServiceConfig {
-        scheduler: sched,
+        scheduler: scheduler_config(episode),
         admission: admission_for(episode.preset),
         tenant_weights: Vec::new(),
         job_classes: classes,
@@ -188,7 +182,7 @@ fn check_episode_inner(catalog: &Catalog, episode: &Episode) -> Result<Option<Vi
     let outcome = run_service(
         PolicyKind::Oracle,
         catalog,
-        &episode.arrival_plan(),
+        &plan,
         None,
         &config,
         episode.seed,
@@ -198,40 +192,13 @@ fn check_episode_inner(catalog: &Catalog, episode: &Episode) -> Result<Option<Vi
     Ok(check_service(&outcome))
 }
 
-/// The closed-loop battery: every app finishes at a finite time no
-/// earlier than it became ready, and the makespan is exactly the last
-/// finish.
-fn check_closed(outcome: &crate::scheduler::ScheduleOutcome) -> Option<Violation> {
-    let mut last = 0.0f64;
-    for (i, app) in outcome.per_app.iter().enumerate() {
-        if !app.finished_at.is_finite() || app.finished_at < 0.0 {
-            return Some(Violation::new(
-                "job-conservation",
-                format!("app {i} ended with non-finite finish {}", app.finished_at),
-            ));
-        }
-        if app.finished_at < app.ready_at {
-            return Some(Violation::new(
-                "timestamp-order",
-                format!(
-                    "app {i} finished at {} before it was ready at {}",
-                    app.finished_at, app.ready_at
-                ),
-            ));
-        }
-        last = last.max(app.finished_at);
-    }
-    if outcome.makespan_secs.to_bits() != last.to_bits() {
-        return Some(Violation::new(
-            "makespan-accounting",
-            format!("makespan {} != last finish {last}", outcome.makespan_secs),
-        ));
-    }
-    None
-}
-
-/// The open-system battery: job conservation, timestamp ordering,
-/// makespan accounting, and the admission layer's audit counters.
+/// The battery: job conservation, timestamp ordering, makespan
+/// accounting, and the admission layer's audit counters.
+///
+/// Every finished job must finish no earlier than it arrived, admitted
+/// jobs no earlier than their admission. A job also never finishes before
+/// it became ready — the event loop stamps `finished_at = t.max(ready_at)`
+/// — so that order holds by construction and is not re-checked here.
 fn check_service(outcome: &ServiceOutcome) -> Option<Violation> {
     let mut finished = 0usize;
     let mut shed = 0usize;
@@ -264,6 +231,12 @@ fn check_service(outcome: &ServiceOutcome) -> Option<Violation> {
                     return Some(Violation::new(
                         "job-conservation",
                         format!("job {i} finished at non-finite {f}"),
+                    ));
+                }
+                if f < job.arrived_at {
+                    return Some(Violation::new(
+                        "timestamp-order",
+                        format!("job {i} finished at {f} before arrival {}", job.arrived_at),
                     ));
                 }
                 if let Some(adm) = job.admitted_at {
@@ -472,6 +445,34 @@ mod tests {
         episode.arrivals[0].job_class = JOB_CLASSES.len();
         let v = check_episode(&catalog, &episode).expect("must be flagged");
         assert_eq!(v.invariant, "run-error");
+    }
+
+    #[test]
+    fn finishing_before_arrival_is_flagged_without_admission() {
+        let job = crate::service::JobOutcome {
+            benchmark: 0,
+            input_gb: 30.0,
+            tenant: 0,
+            arrived_at: 10.0,
+            admitted_at: None,
+            finished_at: Some(5.0),
+            shed: false,
+        };
+        let outcome = ServiceOutcome {
+            jobs: vec![job],
+            makespan_secs: 5.0,
+            oom_kills: 0,
+            shed_jobs: 0,
+            deferrals: 0,
+            abstain_placements: 0,
+            breaker_trips: 0,
+            max_queue_depth: 0,
+            mean_queue_depth: 0.0,
+            faults: crate::scheduler::FaultStats::default(),
+            audit: crate::service::AdmissionAudit::default(),
+        };
+        let v = check_service(&outcome).expect("must be flagged");
+        assert_eq!(v.invariant, "timestamp-order");
     }
 
     #[test]

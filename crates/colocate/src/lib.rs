@@ -17,23 +17,24 @@
 //!   includes the leave-one-out plumbing of §5.2;
 //! * [`scheduler`] — the job dispatcher (§4.3) and the comparative
 //!   policies: Isolated, Pairwise, Online-Search and the predictive
-//!   co-locator, all sharing one event loop;
+//!   co-locator, plus the closed-system entry points that run a mix
+//!   through the service's event loop as a batch arrival plan;
 //! * [`metrics`] — STP and ANTT (Eyerman–Eeckhout definitions, §5.3),
 //!   their normalisation against the isolated baseline, and NaN-safe
 //!   percentile helpers for tail metrics;
-//! * [`service`] — the open-system streaming mode: jobs land over
-//!   simulated time from a pre-drawn [`simkit::arrivals::ArrivalPlan`],
-//!   pass a memory-footprint-gated admission queue with per-tenant
-//!   weighted fair queueing, and overload is met with load shedding,
-//!   backpressure and a circuit breaker that degrades to isolated
-//!   scheduling;
+//! * [`service`] — the dispatcher's one event loop and the open-system
+//!   streaming mode: jobs land over simulated time from a pre-drawn
+//!   [`simkit::arrivals::ArrivalPlan`], pass a memory-footprint-gated
+//!   admission queue with per-tenant weighted fair queueing, and
+//!   overload is met with load shedding, backpressure and a circuit
+//!   breaker that degrades to isolated scheduling;
 //! * [`harness`] — campaign runners: replay a mix until the 95 % CI
 //!   half-width is below 5 % (§5.2), produce utilisation traces (Fig. 7),
 //!   overhead breakdowns (Figs. 11/12) and interference studies
 //!   (Figs. 14/15);
 //! * [`invariants`] — the chaos-search battery: runs a
-//!   [`simkit::chaoskit`] episode through the scheduler or the service
-//!   and checks the contracts every run must honour (job conservation,
+//!   [`simkit::chaoskit`] episode through the service, as the closed
+//!   system (a batch plan) or open, and checks the contracts every run must honour (job conservation,
 //!   committed-GB accounting, WFQ ordering, breaker liveness, quarantine
 //!   finiteness), shrinking any violation to a minimal reproducer.
 //!

@@ -23,13 +23,22 @@
 //!   on the way back. Admission keeps flowing while open — the service
 //!   degrades to isolated throughput instead of stalling.
 //!
-//! Everything is opt-in: with [`AdmissionConfig::enabled`] `false` and a
-//! [`batch`](simkit::arrivals::ArrivalPlan::batch) plan, [`run_service`]
-//! reproduces the closed-system [`run_schedule_custom`] path bit for bit —
-//! the identity the open-loop invariant tests pin.
+//! This module owns the dispatcher's only event loop. Each scheduling
+//! instant it delivers due arrivals, replays faults, marks finishes, runs
+//! the admission layer, places executors, resolves OOMs and advances the
+//! engine to the next completion or external event. The closed system of
+//! the paper's evaluation is the loop's batch case: the
+//! [`run_schedule`](crate::scheduler::run_schedule) family submits the mix
+//! as a [`batch`](simkit::arrivals::ArrivalPlan::batch) plan (every job at
+//! `t = 0`) with admission off, which is also the only way the
+//! non-predictive `Isolated` and `Pairwise` policies reach the loop.
+//! Everything open-system is opt-in: with [`AdmissionConfig::enabled`]
+//! `false` no admission, shedding or breaker state moves and nothing extra
+//! is drawn from the RNG.
 
 use crate::harness::{BaselineCache, ChaosSpec, RunConfig};
 use crate::metrics::percentiles;
+use crate::profiling::{profile_app, AppProfile, ProfilingCost};
 use crate::scheduler::{
     apply_fault, build_predictor, effective_margin, fair_share, force_place, note_completion,
     place, process_revocations, resolve_ooms, AppRt, FaultStats, NextSeed, PolicyKind, ResilState,
@@ -231,14 +240,6 @@ pub struct AdmissionAudit {
     /// Whether the breaker was still open when the service drained
     /// (informational: legitimate when distress lands near the end).
     pub final_breaker_open: bool,
-    /// Micro-batches the opt-in prediction batcher dispatched
-    /// (informational; zero unless `SPARK_MOE_SERVICE_DEADLINE_US` is
-    /// set to a nonzero deadline).
-    pub prediction_batches: usize,
-    /// Longest time any request waited in the prediction batcher's queue
-    /// before its batch dispatched, s (informational; zero when batching
-    /// is off).
-    pub prediction_max_wait_secs: f64,
 }
 
 /// Sidecar state the admission layer keeps per planned job.
@@ -276,7 +277,7 @@ enum Breaker {
 /// otherwise it stays open another cooldown. The two thresholds differ
 /// (hysteresis), so the machine cannot flap on a borderline distress rate.
 ///
-/// `run_service` drives this in a fixed order each scheduling instant:
+/// The event loop drives this in a fixed order each scheduling instant:
 /// [`note_distress`](Self::note_distress) for crashes, then
 /// [`prune`](Self::prune) + [`recover`](Self::recover), then
 /// [`note_distress`](Self::note_distress) for kills and
@@ -425,100 +426,15 @@ fn admission_need_gb(app: &AppRt, engine: &ClusterEngine, config: &SchedulerConf
         * target as f64
 }
 
-/// Opt-in flush deadline for the admission-time prediction batcher, µs
-/// (`SPARK_MOE_SERVICE_DEADLINE_US`; default 0 routes predictions through
-/// the plain whole-plan batch, byte-identical to prior releases).
-fn service_deadline_us() -> u64 {
-    std::env::var("SPARK_MOE_SERVICE_DEADLINE_US")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Serves the plan's expert selections through the [`BatchPredictor`]
-/// micro-batching front end with a real flush deadline: requests enter in
-/// plan order at their profiling-completion instants (clamped monotone —
-/// the batcher's clock contract), and each queued batch dispatches at
-/// `max_batch` requests or `deadline_us` of queue age, whichever first.
-/// Selections are batch-partition invariant, so the returned predictions
-/// are bitwise identical to one whole-plan `predict_batch`; the calls
-/// here only exercise the deadline machinery and report how it batched.
-fn batched_service_predictions(
-    system: &TrainedSystem,
-    refs: &[&crate::profiling::AppProfile],
-    jobs: &[JobState],
-    deadline_us: u64,
-    batches: &mut usize,
-    max_wait: &mut f64,
-) -> Result<Vec<crate::predictors::Prediction>, ColocateError> {
-    let config = crate::serving::BatchConfig {
-        max_batch: 256,
-        max_delay: deadline_us as f64 * 1e-6,
-    };
-    let mut batcher = crate::serving::BatchPredictor::new(
-        system.predictor.clone(),
-        system.selections.clone(),
-        config,
-    )
-    .map_err(|e| ColocateError::Config(format!("prediction batcher setup: {e}")))?;
-    let mut selections: Vec<Option<moe_core::Selection>> = vec![None; refs.len()];
-    let mut submitted_at: Vec<f64> = vec![0.0; refs.len()];
-    let mut now = 0.0f64;
-    for (i, profile) in refs.iter().enumerate() {
-        now = now.max(jobs[i].profile_ready);
-        let queued_before = batcher.pending();
-        for (ticket, selection) in batcher.poll(now)? {
-            *max_wait = max_wait.max(now - submitted_at[ticket as usize]);
-            selections[ticket as usize] = Some(selection);
-        }
-        if batcher.pending() < queued_before {
-            *batches += 1;
-        }
-        let queued_before = batcher.pending();
-        let ticket = batcher.submit(now, profile.features.clone())?;
-        submitted_at[ticket as usize] = now;
-        if batcher.pending() <= queued_before {
-            *batches += 1;
-        }
-    }
-    if batcher.pending() > 0 {
-        *batches += 1;
-    }
-    for (ticket, selection) in batcher.flush()? {
-        *max_wait = max_wait.max(now - submitted_at[ticket as usize]);
-        selections[ticket as usize] = Some(selection);
-    }
-    let mut out = Vec::with_capacity(refs.len());
-    for (profile, selection) in refs.iter().zip(&selections) {
-        let Some(selection) = selection else {
-            return Err(ColocateError::Config(
-                "prediction batcher dropped a request".into(),
-            ));
-        };
-        let expert = system.predictor.registry().get(selection.expert)?;
-        let model = crate::predictors::robust_calibrate(
-            expert,
-            profile.calibration[0],
-            profile.calibration[1],
-        )?;
-        out.push(crate::predictors::Prediction {
-            model: Box::new(model),
-            low_confidence: selection.low_confidence,
-            cpu_estimate: None,
-        });
-    }
-    Ok(out)
-}
-
 /// Runs one open-system campaign: every arrival in `plan` is mapped
 /// through [`ServiceConfig::job_classes`], profiled on arrival, passed
 /// through the admission layer (when enabled) and scheduled by `policy`'s
 /// dispatcher, with `faults` (when given) replayed against the cluster.
 ///
 /// Determinism: the outcome is a pure function of the arguments. A
-/// [`batch`](ArrivalPlan::batch) plan with admission disabled and no
-/// faults reproduces [`run_schedule_custom`](crate::scheduler::run_schedule_custom)
-/// bit for bit.
+/// [`batch`](ArrivalPlan::batch) plan with admission disabled is exactly
+/// what the closed-system [`run_schedule_custom`](crate::scheduler::run_schedule_custom)
+/// runs, so the two agree bit for bit.
 ///
 /// # Errors
 ///
@@ -526,7 +442,6 @@ fn batched_service_predictions(
 /// model for the admission gate), empty plans, and plans referencing
 /// tenants or job classes the config does not define; propagates
 /// substrate and predictor failures.
-#[allow(clippy::too_many_lines)]
 pub fn run_service(
     policy: PolicyKind,
     catalog: &Catalog,
@@ -577,6 +492,39 @@ pub fn run_service(
             "tenant weights must be positive".into(),
         ));
     }
+    run_loop(policy, catalog, plan, system, config, seed, faults, false).map(|run| run.outcome)
+}
+
+/// What [`run_loop`] leaves behind: the service outcome, the final
+/// per-job dispatcher state (in plan order) and, when asked for, the
+/// utilisation trace — `(time, per-node CPU load)` at every scheduling
+/// instant.
+pub(crate) struct LoopRun {
+    pub(crate) outcome: ServiceOutcome,
+    pub(crate) apps: Vec<AppRt>,
+    pub(crate) trace: Vec<(f64, Vec<f64>)>,
+}
+
+/// Iteration guard of the event loop: a run still going after this many
+/// scheduling instants is wedged and fails with an error.
+const LOOP_GUARD: usize = 500_000;
+
+/// The dispatcher's event loop, shared by [`run_service`] and the
+/// closed-system [`run_schedule`](crate::scheduler::run_schedule) family
+/// (which runs it over a batch plan with admission off). Callers validate
+/// `plan` against `config`; this takes every policy, including the
+/// non-predictive ones, which profile nothing and draw nothing.
+#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+pub(crate) fn run_loop(
+    policy: PolicyKind,
+    catalog: &Catalog,
+    plan: &ArrivalPlan,
+    system: Option<&TrainedSystem>,
+    config: &ServiceConfig,
+    seed: u64,
+    faults: Option<&FaultPlan>,
+    record_trace: bool,
+) -> Result<LoopRun, ColocateError> {
     let sched = &config.scheduler;
     let admission = config.admission;
 
@@ -591,13 +539,18 @@ pub fn run_service(
     engine.set_executor_startup_secs(sched.executor_startup_secs);
 
     // Submit every planned job up front (the engine is inert about apps
-    // without executors) and run each one's profiling pipeline starting at
-    // its arrival instant. Same draw order as the closed loop: plan order.
+    // without executors). Under a predictive policy each job's profiling
+    // pipeline runs from its arrival instant, drawing in plan order;
+    // `Isolated` and `Pairwise` profile nothing and schedule on the
+    // benchmark's nominal CPU demand.
     let mut apps: Vec<AppRt> = Vec::with_capacity(plan.len());
     let mut jobs: Vec<JobState> = Vec::with_capacity(plan.len());
-    let mut profiles: Vec<crate::profiling::AppProfile> = Vec::with_capacity(plan.len());
+    let mut profiles: Vec<AppProfile> = Vec::new();
+    // Profiling happens off the computing cluster, "grouping different
+    // application tasks to run on a single host" (§4.1) — modeled as a
+    // small pool of concurrent profiling slots on the coordinating side.
     let mut profile_slots = [0.0f64; 6];
-    let mut search_queue_end = 0.0f64;
+    let mut search_queue_end = 0.0f64; // OnlineSearch serialises on the driver.
     for event in plan.events() {
         let (bench_idx, input) = config.job_classes[event.job_class];
         let bench = &catalog.all()[bench_idx];
@@ -610,36 +563,40 @@ pub fn run_service(
         spec.rate_gb_per_s *= rate_penalty;
         let engine_id = engine.submit(spec);
 
-        let p = predictor.as_ref().ok_or_else(|| {
-            ColocateError::Config("predictive policy produced no predictor".into())
-        })?;
-        let (profile, mut cost) = crate::profiling::profile_app(
-            bench,
-            input,
-            sched.cluster.nodes,
-            sched.cluster.node.ram_gb,
-            &sched.profiling,
-            &mut rng,
-        );
-        let mut ready = if p.needs_profiling() {
-            engine.credit_profiled(engine_id, cost.profiled_gb);
-            let slot = profile_slots
-                .iter_mut()
-                .min_by(|a, b| a.total_cmp(b))
-                .ok_or_else(|| ColocateError::Config("profiling slot pool is empty".into()))?;
-            // Profiling starts no earlier than the arrival; at a batch
-            // plan's t = 0 this reduces to the closed loop's `*slot += cost`.
-            let start = slot.max(event.at_secs);
-            *slot = start + cost.total_secs();
-            *slot
-        } else {
-            cost = crate::profiling::ProfilingCost::default();
-            event.at_secs
-        };
-        if policy == PolicyKind::OnlineSearch {
-            let search = sched.search_serial_frac * input / bench.rate_gb_per_s();
-            search_queue_end = search_queue_end.max(event.at_secs) + search;
-            ready = ready.max(search_queue_end);
+        let mut ready = event.at_secs;
+        let mut profiling = ProfilingCost::default();
+        let mut measured_cpu = bench.cpu_util();
+        if let Some(p) = predictor.as_ref() {
+            let (profile, cost) = profile_app(
+                bench,
+                input,
+                sched.cluster.nodes,
+                sched.cluster.node.ram_gb,
+                &sched.profiling,
+                &mut rng,
+            );
+            if p.needs_profiling() {
+                engine.credit_profiled(engine_id, cost.profiled_gb);
+                // Take the earliest-free profiling slot, starting no
+                // earlier than the arrival. Slot times are sums of
+                // positive costs, so `total_cmp` orders them exactly as
+                // `partial_cmp` would.
+                let slot = profile_slots
+                    .iter_mut()
+                    .min_by(|a, b| a.total_cmp(b))
+                    .ok_or_else(|| ColocateError::Config("profiling slot pool is empty".into()))?;
+                *slot = slot.max(event.at_secs) + cost.total_secs();
+                ready = *slot;
+                profiling = cost;
+            }
+            if policy == PolicyKind::OnlineSearch {
+                // Descent search serialised on the coordinating node.
+                let search = sched.search_serial_frac * input / bench.rate_gb_per_s();
+                search_queue_end = search_queue_end.max(event.at_secs) + search;
+                ready = ready.max(search_queue_end);
+            }
+            measured_cpu = profile.measured_cpu;
+            profiles.push(profile);
         }
         apps.push(AppRt {
             engine_id,
@@ -652,10 +609,10 @@ pub fn run_service(
                 ready
             },
             prediction: None,
-            measured_cpu: profile.measured_cpu,
+            measured_cpu,
             margin: 1.0,
             finished_at: None,
-            profiling: cost,
+            profiling,
             input_gb: input,
             pred_scale: 1.0,
             err_ewma: 1.0,
@@ -673,72 +630,39 @@ pub fn run_service(
             committed_gb: 0.0,
             released: false,
         });
-        profiles.push(profile);
     }
-    // One batched prediction over every job arriving in this planning
-    // pass: the MoE serves it through the whole-matrix selector path,
-    // bitwise identical to the former per-job predict calls (and the
-    // profiling RNG draws above are untouched — predict consumes none).
-    //
-    // With `SPARK_MOE_SERVICE_DEADLINE_US` set to a nonzero microsecond
-    // budget (and a trained MoE system on hand) the same selections are
-    // instead served through the `BatchPredictor` micro-batching front
-    // end with a real flush deadline. Selections are batch-partition
-    // invariant, so the service outputs stay bitwise identical — the knob
-    // only exercises the deadline machinery and records what it saw in
-    // the audit.
-    let deadline_us = service_deadline_us();
-    let mut pred_batches = 0usize;
-    let mut pred_max_wait = 0.0f64;
-    {
-        let p = predictor.as_ref().ok_or_else(|| {
-            ColocateError::Config("predictive policy produced no predictor".into())
-        })?;
-        let refs: Vec<&crate::profiling::AppProfile> = profiles.iter().collect();
-        let moe_system = (deadline_us > 0 && policy == PolicyKind::Moe)
-            .then_some(system)
-            .flatten();
-        let predictions = if let Some(sys) = moe_system {
-            batched_service_predictions(
-                sys,
-                &refs,
-                &jobs,
-                deadline_us,
-                &mut pred_batches,
-                &mut pred_max_wait,
-            )?
-        } else {
-            p.predict_batch(&refs)?
-        };
-        for ((app, prediction), profile) in apps.iter_mut().zip(predictions).zip(&profiles) {
+    // One batched prediction over every planned job: the MoE serves it
+    // through the whole-matrix selector path, bitwise identical to per-job
+    // predict calls (and the profiling RNG draws above are untouched —
+    // predict consumes none).
+    if let Some(p) = predictor.as_ref() {
+        let refs: Vec<&AppProfile> = profiles.iter().collect();
+        for (app, prediction) in apps.iter_mut().zip(p.predict_batch(&refs)?) {
             if let Some(cpu) = prediction.cpu_estimate {
                 app.measured_cpu = cpu;
-            } else {
-                app.measured_cpu = profile.measured_cpu;
+            }
+            if prediction.low_confidence {
+                app.margin = sched.conservative_margin;
             }
             app.prediction = Some(prediction);
         }
     }
-    for app in &mut apps {
-        if let Some(pred) = &app.prediction {
-            if pred.low_confidence {
-                app.margin = sched.conservative_margin;
-            }
-        }
-    }
 
-    // Event-loop state, mirroring the closed loop's setup order; the shed
-    // RNG is forked only when admission is enabled so uncontrolled runs
-    // draw exactly what the closed loop draws.
+    // Event-loop state. The jitter RNG is forked only when resilience is
+    // enabled and the shed RNG only when admission is, so a run without
+    // either draws nothing beyond the engine seed and the profiles.
     let mut monitor = sparklite::monitor::ResourceMonitor::new(sched.cluster.nodes, sched.monitor);
     let mut t = 0.0f64;
     let mut oom_kills = 0usize;
     let node_ids = engine.cluster().node_ids();
+    // OOM-candidate scratch: only nodes whose final footprints overflow
+    // RAM can ever report OutOfMemory (see ClusterEngine::hot_nodes_into),
+    // so the resolver scans this short list instead of the whole cluster.
     let mut hot_nodes: Vec<NodeId> = Vec::new();
     // Placement scratch, hoisted out of the per-event placement calls.
     let mut place_scratch = crate::scheduler::PlaceScratch::default();
+    let mut trace: Vec<(f64, Vec<f64>)> = Vec::new();
     let mut guard = 0usize;
-    let guard_limit = 500_000usize;
 
     let mut fault_cursor = faults.map(FaultPlan::cursor);
     let mut restore_at = vec![0.0f64; node_ids.len()];
@@ -756,11 +680,7 @@ pub fn run_service(
     let mut tenant_pass: HashMap<usize, f64> = HashMap::new();
     let mut virtual_time = 0.0f64;
     let mut breaker = CircuitBreaker::new(admission.breaker);
-    let mut audit = AdmissionAudit {
-        prediction_batches: pred_batches,
-        prediction_max_wait_secs: pred_max_wait,
-        ..AdmissionAudit::default()
-    };
+    let mut audit = AdmissionAudit::default();
     let mut deferrals = 0usize;
     let mut shed_jobs = 0usize;
     let mut abstain_placements = 0usize;
@@ -769,9 +689,9 @@ pub fn run_service(
 
     loop {
         guard += 1;
-        if guard > guard_limit {
+        if guard > LOOP_GUARD {
             return Err(ColocateError::Config(
-                "service event loop exceeded its iteration guard".into(),
+                "event loop exceeded its iteration guard".into(),
             ));
         }
 
@@ -797,7 +717,7 @@ pub fn run_service(
             }
         }
 
-        // 2. Faults, spot revocations, node restores (closed-loop order).
+        // 2. Faults, spot revocations, node restores.
         let crashes_before = resil.stats.executor_crashes;
         if let Some(cursor) = fault_cursor.as_mut() {
             while let Some(event) = cursor.pop_due(t) {
@@ -841,7 +761,10 @@ pub fn run_service(
             }
         }
 
-        // 3. Mark finishes and release their committed headroom.
+        // 3. Mark finishes and release their committed headroom, before
+        //    placement so policies see fresh state (the isolated policy
+        //    must move on to the next app in the same instant its
+        //    predecessor's last executor completes).
         for app in &mut apps {
             if app.finished_at.is_none() && engine.app(app.engine_id).is_finished() {
                 app.finished_at = Some(t.max(app.ready_at));
@@ -952,6 +875,12 @@ pub fn run_service(
         let depth = queued_count(&apps, &jobs);
         max_queue_depth = max_queue_depth.max(depth);
         depth_avg.set(SimTime::from_secs(t), depth as f64);
+        if record_trace {
+            trace.push((
+                t,
+                node_ids.iter().map(|&n| engine.node_cpu_load(n)).collect(),
+            ));
+        }
 
         // 7. Mark finishes again (profiling credit alone can finish an
         //    app) and terminate once the plan is drained and every
@@ -971,10 +900,13 @@ pub fn run_service(
             break;
         }
 
-        // 8. Next externally scheduled instant. Beyond the closed loop's
-        //    events this adds: the next arrival, profiling completions of
-        //    queued-but-unprofiled jobs (admission waits for the memory
-        //    estimate), and the breaker's recovery check.
+        // 8. Next externally scheduled instant: an application becoming
+        //    ready (profiling done or retry backoff elapsed), the next
+        //    arrival, profiling completions of queued-but-unprofiled jobs
+        //    (admission waits for the memory estimate), the breaker's
+        //    recovery check, a fault striking, or a crashed or revoked
+        //    node's outage starting or ending. At a batch plan without
+        //    admission or faults only the ready times remain.
         let next_ready = apps
             .iter()
             .zip(jobs.iter())
@@ -1043,9 +975,15 @@ pub fn run_service(
                 t = next_event;
             }
             (None, false) => {
+                // No executors, nothing becoming ready: the policy's model
+                // refused every node (a badly mis-fitted unified model can
+                // predict footprints beyond any budget). A real dispatcher
+                // still makes progress — force a minimum-slice placement
+                // on the emptiest node, capped at the free memory; if it
+                // pages, that is the baseline's deserved penalty.
                 if !force_place(&mut engine, &mut apps, sched, t)? {
                     return Err(ColocateError::Config(format!(
-                        "service stuck at t={t:.1}s with unfinished jobs"
+                        "event loop stuck at t={t:.1}s with unfinished jobs"
                     )));
                 }
             }
@@ -1080,7 +1018,7 @@ pub fn run_service(
         .filter(|u| !u.is_finite())
         .count();
     audit.final_breaker_open = breaker.is_open();
-    Ok(ServiceOutcome {
+    let outcome = ServiceOutcome {
         jobs: out_jobs,
         makespan_secs: makespan,
         oom_kills,
@@ -1096,6 +1034,11 @@ pub fn run_service(
         },
         faults: resil.stats,
         audit,
+    };
+    Ok(LoopRun {
+        outcome,
+        apps,
+        trace,
     })
 }
 
@@ -1482,7 +1425,6 @@ pub fn evaluate_openloop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::run_schedule_custom;
     use sparklite::cluster::ClusterSpec;
 
     fn small_sched() -> SchedulerConfig {
@@ -1509,106 +1451,6 @@ mod tests {
             tenant_weights: Vec::new(),
             job_classes,
         }
-    }
-
-    #[test]
-    fn deadline_batcher_reproduces_the_whole_plan_predictions() {
-        let catalog = Catalog::paper();
-        let mut rng = SimRng::seed_from(11);
-        let system = crate::training::train_system(
-            &catalog,
-            &crate::training::TrainingConfig::default(),
-            &mut rng,
-        )
-        .unwrap();
-        let sched = small_sched();
-        let mut prof_rng = SimRng::seed_from(5);
-        let mut profiles = Vec::new();
-        let mut jobs = Vec::new();
-        for (k, name) in ["HB.Sort", "HB.PageRank", "BDB.Grep", "SB.Hive"]
-            .iter()
-            .enumerate()
-        {
-            let bench = catalog.by_name(name).unwrap();
-            let (profile, _cost) = crate::profiling::profile_app(
-                bench,
-                40.0,
-                sched.cluster.nodes,
-                sched.cluster.node.ram_gb,
-                &sched.profiling,
-                &mut prof_rng,
-            );
-            profiles.push(profile);
-            jobs.push(JobState {
-                tenant: 0,
-                arrived: false,
-                admitted_at: None,
-                shed: false,
-                profile_ready: k as f64 * 0.5,
-                vft: 0.0,
-                committed_gb: 0.0,
-                released: false,
-            });
-        }
-        let refs: Vec<&crate::profiling::AppProfile> = profiles.iter().collect();
-        let oracle = build_predictor(PolicyKind::Moe, &catalog, Some(&system), &mut rng)
-            .unwrap()
-            .unwrap()
-            .predict_batch(&refs)
-            .unwrap();
-
-        // A 1 µs deadline expires before every next arrival (0.5 s apart),
-        // so each request dispatches alone; a 100 s deadline never expires
-        // inside the plan's 1.5 s span, so everything rides the end flush.
-        for (deadline_us, want_batches) in [(1u64, refs.len()), (100_000_000, 1)] {
-            let mut batches = 0usize;
-            let mut max_wait = 0.0f64;
-            let got = batched_service_predictions(
-                &system,
-                &refs,
-                &jobs,
-                deadline_us,
-                &mut batches,
-                &mut max_wait,
-            )
-            .unwrap();
-            assert_eq!(batches, want_batches);
-            assert_eq!(got.len(), oracle.len());
-            for (a, b) in got.iter().zip(&oracle) {
-                assert_eq!(a.low_confidence, b.low_confidence);
-                assert_eq!(a.cpu_estimate, b.cpu_estimate);
-                for slice in [1.0, 7.5, 30.0] {
-                    assert_eq!(
-                        a.model.footprint_gb(slice).to_bits(),
-                        b.model.footprint_gb(slice).to_bits()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_plan_reproduces_the_closed_loop_bitwise() {
-        let catalog = Catalog::paper();
-        let jobs = jobs_of(&catalog, &["HB.Sort", "HB.PageRank", "BDB.Grep"]);
-        let sched = small_sched();
-        let closed =
-            run_schedule_custom(PolicyKind::Oracle, &catalog, &jobs, None, &sched, 7).unwrap();
-
-        let classes: Vec<(usize, usize)> = (0..jobs.len()).map(|i| (0, i)).collect();
-        let plan = ArrivalPlan::batch(&classes);
-        let config = service_config(sched, jobs);
-        let open =
-            run_service(PolicyKind::Oracle, &catalog, &plan, None, &config, 7, None).unwrap();
-
-        assert_eq!(open.makespan_secs.to_bits(), closed.makespan_secs.to_bits());
-        assert_eq!(open.oom_kills, closed.oom_kills);
-        for (j, a) in open.jobs.iter().zip(closed.per_app.iter()) {
-            assert_eq!(j.finished_at.unwrap().to_bits(), a.finished_at.to_bits());
-        }
-        assert_eq!(open.shed_jobs, 0);
-        assert_eq!(open.deferrals, 0);
-        assert_eq!(open.breaker_trips, 0);
     }
 
     #[test]

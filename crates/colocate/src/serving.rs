@@ -1,20 +1,13 @@
-//! The batched prediction serving path: model artifacts and request
-//! micro-batching.
+//! The batched prediction serving path: model artifacts.
 //!
 //! Training a [`MoePredictor`] takes a full offline profiling campaign;
 //! serving it should not. This module gives the trained model a life of
-//! its own:
-//!
-//! * [`ModelArtifact`] — a compact, checksummed, raw-bits serialization of
-//!   everything the runtime selector needs (scaler bounds, PCA projection,
-//!   KNN exemplar matrix with precomputed squared norms, expert family
-//!   tags, fitted curve parameters). Written once after training; any
-//!   process can [`ModelArtifact::load`] it and reassemble a predictor
-//!   that is bitwise identical to the freshly trained one.
-//! * [`BatchPredictor`] — a serving front end that micro-batches selection
-//!   requests (flush on size or deadline) and answers them through the
-//!   whole-matrix batched selector path plus the shared
-//!   [`PredictionTable`](crate::predictors::PredictionTable) cache.
+//! its own: a [`ModelArtifact`] is a compact, checksummed, raw-bits
+//! serialization of everything the runtime selector needs (scaler bounds,
+//! PCA projection, KNN exemplar matrix with precomputed squared norms,
+//! expert family tags, fitted curve parameters). It is written once after
+//! training; any process can [`ModelArtifact::load`] it and reassemble a
+//! predictor that is bitwise identical to the freshly trained one.
 //!
 //! # Determinism
 //!
@@ -22,10 +15,8 @@
 //! [`simkit::journal::wire`], so save → load round-trips are bit-exact.
 //! The batched inference path reuses the exact kernels of the scalar path
 //! (see `ExpertSelector::select_batch`), so a predictor reassembled from
-//! an artifact and queried through a [`BatchPredictor`] produces the same
-//! selection bits as the original scalar `predict` loop. The
-//! [`BatchPredictor`] itself is driven by an explicit caller-supplied
-//! clock — no wall time enters the logic — so replays are reproducible.
+//! an artifact and queried in batches produces the same selection bits as
+//! the original scalar `predict` loop.
 
 use mlkit::knn::KnnClassifier;
 use mlkit::linalg::Matrix;
@@ -33,16 +24,13 @@ use mlkit::pca::Pca;
 use mlkit::regression::{CurveFamily, FittedCurve};
 use mlkit::scaling::MinMaxScaler;
 use moe_core::expert::CurveExpert;
-use moe_core::features::FeatureVector;
 use moe_core::predictor::PredictorConfig;
 use moe_core::selector::SelectorConfig;
-use moe_core::{ExpertRegistry, ExpertSelector, MoeError, MoePredictor, Selection};
+use moe_core::{ExpertRegistry, ExpertSelector, MoeError, MoePredictor};
 use simkit::journal::{atomic_write, fnv64, wire, JournalError};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
-
-use crate::predictors::PredictionTable;
 
 /// Artifact header: magic tag + format version 1.
 const MAGIC: [u8; 8] = *b"SMMA\x01\x00\x00\x00";
@@ -500,162 +488,11 @@ impl ModelArtifact {
     }
 }
 
-/// Micro-batching policy of a [`BatchPredictor`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchConfig {
-    /// Flush as soon as this many requests are queued.
-    pub max_batch: usize,
-    /// Flush any queued request once it has waited this long (in the
-    /// caller's clock units).
-    pub max_delay: f64,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            max_batch: 256,
-            max_delay: 0.010,
-        }
-    }
-}
-
-/// A ticket identifying one submitted selection request.
-pub type Ticket = u64;
-
-/// The serving front end: accumulates selection requests and answers them
-/// in micro-batches through the whole-matrix selector path and the shared
-/// selection cache.
-///
-/// The clock is explicit: `submit` and `poll` take the caller's notion of
-/// *now* (simulated seconds, wall seconds — any monotone `f64`). A batch
-/// is dispatched when it reaches [`BatchConfig::max_batch`] requests or
-/// when the oldest queued request has waited [`BatchConfig::max_delay`].
-/// Results are bitwise identical to calling the scalar selection path
-/// once per request in submission order, whatever the batching cut
-/// points (see `PredictionTable::select_cached_batch`).
-#[derive(Debug)]
-pub struct BatchPredictor {
-    predictor: MoePredictor,
-    table: Arc<PredictionTable>,
-    config: BatchConfig,
-    queue: Vec<(Ticket, FeatureVector)>,
-    completed: Vec<(Ticket, Selection)>,
-    deadline: Option<f64>,
-    next_ticket: Ticket,
-}
-
-impl BatchPredictor {
-    /// Wraps a trained predictor and a (possibly shared) selection cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServingError::Corrupt`] when `max_batch` is zero or
-    /// `max_delay` is negative or non-finite.
-    pub fn new(
-        predictor: MoePredictor,
-        table: Arc<PredictionTable>,
-        config: BatchConfig,
-    ) -> Result<Self, ServingError> {
-        if config.max_batch == 0 {
-            return Err(ServingError::Corrupt("max_batch must be positive".into()));
-        }
-        if !config.max_delay.is_finite() || config.max_delay < 0.0 {
-            return Err(ServingError::Corrupt(
-                "max_delay must be finite and non-negative".into(),
-            ));
-        }
-        Ok(BatchPredictor {
-            predictor,
-            table,
-            config,
-            queue: Vec::new(),
-            completed: Vec::new(),
-            deadline: None,
-            next_ticket: 0,
-        })
-    }
-
-    /// Queues one selection request at time `now`, returning its ticket.
-    /// If the queue reaches `max_batch` the batch is dispatched
-    /// immediately and its results become available to [`Self::poll`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates selection failures from an immediate dispatch.
-    pub fn submit(&mut self, now: f64, features: FeatureVector) -> Result<Ticket, MoeError> {
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        if self.queue.is_empty() {
-            self.deadline = Some(now + self.config.max_delay);
-        }
-        self.queue.push((ticket, features));
-        if self.queue.len() >= self.config.max_batch {
-            self.dispatch()?;
-        }
-        Ok(ticket)
-    }
-
-    /// Dispatches the pending batch if its deadline has passed, then
-    /// drains every completed `(ticket, selection)` pair, in submission
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates selection failures from a deadline dispatch.
-    pub fn poll(&mut self, now: f64) -> Result<Vec<(Ticket, Selection)>, MoeError> {
-        if self.deadline.is_some_and(|d| now >= d) {
-            self.dispatch()?;
-        }
-        Ok(std::mem::take(&mut self.completed))
-    }
-
-    /// Dispatches the pending batch unconditionally and drains all
-    /// completed results (end-of-stream flush).
-    ///
-    /// # Errors
-    ///
-    /// Propagates selection failures.
-    pub fn flush(&mut self) -> Result<Vec<(Ticket, Selection)>, MoeError> {
-        self.dispatch()?;
-        Ok(std::mem::take(&mut self.completed))
-    }
-
-    fn dispatch(&mut self) -> Result<(), MoeError> {
-        self.deadline = None;
-        if self.queue.is_empty() {
-            return Ok(());
-        }
-        let batch = std::mem::take(&mut self.queue);
-        let refs: Vec<&FeatureVector> = batch.iter().map(|(_, f)| f).collect();
-        let selections = self.table.select_cached_batch(&self.predictor, &refs)?;
-        self.completed
-            .extend(batch.iter().map(|&(ticket, _)| ticket).zip(selections));
-        Ok(())
-    }
-
-    /// Requests queued but not yet dispatched.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// The shared selection cache (hit/miss counters live here).
-    #[must_use]
-    pub fn table(&self) -> &Arc<PredictionTable> {
-        &self.table
-    }
-
-    /// The wrapped predictor.
-    #[must_use]
-    pub fn predictor(&self) -> &MoePredictor {
-        &self.predictor
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::training::{train_system, TrainingConfig};
+    use moe_core::features::FeatureVector;
     use simkit::SimRng;
     use workloads::catalog::Catalog;
 
@@ -737,99 +574,5 @@ mod tests {
         let loaded = ModelArtifact::load(&path).unwrap();
         assert_eq!(loaded, artifact);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn batch_predictor_flushes_on_size_and_deadline() {
-        let system = trained();
-        let table = Arc::new(PredictionTable::new());
-        let mut bp = BatchPredictor::new(
-            system.predictor.clone(),
-            table.clone(),
-            BatchConfig {
-                max_batch: 3,
-                max_delay: 1.0,
-            },
-        )
-        .unwrap();
-        let mut rng = SimRng::seed_from(11);
-        let probes: Vec<FeatureVector> = (0..5)
-            .map(|_| FeatureVector::from_fn(|_| rng.unit()))
-            .collect();
-
-        // Two requests: below max_batch, before the deadline — nothing out.
-        bp.submit(0.0, probes[0].clone()).unwrap();
-        bp.submit(0.1, probes[1].clone()).unwrap();
-        assert_eq!(bp.pending(), 2);
-        assert!(bp.poll(0.5).unwrap().is_empty());
-
-        // Third request reaches max_batch: dispatched immediately.
-        bp.submit(0.2, probes[2].clone()).unwrap();
-        assert_eq!(bp.pending(), 0);
-        let out = bp.poll(0.2).unwrap();
-        assert_eq!(out.iter().map(|&(t, _)| t).collect::<Vec<_>>(), [0, 1, 2]);
-
-        // Deadline flush: one request, polled past its deadline.
-        bp.submit(5.0, probes[3].clone()).unwrap();
-        assert!(bp.poll(5.5).unwrap().is_empty());
-        let late = bp.poll(6.0).unwrap();
-        assert_eq!(late.len(), 1);
-        assert_eq!(late[0].0, 3);
-
-        // Explicit flush drains the remainder.
-        bp.submit(7.0, probes[4].clone()).unwrap();
-        let flushed = bp.flush().unwrap();
-        assert_eq!(flushed.len(), 1);
-        assert_eq!(flushed[0].0, 4);
-
-        // Results match the scalar path bit for bit.
-        for (i, probe) in probes.iter().enumerate() {
-            let scalar = system.predictor.select(probe).unwrap();
-            let cached = table.select_cached(&system.predictor, probe).unwrap();
-            assert_eq!(
-                scalar.distance.to_bits(),
-                cached.distance.to_bits(),
-                "probe {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_predictor_matches_scalar_across_cut_points() {
-        let system = trained();
-        let mut rng = SimRng::seed_from(23);
-        let probes: Vec<FeatureVector> = (0..17)
-            .map(|_| FeatureVector::from_fn(|_| rng.unit() * 2.0))
-            .collect();
-        let scalar: Vec<Selection> = probes
-            .iter()
-            .map(|p| system.predictor.select(p).unwrap())
-            .collect();
-        for max_batch in [1usize, 4, 16, 64] {
-            let table = Arc::new(PredictionTable::new());
-            let mut bp = BatchPredictor::new(
-                system.predictor.clone(),
-                table,
-                BatchConfig {
-                    max_batch,
-                    max_delay: 10.0,
-                },
-            )
-            .unwrap();
-            let mut got: Vec<(Ticket, Selection)> = Vec::new();
-            for (i, p) in probes.iter().enumerate() {
-                bp.submit(i as f64 * 0.01, p.clone()).unwrap();
-                got.extend(bp.poll(i as f64 * 0.01).unwrap());
-            }
-            got.extend(bp.flush().unwrap());
-            got.sort_by_key(|&(t, _)| t);
-            assert_eq!(got.len(), scalar.len());
-            for (t, sel) in got {
-                let s = &scalar[usize::try_from(t).unwrap()];
-                assert_eq!(sel.expert, s.expert, "batch {max_batch} ticket {t}");
-                assert_eq!(sel.distance.to_bits(), s.distance.to_bits());
-                assert_eq!(sel.low_confidence, s.low_confidence);
-            }
-        }
     }
 }

@@ -8,11 +8,14 @@
 
 use bench_suite::report::openloop_stats_json;
 use colocate::harness::{isolated_times_custom, trained_system_for, ChaosSpec, RunConfig};
-use colocate::scheduler::{run_schedule_custom, PolicyKind, ResilienceConfig, SchedulerConfig};
+use colocate::scheduler::{
+    run_schedule_custom, run_schedule_with_faults, PolicyKind, ResilienceConfig, SchedulerConfig,
+};
 use colocate::service::{
     evaluate_openloop, run_service, AdmissionConfig, OpenLoopEntry, OpenLoopSpec, ServiceConfig,
 };
 use simkit::arrivals::{ArrivalPlan, ArrivalProcess};
+use simkit::faults::{FaultPlan, FaultPlanConfig};
 use sparklite::cluster::ClusterSpec;
 use workloads::mixes::InputSize;
 use workloads::Catalog;
@@ -32,59 +35,113 @@ fn classes_of(catalog: &Catalog, names: &[&str], size: InputSize) -> Vec<(usize,
 }
 
 /// With a batch plan (every job at t = 0) and admission disabled, the
-/// open-system service is the closed-system scheduler, bit for bit —
-/// including under a trained predictive policy.
+/// open-system service is the closed-system scheduler, bit for bit. The
+/// table crosses every predictive policy with a fault-free and a faulted,
+/// self-healing run, plus the small Oracle mix the service's own unit
+/// tests used to pin; each cell compares the makespan, every finish,
+/// the OOM count and the fault counters.
 #[test]
 fn batch_plan_without_admission_is_bit_identical_to_the_closed_system() {
     let catalog = Catalog::paper();
-    let sched = small_config(4);
     let run_config = RunConfig {
-        scheduler: sched.clone(),
+        scheduler: small_config(4),
         ..Default::default()
     };
-    let jobs = classes_of(
+    let system = trained_system_for(PolicyKind::Moe, &catalog, &run_config, 13)
+        .unwrap()
+        .unwrap();
+    let four = classes_of(
         &catalog,
         &["HB.Sort", "HB.PageRank", "BDB.Grep", "SP.Kmeans"],
         InputSize::Medium,
     );
-    let system = trained_system_for(PolicyKind::Moe, &catalog, &run_config, 13)
-        .unwrap()
-        .unwrap();
-    let closed =
-        run_schedule_custom(PolicyKind::Moe, &catalog, &jobs, Some(&system), &sched, 13).unwrap();
-
-    let plan = ArrivalPlan::batch(&(0..jobs.len()).map(|i| (0, i)).collect::<Vec<_>>());
-    let config = ServiceConfig {
-        scheduler: sched,
-        admission: AdmissionConfig::default(),
-        tenant_weights: Vec::new(),
-        job_classes: jobs,
-    };
-    let open = run_service(
-        PolicyKind::Moe,
+    let three = classes_of(
         &catalog,
-        &plan,
-        Some(&system),
-        &config,
-        13,
-        None,
-    )
-    .unwrap();
-
-    assert_eq!(
-        open.makespan_secs.to_bits(),
-        closed.makespan_secs.to_bits(),
-        "batch plan + disabled admission must reproduce the closed loop"
+        &["HB.Sort", "HB.PageRank", "BDB.Grep"],
+        InputSize::Medium,
     );
-    assert_eq!(open.oom_kills, closed.oom_kills);
-    for (j, a) in open.jobs.iter().zip(closed.per_app.iter()) {
-        assert_eq!(j.finished_at.unwrap().to_bits(), a.finished_at.to_bits());
-        assert_eq!(j.arrived_at.to_bits(), 0.0f64.to_bits());
+    let storm = |apps: usize| {
+        FaultPlan::generate(
+            0x0BA7_C4ED,
+            &FaultPlanConfig {
+                intensity: 0.6,
+                horizon_secs: 4_000.0,
+                nodes: 4,
+                apps,
+                ..Default::default()
+            },
+        )
+    };
+    // (policy, jobs, seed, faulted)
+    let cells = [
+        PolicyKind::Moe,
+        PolicyKind::Quasar,
+        PolicyKind::UnifiedAnn,
+        PolicyKind::OnlineSearch,
+        PolicyKind::Oracle,
+    ]
+    .into_iter()
+    .flat_map(|p| [(p, &four[..], 13, false), (p, &four[..], 13, true)])
+    .chain([(PolicyKind::Oracle, &three[..], 7, false)]);
+
+    for (policy, jobs, seed, faulted) in cells {
+        let label = format!("{policy:?} seed {seed} faulted {faulted}");
+        let faults = faulted.then(|| storm(jobs.len()));
+        let sched = SchedulerConfig {
+            resilience: if faulted {
+                ResilienceConfig::self_healing()
+            } else {
+                ResilienceConfig::default()
+            },
+            ..small_config(4)
+        };
+        let closed = match &faults {
+            Some(plan) => {
+                run_schedule_with_faults(policy, &catalog, jobs, Some(&system), &sched, seed, plan)
+            }
+            None => run_schedule_custom(policy, &catalog, jobs, Some(&system), &sched, seed),
+        }
+        .unwrap();
+
+        let plan = ArrivalPlan::batch(&(0..jobs.len()).map(|i| (0, i)).collect::<Vec<_>>());
+        let config = ServiceConfig {
+            scheduler: sched,
+            admission: AdmissionConfig::default(),
+            tenant_weights: Vec::new(),
+            job_classes: jobs.to_vec(),
+        };
+        let open = run_service(
+            policy,
+            &catalog,
+            &plan,
+            Some(&system),
+            &config,
+            seed,
+            faults.as_ref(),
+        )
+        .unwrap();
+
+        assert_eq!(
+            open.makespan_secs.to_bits(),
+            closed.makespan_secs.to_bits(),
+            "{label}: batch plan + disabled admission must reproduce the closed loop"
+        );
+        assert_eq!(open.oom_kills, closed.oom_kills, "{label}");
+        assert_eq!(open.faults, closed.faults, "{label}");
+        assert_eq!(open.jobs.len(), closed.per_app.len(), "{label}");
+        for (j, a) in open.jobs.iter().zip(closed.per_app.iter()) {
+            assert_eq!(
+                j.finished_at.map(f64::to_bits),
+                Some(a.finished_at.to_bits()),
+                "{label}"
+            );
+            assert_eq!(j.arrived_at.to_bits(), 0.0f64.to_bits(), "{label}");
+        }
+        assert_eq!(open.shed_jobs, 0, "{label}");
+        assert_eq!(open.deferrals, 0, "{label}");
+        assert_eq!(open.abstain_placements, 0, "{label}");
+        assert_eq!(open.breaker_trips, 0, "{label}");
     }
-    assert_eq!(open.shed_jobs, 0);
-    assert_eq!(open.deferrals, 0);
-    assert_eq!(open.abstain_placements, 0);
-    assert_eq!(open.breaker_trips, 0);
 }
 
 /// A zero-rate arrival process draws nothing; the campaign must report
