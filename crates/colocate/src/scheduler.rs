@@ -729,9 +729,13 @@ pub(crate) fn build_predictor(
 /// per-event placement passes allocate nothing at steady state.
 #[derive(Debug, Default)]
 pub(crate) struct PlaceScratch {
-    /// Eligible nodes ranked by free memory, rebuilt for each application
-    /// the water-filling pass scans.
+    /// Eligible nodes in [`rank_order`] with their free memory, ranked
+    /// once per call and kept current by [`rerank`] after each spawn.
     ranked: Vec<(NodeId, f64)>,
+    /// Live executors by owning application (indexed by engine app id,
+    /// each bucket in id order) as `(executor, node, slice)`, filled once
+    /// per dynamic-adjustment phase.
+    by_app: Vec<Vec<(sparklite::ExecutorId, NodeId, f64)>>,
     /// Dynamic-adjustment candidates: `(executor, node, free memory)`.
     candidates: Vec<(sparklite::ExecutorId, NodeId, f64)>,
     /// Per-call snapshot of each node's observed CPU load, by node index;
@@ -740,6 +744,26 @@ pub(crate) struct PlaceScratch {
     /// Per-call flags, by application position: the app's last scan found
     /// no node passing both guards and the memory fit.
     stalled: Vec<bool>,
+}
+
+/// The water-filling node order: most free memory first, ties by node
+/// index. Over the index-ordered node list this total key is exactly the
+/// stable sort by free memory alone.
+fn rank_order(a: &(NodeId, f64), b: &(NodeId, f64)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
+}
+
+/// Re-files `node` in `ranked` (held in [`rank_order`]) under its fresh
+/// free memory `free`. A node absent from `ranked` — offline or
+/// quarantined for this call — stays absent.
+fn rerank(ranked: &mut Vec<(NodeId, f64)>, node: NodeId, free: f64) {
+    let Some(at) = ranked.iter().position(|&(n, _)| n == node) else {
+        return;
+    };
+    ranked.remove(at);
+    let entry = (node, free);
+    let at = ranked.partition_point(|e| rank_order(e, &entry).is_lt());
+    ranked.insert(at, entry);
 }
 
 /// The CPU load the placement guard sees on `node`: the instantaneous
@@ -994,6 +1018,7 @@ pub(crate) fn place_predictive(
 ) -> Result<usize, ColocateError> {
     let PlaceScratch {
         ranked,
+        by_app,
         candidates,
         node_load,
         stalled,
@@ -1055,6 +1080,9 @@ pub(crate) fn place_predictive(
     // executor count only rise, so the per-call load snapshot, the
     // `break` on the first failed memory fit and the `stalled` flags all
     // leave the outcome bit-identical (DESIGN.md §11, "Scheduler sweep").
+    // Only a spawn attempt moves a node's free memory and eligibility is
+    // fixed for the call, so `ranked` is sorted once and re-filed one
+    // node per attempt.
     let quantize = |gb: f64| -> f64 {
         // Whole RDD partitions only (never exceeding what was asked for; a
         // final sub-partition tail is allowed so inputs drain completely).
@@ -1090,28 +1118,27 @@ pub(crate) fn place_predictive(
             }
             if node_load.is_empty() {
                 node_load.extend(nodes.iter().map(|&n| observed_cpu_load(engine, monitor, n)));
+                // Nodes with the most free memory first (§4.3: spawn on
+                // servers that have spare memory). Offline and quarantined
+                // nodes are filtered out before ranking, so rounds on a
+                // degraded cluster never visit dead nodes.
+                ranked.clear();
+                ranked.extend(
+                    nodes
+                        .iter()
+                        .copied()
+                        .filter(|&n| {
+                            engine.node_online(n) && resil.quarantined_until[n.index()] <= t
+                        })
+                        .map(|n| (n, engine.node_free_memory(n))),
+                );
+                ranked.sort_by(rank_order);
             }
             let margin = effective_margin(app, config);
             let cpu = app.measured_cpu;
             let want = slice_target.min(remaining);
             let need = prediction.model.footprint_gb(want) * app.pred_scale * margin;
 
-            // Nodes with the most free memory first (§4.3: spawn on
-            // servers that have spare memory). Offline and quarantined
-            // nodes are filtered out BEFORE ranking, so rounds on a
-            // degraded cluster stop re-sorting and re-skipping dead nodes;
-            // the stable sort over the surviving subset (same keys, same
-            // relative pre-order) visits eligible nodes in exactly the
-            // sequence the unfiltered scan did.
-            ranked.clear();
-            ranked.extend(
-                nodes
-                    .iter()
-                    .copied()
-                    .filter(|&n| engine.node_online(n) && resil.quarantined_until[n.index()] <= t)
-                    .map(|n| (n, engine.node_free_memory(n))),
-            );
-            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
             let mut placement = None;
             for &(node, free) in ranked.iter() {
                 // CPU guard: aggregate load stays under the cap (§4.3).
@@ -1147,7 +1174,9 @@ pub(crate) fn place_predictive(
                 stalled[i] = true;
                 continue;
             };
-            if engine.spawn_executor(id, node, slice, reserve)?.is_some() {
+            let spawned = engine.spawn_executor(id, node, slice, reserve)?.is_some();
+            rerank(ranked, node, engine.node_free_memory(node));
+            if spawned {
                 progress = true;
                 node_load[node.index()] = observed_cpu_load(engine, monitor, node);
             } else {
@@ -1165,8 +1194,13 @@ pub(crate) fn place_predictive(
     // not obtain another executor top up a running one where the node has
     // spare memory, avoiding a fresh executor's startup cost.
     if config.dynamic_adjustment {
-        // `candidates` is reused across apps AND calls (scratch-owned):
-        // (executor, its node, free memory there).
+        // Only an app's own successful extension changes its executors,
+        // its remaining input or the memory they see, and it ends that
+        // app's turn: one pass over the executor set buckets them by owner
+        // for the whole phase, and `remaining`, a candidate's free memory
+        // and its slice all hold until it is visited.
+        let mut bucketed = false;
+        let guard = config.min_slice_gb.max(config.partition_gb);
         for app in apps.iter() {
             if app.finished_at.is_some()
                 || app.ready_at.max(app.retry_at) > t
@@ -1175,7 +1209,12 @@ pub(crate) fn place_predictive(
                 continue;
             }
             let id = app.engine_id;
-            if engine.app(id).unassigned_gb() <= 0.0 || engine.app(id).live_executors() == 0 {
+            // Too little input left to be worth an extension.
+            let remaining = engine.app(id).unassigned_gb();
+            if remaining <= 0.0
+                || remaining <= config.min_slice_gb
+                || engine.app(id).live_executors() == 0
+            {
                 continue;
             }
             let Some(prediction) = &app.prediction else {
@@ -1187,35 +1226,41 @@ pub(crate) fn place_predictive(
             // slice by an earlier memory shortage — it must not serialise
             // work that future executors would process in parallel.
             let (_, slice_target) = fair_share(engine, id, config);
-            // This app's executors, on the node with the most free memory
-            // first. One pass over the executor set replaces the old
-            // nodes-times-executors double scan; the (node, id) tie-break
-            // reproduces the order that scan fed its stable sort, so equal
-            // free-memory ties resolve identically.
-            candidates.clear();
-            for e in engine.executors_iter() {
-                if e.app() == id {
-                    candidates.push((e.id(), e.node(), engine.node_free_memory(e.node())));
+            if !bucketed {
+                bucketed = true;
+                for bucket in by_app.iter_mut() {
+                    bucket.clear();
                 }
+                by_app.resize_with(engine.app_count(), Vec::new);
+                for e in engine.executors_iter() {
+                    by_app[e.app().index()].push((e.id(), e.node(), e.slice_gb()));
+                }
+            }
+            // This app's executors, on the node with the most free memory
+            // first; the (node, id) tie-break reproduces the order the
+            // original nodes-times-executors scan fed its stable sort.
+            // Executors the walk would skip are dropped before sorting:
+            // no spare memory, or no room below the fair share for an
+            // extension past `guard` (float subtraction is monotone, so
+            // `max_slice.min(slice_target) - slice` is no larger).
+            candidates.clear();
+            for &(exec_id, node, slice) in &by_app[id.index()] {
+                let free = engine.node_free_memory(node);
+                if free <= 0.5 || slice_target - slice < guard {
+                    continue;
+                }
+                candidates.push((exec_id, node, free));
             }
             candidates.sort_by(|a, b| {
                 b.2.total_cmp(&a.2)
                     .then_with(|| a.1.cmp(&b.1))
                     .then_with(|| a.0.cmp(&b.0))
             });
-            for &(exec_id, _, _) in candidates.iter() {
-                let remaining = engine.app(id).unassigned_gb();
-                if remaining <= config.min_slice_gb {
-                    break;
-                }
-                let (node, slice, reserved) = {
+            for &(exec_id, _, free) in candidates.iter() {
+                let (slice, reserved) = {
                     let e = engine.executor(exec_id)?;
-                    (e.node(), e.slice_gb(), e.reserved_gb())
+                    (e.slice_gb(), e.reserved_gb())
                 };
-                let free = engine.node_free_memory(node);
-                if free <= 0.5 {
-                    continue;
-                }
                 // Grow toward what the whole budget (current + free) can
                 // host, bounded by the remaining input.
                 let budget = (reserved + free) / (app.pred_scale * margin);
@@ -1223,7 +1268,7 @@ pub(crate) fn place_predictive(
                     continue;
                 };
                 let extra = (max_slice.min(slice_target) - slice).min(remaining);
-                if extra < config.min_slice_gb.max(config.partition_gb) {
+                if extra < guard {
                     continue;
                 }
                 let new_need =
@@ -1545,6 +1590,52 @@ mod tests {
             on.makespan_secs,
             off.makespan_secs
         );
+    }
+
+    proptest::proptest! {
+        /// Re-filing one node after each free-memory change keeps `ranked`
+        /// equal to a fresh stable sort of the eligible, index-ordered
+        /// nodes by free memory — ties, `0.0` vs `-0.0`, a single node and
+        /// nodes left out of the ranking (offline or quarantined) included.
+        #[test]
+        fn rerank_matches_a_fresh_stable_sort(
+            eligible in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..10),
+            initial in proptest::collection::vec((0u8..8, 0.0f64..16.0), 10),
+            updates in proptest::collection::vec((0usize..10, 0u8..8, 0.0f64..16.0), 0..40),
+        ) {
+            // Mostly repeated values, so ties and signed zeros are common.
+            let pick = |(k, x): (u8, f64)| match k {
+                0 => 0.0,
+                1 => -0.0,
+                2 | 3 => 1.5,
+                4 => 6.0,
+                _ => x,
+            };
+            let nodes = sparklite::cluster::Cluster::new(ClusterSpec::with_nodes(eligible.len()))
+                .node_ids();
+            let mut free: Vec<f64> = nodes.iter().map(|n| pick(initial[n.index()])).collect();
+            let fresh = |free: &[f64]| {
+                let mut r: Vec<(NodeId, f64)> = nodes
+                    .iter()
+                    .filter(|n| eligible[n.index()])
+                    .map(|&n| (n, free[n.index()]))
+                    .collect();
+                r.sort_by(|a, b| b.1.total_cmp(&a.1));
+                r
+            };
+            let bits = |r: &[(NodeId, f64)]| -> Vec<(NodeId, u64)> {
+                r.iter().map(|&(n, f)| (n, f.to_bits())).collect()
+            };
+            let mut ranked = fresh(&free);
+            ranked.sort_by(rank_order);
+            proptest::prop_assert_eq!(bits(&ranked), bits(&fresh(&free)));
+            for &(i, k, x) in &updates {
+                let node = nodes[i % nodes.len()];
+                free[node.index()] = pick((k, x));
+                rerank(&mut ranked, node, free[node.index()]);
+                proptest::prop_assert_eq!(bits(&ranked), bits(&fresh(&free)));
+            }
+        }
     }
 
     #[test]

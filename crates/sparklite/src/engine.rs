@@ -60,10 +60,14 @@ pub enum RateCacheMode {
 }
 
 /// One node's slice of the rate cache.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct NodeShard {
     /// Ids of live executors on this node, ascending (= spawn order).
     members: Vec<ExecutorId>,
+    /// The members' summed CPU demand, [`cpu_demand`] over the node's
+    /// executors. Executor demands never change after spawn, so only a
+    /// membership change (spawn or removal) recomputes it.
+    cpu_total: f64,
     /// Whether the members' *final* footprints overflow RAM. Hot shards
     /// must refresh after every `advance` (their paging factor ramps);
     /// cool shards provably keep their multipliers bit-for-bit. Only
@@ -72,6 +76,25 @@ struct NodeShard {
     hot: bool,
     /// The node's minimum completion key at its last refresh.
     key: Option<ShardKey>,
+}
+
+impl Default for NodeShard {
+    fn default() -> Self {
+        NodeShard {
+            members: Vec::new(),
+            // An empty node sums to `-0.0`, `f64`'s additive identity: the
+            // cache starts with the bits a walk over no executors gives.
+            cpu_total: cpu_demand(std::iter::empty()),
+            hot: false,
+            key: None,
+        }
+    }
+}
+
+/// Summed CPU demand of `execs`, in iteration order — the one expression
+/// behind [`ClusterEngine::node_cpu_load`]'s cached total.
+fn cpu_demand<'a>(execs: impl Iterator<Item = &'a Executor>) -> f64 {
+    execs.map(Executor::cpu_util).sum()
 }
 
 /// Incrementally maintained executor rates, sharded per node.
@@ -455,13 +478,21 @@ impl ClusterEngine {
         self.rate_cache.exec_rates.push(0.0);
         // Ids increase monotonically, so a push keeps members sorted.
         self.rate_cache.shards[node.index()].members.push(id);
+        self.recount_cpu(node);
         self.invalidate(node);
         Ok(Some(id))
     }
 
+    /// Recomputes `node`'s cached CPU demand after a membership change.
+    fn recount_cpu(&mut self, node: NodeId) {
+        let total = cpu_demand(self.executors_on(node));
+        self.rate_cache.shards[node.index()].cpu_total = total;
+    }
+
     /// Removes executor `id` from the dense storage, its shard's member
-    /// list and the position index, dirtying its node. O(log E) plus an
-    /// O(members) shift in the member list.
+    /// list and the position index, dirtying its node and recounting its
+    /// CPU demand. O(log E) plus O(members) for the member-list shift and
+    /// the recount.
     fn take_executor(&mut self, id: ExecutorId) -> Option<Executor> {
         let pos = self.exec_index.remove(&id)?;
         let exec = self.executors.swap_remove(pos);
@@ -477,6 +508,7 @@ impl ClusterEngine {
         if let Ok(m) = shard.members.binary_search(&id) {
             shard.members.remove(m);
         }
+        self.recount_cpu(exec.node());
         self.invalidate(exec.node());
         Some(exec)
     }
@@ -886,14 +918,12 @@ impl ClusterEngine {
     pub fn cached_current_rates(&mut self) -> &[(ExecutorId, f64)] {
         self.refresh_rates();
         let exec_rates = &self.rate_cache.exec_rates;
-        let executors = &self.executors;
         self.rate_cache.pairs.clear();
         self.rate_cache.pairs.extend(
             self.exec_index
                 .iter()
                 .map(|(&id, &pos)| (id, exec_rates[pos])),
         );
-        let _ = executors;
         &self.rate_cache.pairs
     }
 
@@ -1061,10 +1091,17 @@ impl ClusterEngine {
 
     /// Instantaneous CPU load of `node` as a fraction in `[0, 1]`: the sum
     /// of executor demands, capped at capacity. This is what the resource
-    /// monitor daemon reports (§4.2) and what Fig. 7 plots. O(members),
-    /// served from the node's shard.
+    /// monitor daemon reports (§4.2) and what Fig. 7 plots. O(1): the sum
+    /// is cached on the node's shard and recomputed on spawn and removal.
     #[must_use]
     pub fn node_cpu_load(&self, node: NodeId) -> f64 {
+        self.rate_cache.shards[node.index()].cpu_total.min(1.0)
+    }
+
+    /// From-scratch reference for [`ClusterEngine::node_cpu_load`]: walks
+    /// the node's executors on every call.
+    #[cfg(test)]
+    fn node_cpu_load_walk(&self, node: NodeId) -> f64 {
         let total: f64 = self.executors_on(node).map(Executor::cpu_util).sum();
         total.min(1.0)
     }
@@ -1614,6 +1651,80 @@ mod tests {
             }
         }
         assert_eq!(eng.live_executors(), 0);
+    }
+
+    proptest::proptest! {
+        /// The cached per-node CPU total serves exactly the bits of the
+        /// executor walk it replaced, through random interleavings of
+        /// spawns, extensions, kills, completions, node failures and
+        /// restores — empty nodes (`-0.0`) and loads past the cap
+        /// included.
+        #[test]
+        fn cached_cpu_load_matches_the_walk_through_a_workload(
+            ops in proptest::collection::vec(
+                (0u8..6, 0usize..64, 0usize..64, 0.5f64..12.0),
+                1..120,
+            ),
+        ) {
+            let mut eng =
+                ClusterEngine::with_seed(ClusterSpec::small(4), InterferenceModel::default(), 5);
+            let apps: Vec<AppId> = [0.15, 0.3, 0.45, 0.6]
+                .iter()
+                .enumerate()
+                .map(|(i, &cpu)| eng.submit(linear_app(&format!("a{i}"), 400.0, cpu)))
+                .collect();
+            let nodes = eng.cluster().node_ids();
+            let nth_live = |eng: &ClusterEngine, k: usize| {
+                let live = eng.live_executors().max(1);
+                eng.executors_iter().nth(k % live).map(Executor::id)
+            };
+            for &n in &nodes {
+                proptest::prop_assert_eq!(
+                    eng.node_cpu_load(n).to_bits(),
+                    eng.node_cpu_load_walk(n).to_bits()
+                );
+            }
+            for &(op, a, b, gb) in &ops {
+                // Refusals (offline node, no memory, drained app) are part
+                // of the workload: each must leave the cache consistent.
+                match op {
+                    0 | 1 => {
+                        let _ = eng.spawn_executor(apps[a % 4], nodes[b % 4], gb, gb * 0.5);
+                    }
+                    2 => {
+                        if let Some(id) = nth_live(&eng, a) {
+                            let _ = eng.extend_executor(id, gb, gb * 0.25);
+                        }
+                    }
+                    3 => {
+                        if let Some(id) = nth_live(&eng, a) {
+                            eng.kill_executor(id).unwrap();
+                        }
+                    }
+                    4 => {
+                        if let Some((dt, id)) = eng.next_completion() {
+                            eng.advance(dt);
+                            eng.complete_executor(id).unwrap();
+                        }
+                    }
+                    _ => {
+                        let node = nodes[b % 4];
+                        if a % 2 == 0 {
+                            eng.fail_node(node).unwrap();
+                        } else {
+                            eng.restore_node(node).unwrap();
+                        }
+                    }
+                }
+                for &n in &nodes {
+                    proptest::prop_assert_eq!(
+                        eng.node_cpu_load(n).to_bits(),
+                        eng.node_cpu_load_walk(n).to_bits(),
+                        "op {} on node {}", op, n.index()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
