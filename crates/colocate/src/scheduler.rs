@@ -38,7 +38,7 @@ use crate::predictors::{
     AnnPredictor, MemoryPredictor, MoePolicy, Oracle, Prediction, QuasarPredictor, UnifiedFamily,
 };
 use crate::profiling::{ProfilingConfig, ProfilingCost};
-use crate::service::{run_loop, AdmissionConfig, ServiceConfig};
+use crate::service::{run_loop, AdmissionConfig, LoopRun, ServiceConfig};
 use crate::training::{TrainedSystem, TrainingConfig};
 use crate::ColocateError;
 use mlkit::regression::{CurveFamily, FittedCurve};
@@ -311,6 +311,10 @@ pub(crate) struct AppRt {
     pub(crate) engine_id: AppId,
     pub(crate) benchmark: usize,
     pub(crate) ready_at: f64,
+    /// Dynalloc's executor target and per-executor input share
+    /// ([`fair_share`]), fixed at submit: the spec and the config it
+    /// derives from never change during a run.
+    pub(crate) share: (usize, f64),
     pub(crate) prediction: Option<Prediction>,
     pub(crate) measured_cpu: f64,
     pub(crate) margin: f64,
@@ -468,10 +472,9 @@ pub fn run_schedule_with_faults(
 }
 
 /// The closed system: the whole mix arrives at `t = 0` as a batch plan
-/// and runs through the service's event loop with admission off. The
-/// per-job dispatcher state the loop leaves behind is projected into the
-/// schedule outcome, utilisation trace included.
-fn run_batch(
+/// and runs through the service's event loop with admission off,
+/// recording the utilisation trace.
+fn batch_loop(
     policy: PolicyKind,
     catalog: &Catalog,
     mix: &[(usize, f64)],
@@ -479,7 +482,7 @@ fn run_batch(
     config: &SchedulerConfig,
     seed: u64,
     faults: Option<&FaultPlan>,
-) -> Result<ScheduleOutcome, ColocateError> {
+) -> Result<LoopRun, ColocateError> {
     if mix.is_empty() {
         return Err(ColocateError::Config("empty application mix".into()));
     }
@@ -490,7 +493,21 @@ fn run_batch(
         tenant_weights: Vec::new(),
         job_classes: mix.to_vec(),
     };
-    let run = run_loop(policy, catalog, &plan, system, &service, seed, faults, true)?;
+    run_loop(policy, catalog, &plan, system, &service, seed, faults, true)
+}
+
+/// [`batch_loop`], with the per-job dispatcher state the loop leaves
+/// behind projected into the schedule outcome, utilisation trace included.
+fn run_batch(
+    policy: PolicyKind,
+    catalog: &Catalog,
+    mix: &[(usize, f64)],
+    system: Option<&TrainedSystem>,
+    config: &SchedulerConfig,
+    seed: u64,
+    faults: Option<&FaultPlan>,
+) -> Result<ScheduleOutcome, ColocateError> {
+    let run = batch_loop(policy, catalog, mix, system, config, seed, faults)?;
     let per_app = run
         .apps
         .iter()
@@ -729,8 +746,14 @@ pub(crate) fn build_predictor(
 /// per-event placement passes allocate nothing at steady state.
 #[derive(Debug, Default)]
 pub(crate) struct PlaceScratch {
-    /// Eligible nodes in [`rank_order`] with their free memory, ranked
-    /// once per call and kept current by [`rerank`] after each spawn.
+    /// Every node with its free memory in [`rank_order`] as of the last
+    /// snapshot, kept across calls: between calls only a few nodes' free
+    /// memory moves, so [`resort`] restores the order in close to linear
+    /// time.
+    order: Vec<(NodeId, f64)>,
+    /// Eligible nodes in [`rank_order`] with their free memory: the
+    /// eligible subsequence of `order`, taken once per call and kept
+    /// current by [`rerank`] after each spawn.
     ranked: Vec<(NodeId, f64)>,
     /// Live executors by owning application (indexed by engine app id,
     /// each bucket in id order) as `(executor, node, slice)`, filled once
@@ -741,9 +764,62 @@ pub(crate) struct PlaceScratch {
     /// Per-call snapshot of each node's observed CPU load, by node index;
     /// empty until the first scan of the call needs it.
     node_load: Vec<f64>,
+    /// The least `node_load` over the `ranked` nodes still below the
+    /// executor cap: NaN if any of those loads is NaN, `+∞` if there are
+    /// none. Recomputed with the snapshot and after every spawn attempt.
+    guard_floor: f64,
     /// Per-call flags, by application position: the app's last scan found
     /// no node passing both guards and the memory fit.
     stalled: Vec<bool>,
+}
+
+impl PlaceScratch {
+    /// Recomputes [`guard_floor`](Self::guard_floor); `full` tells whether
+    /// a node is at the executor cap. The fold keeps a NaN load: a NaN
+    /// node passes the guard, so the floor must not rule it out.
+    fn refresh_guard_floor(&mut self, full: impl Fn(NodeId) -> bool) {
+        let node_load = &self.node_load;
+        self.guard_floor = self
+            .ranked
+            .iter()
+            .filter(|&&(n, _)| !full(n))
+            .map(|&(n, _)| node_load[n.index()])
+            .fold(f64::INFINITY, |floor, load| {
+                if load < floor || load.is_nan() {
+                    load
+                } else {
+                    floor
+                }
+            });
+    }
+
+    /// Whether an application demanding `cpu` fails the CPU guard on every
+    /// ranked node. Float addition is monotone, so no node's
+    /// `load + cpu` can pass where the floor's fails.
+    fn guard_stalls(&self, cpu: f64, cpu_cap: f64) -> bool {
+        self.guard_floor + cpu > cpu_cap
+    }
+
+    /// Books a spawn attempt on `node`: re-files it under its fresh free
+    /// memory, takes its fresh observed load if the spawn went through
+    /// (`None`: refused, which clears every stall) and recomputes the
+    /// floor.
+    fn note_attempt(
+        &mut self,
+        node: NodeId,
+        free: f64,
+        load: Option<f64>,
+        full: impl Fn(NodeId) -> bool,
+    ) {
+        rerank(&mut self.ranked, node, free);
+        match load {
+            Some(load) => self.node_load[node.index()] = load,
+            // A refused spawn releases its reservation, which may round
+            // free memory up: the stalls no longer hold.
+            None => self.stalled.fill(false),
+        }
+        self.refresh_guard_floor(full);
+    }
 }
 
 /// The water-filling node order: most free memory first, ties by node
@@ -751,6 +827,19 @@ pub(crate) struct PlaceScratch {
 /// stable sort by free memory alone.
 fn rank_order(a: &(NodeId, f64), b: &(NodeId, f64)) -> std::cmp::Ordering {
     b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
+}
+
+/// Insertion sort by [`rank_order`]: one pass over an already ranked list
+/// plus one swap per inversion. The key is total, so the result is the
+/// one any sort gives.
+fn resort(order: &mut [(NodeId, f64)]) {
+    for i in 1..order.len() {
+        let mut j = i;
+        while j > 0 && rank_order(&order[j - 1], &order[j]).is_gt() {
+            order.swap(j - 1, j);
+            j -= 1;
+        }
+    }
 }
 
 /// Re-files `node` in `ranked` (held in [`rank_order`]) under its fresh
@@ -813,7 +902,7 @@ pub(crate) fn place(
     scratch: &mut PlaceScratch,
 ) -> Result<usize, ColocateError> {
     match policy {
-        PolicyKind::Isolated => place_isolated(engine, apps, config, nodes).map(|()| 0),
+        PolicyKind::Isolated => place_isolated(engine, apps, nodes).map(|()| 0),
         PolicyKind::Pairwise => place_pairwise(engine, apps, config, catalog, nodes).map(|()| 0),
         _ => place_predictive(
             engine, apps, config, t, monitor, resil, nodes, abstain, scratch,
@@ -839,7 +928,7 @@ pub(crate) fn force_place(
         if engine.app(id).unassigned_gb() <= 0.0 {
             continue;
         }
-        let (_, share) = fair_share(engine, id, config);
+        let (_, share) = app.share;
         let curve = engine.app(id).spec().memory_curve;
         // Emptiest *online* node; when every node is offline there is
         // nothing to force (the caller's restore schedule will unblock).
@@ -890,7 +979,6 @@ fn fitting_slice(curve: FittedCurve, want_gb: f64, budget_gb: f64) -> f64 {
 fn place_isolated(
     engine: &mut ClusterEngine,
     apps: &mut [AppRt],
-    config: &SchedulerConfig,
     nodes: &[NodeId],
 ) -> Result<(), ColocateError> {
     // The first unfinished app owns the whole cluster.
@@ -901,7 +989,7 @@ fn place_isolated(
     if engine.app(id).unassigned_gb() <= 0.0 {
         return Ok(());
     }
-    let (target, slice) = fair_share(engine, id, config);
+    let (target, slice) = apps[active].share;
     let curve = engine.app(id).spec().memory_curve;
     for &node in nodes {
         if engine.app(id).unassigned_gb() <= 0.0 {
@@ -952,7 +1040,7 @@ fn place_pairwise(
             continue;
         }
         let bench = &catalog.all()[apps[i].benchmark];
-        let (target, slice) = fair_share(engine, id, config);
+        let (target, slice) = apps[i].share;
         let curve = engine.app(id).spec().memory_curve;
         // Prefer empty nodes, then singly occupied ones. Occupancy counts
         // come from one pass over the executor set instead of letting the
@@ -1016,13 +1104,6 @@ pub(crate) fn place_predictive(
     abstain: bool,
     scratch: &mut PlaceScratch,
 ) -> Result<usize, ColocateError> {
-    let PlaceScratch {
-        ranked,
-        by_app,
-        candidates,
-        node_load,
-        stalled,
-    } = scratch;
     let mut abstain_placements = 0usize;
     // Graceful degradation: an application that burned through its retry
     // budget gets a whole empty node to itself — the paper's §2.3 answer
@@ -1078,11 +1159,11 @@ pub(crate) fn place_predictive(
     //
     // Within the call a node's free memory only falls and its load and
     // executor count only rise, so the per-call load snapshot, the
-    // `break` on the first failed memory fit and the `stalled` flags all
-    // leave the outcome bit-identical (DESIGN.md §11, "Scheduler sweep").
-    // Only a spawn attempt moves a node's free memory and eligibility is
-    // fixed for the call, so `ranked` is sorted once and re-filed one
-    // node per attempt.
+    // `break` on the first failed memory fit, the `stalled` flags and the
+    // guard floor all leave the outcome bit-identical (DESIGN.md §11,
+    // "Scheduler sweep"). Only a spawn attempt moves a node's free memory
+    // and eligibility is fixed for the call, so `ranked` is sorted once and
+    // re-filed one node per attempt.
     let quantize = |gb: f64| -> f64 {
         // Whole RDD partitions only (never exceeding what was asked for; a
         // final sub-partition tail is allowed so inputs drain completely).
@@ -1091,13 +1172,16 @@ pub(crate) fn place_predictive(
         }
         (gb / config.partition_gb).floor() * config.partition_gb
     };
-    node_load.clear();
-    stalled.clear();
-    stalled.resize(apps.len(), false);
+    let full = |engine: &ClusterEngine, n: NodeId| {
+        engine.node_executor_count(n) >= config.max_execs_per_node
+    };
+    scratch.node_load.clear();
+    scratch.stalled.clear();
+    scratch.stalled.resize(apps.len(), false);
     loop {
         let mut progress = false;
         for (i, app) in apps.iter().enumerate() {
-            if stalled[i]
+            if scratch.stalled[i]
                 || app.finished_at.is_some()
                 || app.ready_at.max(app.retry_at) > t
                 || app.isolated_fallback
@@ -1112,39 +1196,47 @@ pub(crate) fn place_predictive(
             let Some(prediction) = &app.prediction else {
                 continue;
             };
-            let (target, slice_target) = fair_share(engine, id, config);
+            let (target, slice_target) = app.share;
             if engine.app(id).live_executors() >= target {
                 continue;
             }
-            if node_load.is_empty() {
-                node_load.extend(nodes.iter().map(|&n| observed_cpu_load(engine, monitor, n)));
+            if scratch.node_load.is_empty() {
+                scratch
+                    .node_load
+                    .extend(nodes.iter().map(|&n| observed_cpu_load(engine, monitor, n)));
                 // Nodes with the most free memory first (§4.3: spawn on
                 // servers that have spare memory). Offline and quarantined
-                // nodes are filtered out before ranking, so rounds on a
+                // nodes are left out of the ranking, so rounds on a
                 // degraded cluster never visit dead nodes.
-                ranked.clear();
-                ranked.extend(
-                    nodes
-                        .iter()
-                        .copied()
-                        .filter(|&n| {
-                            engine.node_online(n) && resil.quarantined_until[n.index()] <= t
-                        })
-                        .map(|n| (n, engine.node_free_memory(n))),
-                );
-                ranked.sort_by(rank_order);
+                if scratch.order.len() != nodes.len() {
+                    scratch.order = nodes.iter().map(|&n| (n, 0.0)).collect();
+                }
+                for entry in &mut scratch.order {
+                    entry.1 = engine.node_free_memory(entry.0);
+                }
+                resort(&mut scratch.order);
+                scratch.ranked.clear();
+                scratch
+                    .ranked
+                    .extend(scratch.order.iter().copied().filter(|&(n, _)| {
+                        engine.node_online(n) && resil.quarantined_until[n.index()] <= t
+                    }));
+                scratch.refresh_guard_floor(|n| full(engine, n));
+            }
+            let cpu = app.measured_cpu;
+            // Every node fails the CPU guard: the scan would find nothing.
+            if scratch.guard_stalls(cpu, config.cpu_cap) {
+                scratch.stalled[i] = true;
+                continue;
             }
             let margin = effective_margin(app, config);
-            let cpu = app.measured_cpu;
             let want = slice_target.min(remaining);
             let need = prediction.model.footprint_gb(want) * app.pred_scale * margin;
 
             let mut placement = None;
-            for &(node, free) in ranked.iter() {
+            for &(node, free) in &scratch.ranked {
                 // CPU guard: aggregate load stays under the cap (§4.3).
-                if engine.node_executor_count(node) >= config.max_execs_per_node
-                    || node_load[node.index()] + cpu > config.cpu_cap
-                {
+                if full(engine, node) || scratch.node_load[node.index()] + cpu > config.cpu_cap {
                     continue;
                 }
                 let (slice, reserve) = if need <= free {
@@ -1171,19 +1263,15 @@ pub(crate) fn place_predictive(
                 break; // one executor per app per round
             }
             let Some((node, slice, reserve)) = placement else {
-                stalled[i] = true;
+                scratch.stalled[i] = true;
                 continue;
             };
             let spawned = engine.spawn_executor(id, node, slice, reserve)?.is_some();
-            rerank(ranked, node, engine.node_free_memory(node));
-            if spawned {
-                progress = true;
-                node_load[node.index()] = observed_cpu_load(engine, monitor, node);
-            } else {
-                // A refused spawn releases its reservation, which may
-                // round free memory up: the stalls no longer hold.
-                stalled.fill(false);
-            }
+            progress |= spawned;
+            let load = spawned.then(|| observed_cpu_load(engine, monitor, node));
+            scratch.note_attempt(node, engine.node_free_memory(node), load, |n| {
+                full(engine, n)
+            });
         }
         if !progress {
             break;
@@ -1199,6 +1287,9 @@ pub(crate) fn place_predictive(
         // app's turn: one pass over the executor set buckets them by owner
         // for the whole phase, and `remaining`, a candidate's free memory
         // and its slice all hold until it is visited.
+        let PlaceScratch {
+            by_app, candidates, ..
+        } = scratch;
         let mut bucketed = false;
         let guard = config.min_slice_gb.max(config.partition_gb);
         for app in apps.iter() {
@@ -1225,7 +1316,7 @@ pub(crate) fn place_predictive(
             // adjustment restores an executor squeezed below its fair
             // slice by an earlier memory shortage — it must not serialise
             // work that future executors would process in parallel.
-            let (_, slice_target) = fair_share(engine, id, config);
+            let (_, slice_target) = app.share;
             if !bucketed {
                 bucketed = true;
                 for bucket in by_app.iter_mut() {
@@ -1597,6 +1688,8 @@ mod tests {
         /// equal to a fresh stable sort of the eligible, index-ordered
         /// nodes by free memory — ties, `0.0` vs `-0.0`, a single node and
         /// nodes left out of the ranking (offline or quarantined) included.
+        /// So does re-sorting the previous ranking of every node with
+        /// [`resort`] and keeping its eligible nodes.
         #[test]
         fn rerank_matches_a_fresh_stable_sort(
             eligible in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..10),
@@ -1629,11 +1722,150 @@ mod tests {
             let mut ranked = fresh(&free);
             ranked.sort_by(rank_order);
             proptest::prop_assert_eq!(bits(&ranked), bits(&fresh(&free)));
+            let mut order: Vec<(NodeId, f64)> = nodes.iter().map(|&n| (n, 0.0)).collect();
             for &(i, k, x) in &updates {
                 let node = nodes[i % nodes.len()];
                 free[node.index()] = pick((k, x));
                 rerank(&mut ranked, node, free[node.index()]);
                 proptest::prop_assert_eq!(bits(&ranked), bits(&fresh(&free)));
+                if i % 3 == 0 {
+                    for entry in &mut order {
+                        entry.1 = free[entry.0.index()];
+                    }
+                    resort(&mut order);
+                    let eligible_order: Vec<(NodeId, f64)> =
+                        order.iter().copied().filter(|e| eligible[e.0.index()]).collect();
+                    proptest::prop_assert_eq!(bits(&eligible_order), bits(&fresh(&free)));
+                }
+            }
+        }
+    }
+
+    /// The guard-only scan the floor test replaces: does some ranked node
+    /// below the executor cap pass the CPU guard?
+    fn guard_admits_some_node(
+        scratch: &PlaceScratch,
+        full: impl Fn(NodeId) -> bool,
+        cpu: f64,
+        cpu_cap: f64,
+    ) -> bool {
+        scratch
+            .ranked
+            .iter()
+            .any(|&(n, _)| !(full(n) || scratch.node_load[n.index()] + cpu > cpu_cap))
+    }
+
+    proptest::proptest! {
+        /// The floor test stalls an application exactly when the scan's
+        /// CPU guard fails on every ranked node — through a run of spawn
+        /// attempts, with an empty ranking, a single node, signed zeros,
+        /// NaN loads, loads at or past the cap and nodes at the executor
+        /// cap.
+        #[test]
+        fn guard_floor_stalls_exactly_when_no_node_passes_the_guard(
+            eligible in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..8),
+            initial in proptest::collection::vec((0u8..10, 0.0f64..1.5, 0usize..4), 8),
+            cap_pick in 0usize..3,
+            cpus in proptest::collection::vec(0.0f64..1.5, 4),
+            attempts in proptest::collection::vec(
+                (0usize..8, proptest::prelude::any::<bool>(), 0u8..10, 0.0f64..1.5),
+                0..12,
+            ),
+        ) {
+            const MAX_EXECS: usize = 3;
+            let cpu_cap = [0.75, 0.875, 1.0][cap_pick];
+            // Mostly named loads. They are dyadic, like the caps, so
+            // `cap - load` is exact and `load + cpu` can land on the cap.
+            let pick = |k: u8, x: f64| match k {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::NAN,
+                3 => cpu_cap,
+                4 => cpu_cap + 0.25,
+                5 => 0.25,
+                6 => 0.5,
+                _ => x,
+            };
+            let nodes = sparklite::cluster::Cluster::new(ClusterSpec::with_nodes(eligible.len()))
+                .node_ids();
+            let mut counts: Vec<usize> = nodes.iter().map(|n| initial[n.index()].2).collect();
+            let mut scratch = PlaceScratch {
+                node_load: nodes
+                    .iter()
+                    .map(|n| pick(initial[n.index()].0, initial[n.index()].1))
+                    .collect(),
+                ranked: nodes
+                    .iter()
+                    .filter(|n| eligible[n.index()])
+                    .map(|&n| (n, 8.0))
+                    .collect(),
+                ..PlaceScratch::default()
+            };
+            let check = |scratch: &PlaceScratch, counts: &[usize]| {
+                let full = |n: NodeId| counts[n.index()] >= MAX_EXECS;
+                // Random demands, plus each load's exact distance to the cap.
+                let tight = scratch.node_load.iter().map(|&l| cpu_cap - l);
+                for cpu in cpus.iter().copied().chain(tight).filter(|c| c.is_finite()) {
+                    proptest::prop_assert_eq!(
+                        scratch.guard_stalls(cpu, cpu_cap),
+                        !guard_admits_some_node(scratch, full, cpu, cpu_cap),
+                        "cpu {} floor {} loads {:?}",
+                        cpu,
+                        scratch.guard_floor,
+                        scratch.node_load
+                    );
+                }
+            };
+            scratch.refresh_guard_floor(|n| counts[n.index()] >= MAX_EXECS);
+            check(&scratch, &counts);
+            for &(i, spawned, k, x) in &attempts {
+                let node = nodes[i % nodes.len()];
+                let load = spawned.then(|| pick(k, x));
+                if spawned {
+                    counts[node.index()] += 1;
+                }
+                scratch.note_attempt(node, x, load, |n| counts[n.index()] >= MAX_EXECS);
+                check(&scratch, &counts);
+            }
+        }
+    }
+
+    #[test]
+    fn submit_time_shares_match_a_fresh_fair_share() {
+        let catalog = Catalog::paper();
+        let mut rng = SimRng::seed_from(11);
+        let system = train_system(&catalog, &TrainingConfig::default(), &mut rng).unwrap();
+        let mix: Vec<(usize, f64)> = workloads::mixes::MixScenario::TABLE3[3]
+            .random_mix(&catalog, &mut rng)
+            .iter()
+            .map(|e| (e.benchmark, e.size.gb()))
+            .collect();
+        let config = SchedulerConfig::default();
+        let faults = FaultPlan::generate(
+            3,
+            &simkit::faults::FaultPlanConfig {
+                intensity: 0.5,
+                horizon_secs: 4_000.0,
+                nodes: config.cluster.nodes,
+                apps: mix.len(),
+                ..Default::default()
+            },
+        );
+        let runs = [
+            (PolicyKind::Pairwise, None),
+            (PolicyKind::Quasar, None),
+            (PolicyKind::Moe, None),
+            (PolicyKind::Oracle, None),
+            (PolicyKind::Moe, Some(&faults)),
+        ];
+        for (policy, faults) in runs {
+            let run =
+                batch_loop(policy, &catalog, &mix, Some(&system), &config, 7, faults).unwrap();
+            assert_eq!(run.apps.len(), mix.len());
+            for app in &run.apps {
+                let (target, slice) = fair_share(&run.engine, app.engine_id, &config);
+                assert_eq!(app.share.0, target, "{policy:?}");
+                assert_eq!(app.share.1.to_bits(), slice.to_bits(), "{policy:?}");
             }
         }
     }

@@ -415,11 +415,11 @@ fn online_ram_gb(engine: &ClusterEngine, node_ids: &[NodeId]) -> f64 {
 /// predicted need at the dynalloc slice, margins applied, times the
 /// executor target. Deliberately pessimistic — the gate protects the
 /// cluster, the placement loop still packs tighter than this.
-fn admission_need_gb(app: &AppRt, engine: &ClusterEngine, config: &SchedulerConfig) -> f64 {
+fn admission_need_gb(app: &AppRt, config: &SchedulerConfig) -> f64 {
     let Some(prediction) = &app.prediction else {
         return 0.0;
     };
-    let (target, slice) = fair_share(engine, app.engine_id, config);
+    let (target, slice) = app.share;
     prediction.model.footprint_gb(slice)
         * app.pred_scale
         * effective_margin(app, config)
@@ -503,6 +503,9 @@ pub(crate) struct LoopRun {
     pub(crate) outcome: ServiceOutcome,
     pub(crate) apps: Vec<AppRt>,
     pub(crate) trace: Vec<(f64, Vec<f64>)>,
+    /// The engine as the run left it, for tests that check end state.
+    #[cfg(test)]
+    pub(crate) engine: ClusterEngine,
 }
 
 /// Iteration guard of the event loop: a run still going after this many
@@ -527,6 +530,17 @@ pub(crate) fn run_loop(
 ) -> Result<LoopRun, ColocateError> {
     let sched = &config.scheduler;
     let admission = config.admission;
+    if sched.cluster.nodes == 0 {
+        return Err(ColocateError::Config(
+            "the cluster needs at least one node".into(),
+        ));
+    }
+    let ram_gb = sched.cluster.node.ram_gb;
+    if !ram_gb.is_finite() || ram_gb <= 0.0 {
+        return Err(ColocateError::Config(format!(
+            "node RAM must be finite and positive, got {ram_gb} GB"
+        )));
+    }
 
     let mut rng = SimRng::seed_from(seed);
     let predictor = build_predictor(policy, catalog, system, &mut rng)?;
@@ -562,6 +576,7 @@ pub(crate) fn run_loop(
         let mut spec = bench.app_spec(input, sched.profiling.footprint_noise_sd);
         spec.rate_gb_per_s *= rate_penalty;
         let engine_id = engine.submit(spec);
+        let share = fair_share(&engine, engine_id, sched);
 
         let mut ready = event.at_secs;
         let mut profiling = ProfilingCost::default();
@@ -608,6 +623,7 @@ pub(crate) fn run_loop(
             } else {
                 ready
             },
+            share,
             prediction: None,
             measured_cpu,
             margin: 1.0,
@@ -811,7 +827,7 @@ pub(crate) fn run_loop(
                 if eligible.iter().any(|&i| jobs[i].vft < jobs[head].vft) {
                     audit.wfq_order_violations += 1;
                 }
-                let need = admission_need_gb(&apps[head], &engine, sched);
+                let need = admission_need_gb(&apps[head], sched);
                 let headroom = admission.headroom_frac * online_ram_gb(&engine, &node_ids);
                 // Recomputing the committed sum from the live bookings
                 // keeps it exactly zero once everything admitted has
@@ -1039,6 +1055,8 @@ pub(crate) fn run_loop(
         outcome,
         apps,
         trace,
+        #[cfg(test)]
+        engine,
     })
 }
 
@@ -1450,6 +1468,36 @@ mod tests {
             admission: AdmissionConfig::default(),
             tenant_weights: Vec::new(),
             job_classes,
+        }
+    }
+
+    #[test]
+    fn clusters_without_nodes_or_usable_ram_are_rejected() {
+        let catalog = Catalog::paper();
+        let jobs = jobs_of(&catalog, &["HB.Sort", "BDB.Grep"]);
+        let plan = ArrivalPlan::batch(&[(0, 0), (0, 1)]);
+        let mut bad = vec![SchedulerConfig {
+            cluster: ClusterSpec::with_nodes(0),
+            ..small_sched()
+        }];
+        for ram_gb in [0.0, -0.0, -8.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut sched = small_sched();
+            sched.cluster.node.ram_gb = ram_gb;
+            bad.push(sched);
+        }
+        for sched in bad {
+            let closed = crate::scheduler::run_schedule_custom(
+                PolicyKind::Pairwise,
+                &catalog,
+                &jobs,
+                None,
+                &sched,
+                1,
+            );
+            assert!(matches!(closed, Err(ColocateError::Config(_))), "{sched:?}");
+            let config = service_config(sched, jobs.clone());
+            let open = run_service(PolicyKind::Oracle, &catalog, &plan, None, &config, 1, None);
+            assert!(matches!(open, Err(ColocateError::Config(_))), "{config:?}");
         }
     }
 
