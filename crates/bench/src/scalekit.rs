@@ -123,8 +123,8 @@ pub fn storm_mutate(eng: &mut ClusterEngine, slots: &mut [(AppId, ExecutorId)], 
 
 /// Order-pinned digest of the engine's observable simulation state:
 /// elapsed clock, live population, every cached executor rate (the
-/// pairs iterate a `BTreeMap`, so the order is pinned by id) and the next
-/// completion — all folded bit-exactly (FNV-1a), so two engines agree iff
+/// pairs come in executor id order) and the next completion — all
+/// folded bit-exactly (FNV-1a), so two engines agree iff
 /// their states are bitwise identical. This is what the
 /// `SPARK_MOE_SCALE_CHECK` mode prints instead of wall-clock numbers: a
 /// pure function of the sweep configuration, identical at any

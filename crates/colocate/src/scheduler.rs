@@ -755,10 +755,6 @@ pub(crate) struct PlaceScratch {
     /// eligible subsequence of `order`, taken once per call and kept
     /// current by [`rerank`] after each spawn.
     ranked: Vec<(NodeId, f64)>,
-    /// Live executors by owning application (indexed by engine app id,
-    /// each bucket in id order) as `(executor, node, slice)`, filled once
-    /// per dynamic-adjustment phase.
-    by_app: Vec<Vec<(sparklite::ExecutorId, NodeId, f64)>>,
     /// Dynamic-adjustment candidates: `(executor, node, free memory)`.
     candidates: Vec<(sparklite::ExecutorId, NodeId, f64)>,
     /// Per-call snapshot of each node's observed CPU load, by node index;
@@ -1042,15 +1038,12 @@ fn place_pairwise(
         let bench = &catalog.all()[apps[i].benchmark];
         let (target, slice) = apps[i].share;
         let curve = engine.app(id).spec().memory_curve;
-        // Prefer empty nodes, then singly occupied ones. Occupancy counts
-        // come from one pass over the executor set instead of letting the
-        // sort re-scan it per comparison key; the stable sort over equal
-        // counts visits nodes in exactly the order the per-node rescans
-        // produced.
-        let mut node_order: Vec<(NodeId, usize)> = nodes.iter().map(|&n| (n, 0)).collect();
-        for e in engine.executors_iter() {
-            node_order[e.node().index()].1 += 1;
-        }
+        // Prefer empty nodes, then singly occupied ones; the stable sort
+        // keeps node order among equal counts.
+        let mut node_order: Vec<(NodeId, usize)> = nodes
+            .iter()
+            .map(|&n| (n, engine.node_executor_count(n)))
+            .collect();
         node_order.sort_by_key(|&(_, count)| count);
         for (node, occupants) in node_order {
             if engine.app(id).unassigned_gb() <= 0.0 || engine.app(id).live_executors() >= target {
@@ -1284,13 +1277,10 @@ pub(crate) fn place_predictive(
     if config.dynamic_adjustment {
         // Only an app's own successful extension changes its executors,
         // its remaining input or the memory they see, and it ends that
-        // app's turn: one pass over the executor set buckets them by owner
-        // for the whole phase, and `remaining`, a candidate's free memory
-        // and its slice all hold until it is visited.
-        let PlaceScratch {
-            by_app, candidates, ..
-        } = scratch;
-        let mut bucketed = false;
+        // app's turn: the app's executors, their slices, `remaining` and a
+        // candidate's free memory all hold from its visit until the
+        // extension.
+        let candidates = &mut scratch.candidates;
         let guard = config.min_slice_gb.max(config.partition_gb);
         for app in apps.iter() {
             if app.finished_at.is_some()
@@ -1317,16 +1307,6 @@ pub(crate) fn place_predictive(
             // slice by an earlier memory shortage — it must not serialise
             // work that future executors would process in parallel.
             let (_, slice_target) = app.share;
-            if !bucketed {
-                bucketed = true;
-                for bucket in by_app.iter_mut() {
-                    bucket.clear();
-                }
-                by_app.resize_with(engine.app_count(), Vec::new);
-                for e in engine.executors_iter() {
-                    by_app[e.app().index()].push((e.id(), e.node(), e.slice_gb()));
-                }
-            }
             // This app's executors, on the node with the most free memory
             // first; the (node, id) tie-break reproduces the order the
             // original nodes-times-executors scan fed its stable sort.
@@ -1335,12 +1315,12 @@ pub(crate) fn place_predictive(
             // extension past `guard` (float subtraction is monotone, so
             // `max_slice.min(slice_target) - slice` is no larger).
             candidates.clear();
-            for &(exec_id, node, slice) in &by_app[id.index()] {
-                let free = engine.node_free_memory(node);
-                if free <= 0.5 || slice_target - slice < guard {
+            for e in engine.app_executors(id) {
+                let free = engine.node_free_memory(e.node());
+                if free <= 0.5 || slice_target - e.slice_gb() < guard {
                     continue;
                 }
-                candidates.push((exec_id, node, free));
+                candidates.push((e.id(), e.node(), free));
             }
             candidates.sort_by(|a, b| {
                 b.2.total_cmp(&a.2)

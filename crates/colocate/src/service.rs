@@ -508,6 +508,50 @@ pub(crate) struct LoopRun {
     pub(crate) engine: ClusterEngine,
 }
 
+/// Rejects a scheduler config the loop cannot run faithfully: a cluster
+/// without nodes or usable RAM, or a bound that is NaN, infinite or out of
+/// range. A NaN cap or margin would silently disable its guard, a zero
+/// executor cap would let the forced placement ignore it, and a bad
+/// startup latency would panic in the engine.
+fn validate_scheduler(sched: &SchedulerConfig) -> Result<(), ColocateError> {
+    if sched.cluster.nodes == 0 {
+        return Err(ColocateError::Config(
+            "the cluster needs at least one node".into(),
+        ));
+    }
+    if sched.max_execs_per_node == 0 {
+        return Err(ColocateError::Config(
+            "max_execs_per_node must be at least 1".into(),
+        ));
+    }
+    let positive = [
+        ("node RAM (GB)", sched.cluster.node.ram_gb),
+        ("cpu_cap", sched.cpu_cap),
+        ("reserve_margin", sched.reserve_margin),
+        ("conservative_margin", sched.conservative_margin),
+    ];
+    for (name, value) in positive {
+        if !value.is_finite() || value <= 0.0 {
+            return Err(ColocateError::Config(format!(
+                "{name} must be finite and positive, got {value}"
+            )));
+        }
+    }
+    let non_negative = [
+        ("executor_startup_secs", sched.executor_startup_secs),
+        ("min_slice_gb", sched.min_slice_gb),
+        ("partition_gb", sched.partition_gb),
+    ];
+    for (name, value) in non_negative {
+        if !value.is_finite() || value < 0.0 {
+            return Err(ColocateError::Config(format!(
+                "{name} must be finite and non-negative, got {value}"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Iteration guard of the event loop: a run still going after this many
 /// scheduling instants is wedged and fails with an error.
 const LOOP_GUARD: usize = 500_000;
@@ -530,17 +574,7 @@ pub(crate) fn run_loop(
 ) -> Result<LoopRun, ColocateError> {
     let sched = &config.scheduler;
     let admission = config.admission;
-    if sched.cluster.nodes == 0 {
-        return Err(ColocateError::Config(
-            "the cluster needs at least one node".into(),
-        ));
-    }
-    let ram_gb = sched.cluster.node.ram_gb;
-    if !ram_gb.is_finite() || ram_gb <= 0.0 {
-        return Err(ColocateError::Config(format!(
-            "node RAM must be finite and positive, got {ram_gb} GB"
-        )));
-    }
+    validate_scheduler(sched)?;
 
     let mut rng = SimRng::seed_from(seed);
     let predictor = build_predictor(policy, catalog, system, &mut rng)?;
@@ -1471,20 +1505,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn clusters_without_nodes_or_usable_ram_are_rejected() {
+    /// Every config in `bad` fails with `ColocateError::Config` through
+    /// both the closed and the open entry point.
+    fn assert_rejected(bad: Vec<SchedulerConfig>) {
         let catalog = Catalog::paper();
         let jobs = jobs_of(&catalog, &["HB.Sort", "BDB.Grep"]);
         let plan = ArrivalPlan::batch(&[(0, 0), (0, 1)]);
-        let mut bad = vec![SchedulerConfig {
-            cluster: ClusterSpec::with_nodes(0),
-            ..small_sched()
-        }];
-        for ram_gb in [0.0, -0.0, -8.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let mut sched = small_sched();
-            sched.cluster.node.ram_gb = ram_gb;
-            bad.push(sched);
-        }
         for sched in bad {
             let closed = crate::scheduler::run_schedule_custom(
                 PolicyKind::Pairwise,
@@ -1499,6 +1525,46 @@ mod tests {
             let open = run_service(PolicyKind::Oracle, &catalog, &plan, None, &config, 1, None);
             assert!(matches!(open, Err(ColocateError::Config(_))), "{config:?}");
         }
+    }
+
+    #[test]
+    fn clusters_without_nodes_or_usable_ram_are_rejected() {
+        let mut bad = vec![SchedulerConfig {
+            cluster: ClusterSpec::with_nodes(0),
+            ..small_sched()
+        }];
+        for ram_gb in [0.0, -0.0, -8.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut sched = small_sched();
+            sched.cluster.node.ram_gb = ram_gb;
+            bad.push(sched);
+        }
+        assert_rejected(bad);
+    }
+
+    #[test]
+    fn nan_negative_and_zero_capacity_bounds_are_rejected() {
+        let mut bad = vec![SchedulerConfig {
+            max_execs_per_node: 0,
+            ..small_sched()
+        }];
+        let non_finite = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        type Setter = fn(&mut SchedulerConfig, f64);
+        let setters: [(Setter, &[f64]); 6] = [
+            (|s, v| s.cpu_cap = v, &[0.0, -0.0, -1.0]),
+            (|s, v| s.reserve_margin = v, &[0.0, -0.0, -1.0]),
+            (|s, v| s.conservative_margin = v, &[0.0, -0.0, -1.0]),
+            (|s, v| s.executor_startup_secs = v, &[-1.0]),
+            (|s, v| s.min_slice_gb = v, &[-1.0]),
+            (|s, v| s.partition_gb = v, &[-1.0]),
+        ];
+        for (set, out_of_range) in setters {
+            for &value in non_finite.iter().chain(out_of_range) {
+                let mut sched = small_sched();
+                set(&mut sched, value);
+                bad.push(sched);
+            }
+        }
+        assert_rejected(bad);
     }
 
     #[test]

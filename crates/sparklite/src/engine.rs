@@ -91,6 +91,14 @@ impl Default for NodeShard {
     }
 }
 
+/// `exec_index` entry of an executor that has left the engine.
+const DEAD: usize = usize::MAX;
+
+/// Dense position of executor `id` by the engine's id table, if it is live.
+fn live_pos(exec_index: &[usize], id: ExecutorId) -> Option<usize> {
+    exec_index.get(id.0).copied().filter(|&pos| pos != DEAD)
+}
+
 /// Summed CPU demand of `execs`, in iteration order — the one expression
 /// behind [`ClusterEngine::node_cpu_load`]'s cached total.
 fn cpu_demand<'a>(execs: impl Iterator<Item = &'a Executor>) -> f64 {
@@ -212,12 +220,16 @@ pub struct ClusterEngine {
     apps: Vec<AppState>,
     /// Live executors in dense, **unordered** storage: removal is an O(1)
     /// swap instead of an O(E) shift. Everything that needs id (spawn)
-    /// order goes through `exec_index` or a shard's member list.
+    /// order goes through `exec_index`, a shard's member list or an app's
+    /// member list.
     executors: Vec<Executor>,
-    /// Position of each live executor in `executors`, keyed (and iterated)
-    /// in id order.
-    exec_index: BTreeMap<ExecutorId, usize>,
-    next_executor: usize,
+    /// Position in `executors` of every executor ever spawned, indexed by
+    /// id ([`DEAD`] once it has left). Ids are handed out densely in spawn
+    /// order, so the table's length is the next id.
+    exec_index: Vec<usize>,
+    /// Ids of each application's live executors, ascending, indexed by
+    /// app id.
+    app_members: Vec<Vec<ExecutorId>>,
     rng: SimRng,
     /// Fixed per-executor startup latency (JVM launch, container
     /// allocation, task scheduling), charged as dead work at the
@@ -247,8 +259,8 @@ impl ClusterEngine {
             model,
             apps: Vec::new(),
             executors: Vec::new(),
-            exec_index: BTreeMap::new(),
-            next_executor: 0,
+            exec_index: Vec::new(),
+            app_members: Vec::new(),
             rng: SimRng::seed_from(seed),
             startup_secs: 0.0,
             elapsed: 0.0,
@@ -303,6 +315,7 @@ impl ClusterEngine {
     /// Submits an application; it starts with its whole input unassigned.
     pub fn submit(&mut self, spec: AppSpec) -> AppId {
         self.apps.push(AppState::new(spec));
+        self.app_members.push(Vec::new());
         AppId(self.apps.len() - 1)
     }
 
@@ -340,9 +353,8 @@ impl ClusterEngine {
     /// Returns [`SparkliteError::UnknownExecutor`] if it finished or never
     /// existed.
     pub fn executor(&self, id: ExecutorId) -> Result<&Executor, SparkliteError> {
-        self.exec_index
-            .get(&id)
-            .map(|&pos| &self.executors[pos])
+        live_pos(&self.exec_index, id)
+            .map(|pos| &self.executors[pos])
             .ok_or(SparkliteError::UnknownExecutor(id.0))
     }
 
@@ -366,7 +378,7 @@ impl ClusterEngine {
         self.rate_cache.shards[node.index()]
             .members
             .iter()
-            .filter_map(move |id| self.exec_index.get(id).map(|&pos| &self.executors[pos]))
+            .filter_map(move |&id| live_pos(&self.exec_index, id).map(|pos| &self.executors[pos]))
     }
 
     /// Number of live executors on `node`.
@@ -376,8 +388,25 @@ impl ClusterEngine {
     }
 
     /// Iterates all live executors cluster-wide, in spawn (id) order.
+    /// Walks the id table, so it costs O(executors ever spawned).
     pub fn executors_iter(&self) -> impl Iterator<Item = &Executor> {
-        self.exec_index.values().map(|&pos| &self.executors[pos])
+        self.exec_index
+            .iter()
+            .filter(|&&pos| pos != DEAD)
+            .map(|&pos| &self.executors[pos])
+    }
+
+    /// Iterates `app`'s live executors, in spawn (id) order. O(its
+    /// executors), served from the app's member list, which holds live
+    /// ids only.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an id from another engine.
+    pub fn app_executors(&self, app: AppId) -> impl Iterator<Item = &Executor> {
+        self.app_members[app.0]
+            .iter()
+            .map(move |id| &self.executors[self.exec_index[id.0]])
     }
 
     /// Number of live executors cluster-wide.
@@ -460,8 +489,7 @@ impl ClusterEngine {
         let noise = self.rng.relative_noise(spec.footprint_noise_sd);
         let actual = spec.true_footprint_gb(taken) * noise;
         let cpu = spec.cpu_util;
-        let id = ExecutorId(self.next_executor);
-        self.next_executor += 1;
+        let id = ExecutorId(self.exec_index.len());
         let pos = self.executors.len();
         self.executors.push(Executor::new(
             id,
@@ -473,11 +501,12 @@ impl ClusterEngine {
             cpu,
             self.startup_secs * spec.rate_gb_per_s,
         ));
-        self.exec_index.insert(id, pos);
+        self.exec_index.push(pos);
         // A placeholder until the dirtied shard refreshes.
         self.rate_cache.exec_rates.push(0.0);
         // Ids increase monotonically, so a push keeps members sorted.
         self.rate_cache.shards[node.index()].members.push(id);
+        self.app_members[app.0].push(id);
         self.recount_cpu(node);
         self.invalidate(node);
         Ok(Some(id))
@@ -489,24 +518,26 @@ impl ClusterEngine {
         self.rate_cache.shards[node.index()].cpu_total = total;
     }
 
-    /// Removes executor `id` from the dense storage, its shard's member
-    /// list and the position index, dirtying its node and recounting its
-    /// CPU demand. O(log E) plus O(members) for the member-list shift and
+    /// Removes executor `id` from the dense storage, the id table, and its
+    /// shard's and app's member lists, dirtying its node and recounting
+    /// its CPU demand. O(1) plus O(members) for the member-list shifts and
     /// the recount.
     fn take_executor(&mut self, id: ExecutorId) -> Option<Executor> {
-        let pos = self.exec_index.remove(&id)?;
+        let pos = live_pos(&self.exec_index, id)?;
+        self.exec_index[id.0] = DEAD;
         let exec = self.executors.swap_remove(pos);
         self.rate_cache.exec_rates.swap_remove(pos);
-        if pos < self.executors.len() {
-            // The former tail moved into `pos`: re-point its index entry.
-            let moved = self.executors[pos].id();
-            if let Some(entry) = self.exec_index.get_mut(&moved) {
-                *entry = pos;
-            }
+        if let Some(moved) = self.executors.get(pos) {
+            // The former tail moved into `pos`: re-point its table entry.
+            self.exec_index[moved.id().0] = pos;
         }
         let shard = &mut self.rate_cache.shards[exec.node().index()];
         if let Ok(m) = shard.members.binary_search(&id) {
             shard.members.remove(m);
+        }
+        let members = &mut self.app_members[exec.app().0];
+        if let Ok(m) = members.binary_search(&id) {
+            members.remove(m);
         }
         self.recount_cpu(exec.node());
         self.invalidate(exec.node());
@@ -531,10 +562,7 @@ impl ClusterEngine {
         extra_gb: f64,
         extra_reserve_gb: f64,
     ) -> Result<f64, SparkliteError> {
-        let pos = *self
-            .exec_index
-            .get(&id)
-            .ok_or(SparkliteError::UnknownExecutor(id.0))?;
+        let pos = live_pos(&self.exec_index, id).ok_or(SparkliteError::UnknownExecutor(id.0))?;
         let (app, node) = {
             let exec = &self.executors[pos];
             (exec.app(), exec.node())
@@ -741,7 +769,7 @@ impl ClusterEngine {
             node_demands.clear();
             member_pos.clear();
             for id in &shard.members {
-                let Some(&pos) = exec_index.get(id) else {
+                let Some(pos) = live_pos(exec_index, *id) else {
                     debug_assert!(false, "shard member {id} missing from the index");
                     continue;
                 };
@@ -836,7 +864,7 @@ impl ClusterEngine {
                 node_demands.clear();
                 member_pos.clear();
                 for id in &shard.members {
-                    let Some(&pos) = exec_index.get(id) else {
+                    let Some(pos) = live_pos(exec_index, *id) else {
                         debug_assert!(false, "shard member {id} missing from the index");
                         continue;
                     };
@@ -922,7 +950,9 @@ impl ClusterEngine {
         self.rate_cache.pairs.extend(
             self.exec_index
                 .iter()
-                .map(|(&id, &pos)| (id, exec_rates[pos])),
+                .enumerate()
+                .filter(|&(_, &pos)| pos != DEAD)
+                .map(|(id, &pos)| (ExecutorId(id), exec_rates[pos])),
         );
         &self.rate_cache.pairs
     }
@@ -976,7 +1006,7 @@ impl ClusterEngine {
     pub fn next_completion(&mut self) -> Option<(f64, ExecutorId)> {
         self.refresh_rates();
         let (key, _) = self.rate_cache.tree.winner()?;
-        let &pos = self.exec_index.get(&key.id)?;
+        let pos = live_pos(&self.exec_index, key.id)?;
         let e = &self.executors[pos];
         let rate = self.rate_cache.exec_rates[pos].max(1e-12);
         Some((e.remaining_work_gb() / rate, e.id()))
@@ -993,7 +1023,7 @@ impl ClusterEngine {
         rates
             .iter()
             .map(|(&id, &r)| {
-                let pos = self.exec_index[&id];
+                let pos = self.exec_index[id.0];
                 let rate = r.max(1e-12);
                 (self.executors[pos].remaining_work_gb() / rate, id)
             })

@@ -2,9 +2,10 @@
 
 use mlkit::regression::{CurveFamily, FittedCurve};
 use proptest::prelude::*;
-use sparklite::app::AppSpec;
-use sparklite::cluster::ClusterSpec;
+use sparklite::app::{AppId, AppSpec};
+use sparklite::cluster::{ClusterSpec, NodeId};
 use sparklite::engine::ClusterEngine;
+use sparklite::executor::ExecutorId;
 use sparklite::perf::{ExecutorDemand, InterferenceModel};
 
 fn app(input_gb: f64, cpu: f64, mem_m: f64) -> AppSpec {
@@ -20,6 +21,68 @@ fn app(input_gb: f64, cpu: f64, mem_m: f64) -> AppSpec {
         },
         footprint_noise_sd: 0.0,
     }
+}
+
+/// A 4-node engine with three plain apps and a memory hog whose
+/// executors overflow RAM, so operation sequences exercise hot shards
+/// (paging factors that ramp under advance) and not just the cool fast
+/// path.
+fn mixed_engine(seed: u64) -> (ClusterEngine, Vec<AppId>, Vec<NodeId>) {
+    let mut eng =
+        ClusterEngine::with_seed(ClusterSpec::small(4), InterferenceModel::default(), seed);
+    let mut apps: Vec<_> = (0..3)
+        .map(|i| eng.submit(app(500.0, 0.2 + 0.2 * i as f64, 0.3)))
+        .collect();
+    apps.push(eng.submit(app(500.0, 0.3, 2.5)));
+    let nodes = eng.cluster().node_ids();
+    (eng, apps, nodes)
+}
+
+/// Applies one seeded operation: 0 spawn, 1 extend, 2 kill, 3 fail a
+/// node, 4 restore a node, 5 advance, 6 run to the next completion and
+/// complete it. Returns the id of a freshly spawned executor.
+fn apply_op(
+    eng: &mut ClusterEngine,
+    apps: &[AppId],
+    nodes: &[NodeId],
+    (op, pick, amount): (u8, usize, f64),
+) -> Option<ExecutorId> {
+    match op {
+        0 => {
+            let a = apps[pick % apps.len()];
+            let n = nodes[pick % nodes.len()];
+            return eng
+                .spawn_executor(a, n, amount, amount.min(12.0))
+                .ok()
+                .flatten();
+        }
+        1 => {
+            let ids: Vec<_> = eng.executors_iter().map(|e| e.id()).collect();
+            if !ids.is_empty() {
+                let _ = eng.extend_executor(ids[pick % ids.len()], amount, 1.0);
+            }
+        }
+        2 => {
+            let ids: Vec<_> = eng.executors_iter().map(|e| e.id()).collect();
+            if !ids.is_empty() {
+                let _ = eng.kill_executor(ids[pick % ids.len()]);
+            }
+        }
+        3 => {
+            let _ = eng.fail_node(nodes[pick % nodes.len()]);
+        }
+        4 => {
+            let _ = eng.restore_node(nodes[pick % nodes.len()]);
+        }
+        5 => eng.advance(amount * 0.1),
+        _ => {
+            if let Some((dt, who)) = eng.next_completion() {
+                eng.advance(dt);
+                let _ = eng.complete_executor(who);
+            }
+        }
+    }
+    None
 }
 
 proptest! {
@@ -132,46 +195,9 @@ proptest! {
         seed in 0u64..1000,
         ops in proptest::collection::vec((0u8..6, 0usize..64, 0.1f64..30.0), 1..40),
     ) {
-        let mut eng = ClusterEngine::with_seed(
-            ClusterSpec::small(4),
-            InterferenceModel::default(),
-            seed,
-        );
-        let mut apps: Vec<_> = (0..3)
-            .map(|i| eng.submit(app(500.0, 0.2 + 0.2 * i as f64, 0.3)))
-            .collect();
-        // A memory hog whose executors overflow RAM, so the sequences
-        // exercise hot shards (paging factors that ramp under advance)
-        // and not just the cool fast path.
-        apps.push(eng.submit(app(500.0, 0.3, 2.5)));
-        let nodes = eng.cluster().node_ids();
-        for &(op, pick, amount) in &ops {
-            match op {
-                0 => {
-                    let a = apps[pick % apps.len()];
-                    let n = nodes[pick % nodes.len()];
-                    let _ = eng.spawn_executor(a, n, amount, amount.min(12.0));
-                }
-                1 => {
-                    let ids: Vec<_> = eng.executors_iter().map(|e| e.id()).collect();
-                    if !ids.is_empty() {
-                        let _ = eng.extend_executor(ids[pick % ids.len()], amount, 1.0);
-                    }
-                }
-                2 => {
-                    let ids: Vec<_> = eng.executors_iter().map(|e| e.id()).collect();
-                    if !ids.is_empty() {
-                        let _ = eng.kill_executor(ids[pick % ids.len()]);
-                    }
-                }
-                3 => {
-                    let _ = eng.fail_node(nodes[pick % nodes.len()]);
-                }
-                4 => {
-                    let _ = eng.restore_node(nodes[pick % nodes.len()]);
-                }
-                _ => eng.advance(amount * 0.1),
-            }
+        let (mut eng, apps, nodes) = mixed_engine(seed);
+        for &op in &ops {
+            apply_op(&mut eng, &apps, &nodes, op);
             // After EVERY mutation the cache must agree bit-for-bit with
             // the reference implementation.
             let scratch = eng.current_rates();
@@ -198,6 +224,41 @@ proptest! {
                     );
                 }
                 (f, s) => prop_assert_eq!(f.map(|x| x.1), s.map(|x| x.1)),
+            }
+        }
+    }
+
+    /// The engine's executor bookkeeping — the id table, the per-app
+    /// member lists and the dense storage — agrees with itself after
+    /// every operation: cluster-wide iteration is strictly id-ordered and
+    /// complete, each app's list is exactly its live executors in id
+    /// order, and every executor that has left is unknown.
+    #[test]
+    fn executor_index_tracks_every_mutation(
+        seed in 0u64..1000,
+        ops in proptest::collection::vec((0u8..7, 0usize..64, 0.1f64..30.0), 1..40),
+    ) {
+        let (mut eng, apps, nodes) = mixed_engine(seed);
+        let mut spawned = Vec::new();
+        for &op in &ops {
+            spawned.extend(apply_op(&mut eng, &apps, &nodes, op));
+            let live: Vec<ExecutorId> = eng.executors_iter().map(|e| e.id()).collect();
+            prop_assert!(live.windows(2).all(|w| w[0] < w[1]), "ids out of order: {:?}", live);
+            prop_assert_eq!(live.len(), eng.live_executors());
+            for &a in &apps {
+                let listed: Vec<ExecutorId> = eng.app_executors(a).map(|e| e.id()).collect();
+                let owned: Vec<ExecutorId> = eng
+                    .executors_iter()
+                    .filter(|e| e.app() == a)
+                    .map(|e| e.id())
+                    .collect();
+                prop_assert_eq!(&listed, &owned, "app {:?}", a);
+                prop_assert_eq!(listed.len(), eng.app(a).live_executors());
+            }
+            // A live id resolves to itself; an id that has left is unknown.
+            for &id in &spawned {
+                let live_id = live.binary_search(&id).is_ok().then_some(id);
+                prop_assert_eq!(eng.executor(id).map(|e| e.id()).ok(), live_id);
             }
         }
     }
