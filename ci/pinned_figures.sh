@@ -9,6 +9,10 @@
 #   SPARK_MOE_THREADS=1 ci/pinned_figures.sh out/t1
 #   SPARK_MOE_THREADS=4 ci/pinned_figures.sh out/t4
 #   diff -r out/t1 out/t4
+#
+# ci/pinned holds the one-worker output as committed goldens; CI checks
+# `diff -r ci/pinned out/t1`. A change meant to move a pinned bit
+# regenerates them with `SPARK_MOE_THREADS=1 ci/pinned_figures.sh ci/pinned`.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then

@@ -553,7 +553,7 @@ pub(crate) fn note_completion(
         return;
     };
     let (owner, actual, reserved) = (exec.app(), exec.actual_gb(), exec.reserved_gb());
-    if let Some(app) = apps.iter_mut().find(|a| a.engine_id == owner) {
+    if let Some(app) = apps.get_mut(owner.index()) {
         observe_footprint_error(app, actual, reserved, config.resilience.margin_alpha);
         app.failures = 0;
         app.isolated_fallback = false;
@@ -591,7 +591,7 @@ pub(crate) fn apply_fault(
             }
             if config.resilience.enabled {
                 for owner in owners {
-                    if let Some(app) = apps.iter_mut().find(|a| a.engine_id == owner) {
+                    if let Some(app) = apps.get_mut(owner.index()) {
                         schedule_retry(app, t, &config.resilience, resil, false);
                     }
                 }
@@ -613,7 +613,7 @@ pub(crate) fn apply_fault(
             resil.stats.executor_crashes += 1;
             resil.stats.slices_requeued_gb += slice;
             if config.resilience.enabled {
-                if let Some(app) = apps.iter_mut().find(|a| a.engine_id == owner) {
+                if let Some(app) = apps.get_mut(owner.index()) {
                     schedule_retry(app, t, &config.resilience, resil, false);
                 }
             }
@@ -694,7 +694,7 @@ pub(crate) fn process_revocations(
             }
             if config.resilience.enabled {
                 for owner in owners {
-                    if let Some(app) = apps.iter_mut().find(|a| a.engine_id == owner) {
+                    if let Some(app) = apps.get_mut(owner.index()) {
                         schedule_retry(app, t, &config.resilience, resil, false);
                     }
                 }
@@ -887,7 +887,8 @@ pub(crate) fn fair_share(
 pub(crate) fn place(
     policy: PolicyKind,
     engine: &mut ClusterEngine,
-    apps: &mut [AppRt],
+    apps: &[AppRt],
+    live: &[usize],
     config: &SchedulerConfig,
     t: f64,
     catalog: &Catalog,
@@ -898,25 +899,28 @@ pub(crate) fn place(
     scratch: &mut PlaceScratch,
 ) -> Result<usize, ColocateError> {
     match policy {
-        PolicyKind::Isolated => place_isolated(engine, apps, nodes).map(|()| 0),
-        PolicyKind::Pairwise => place_pairwise(engine, apps, config, catalog, nodes).map(|()| 0),
+        PolicyKind::Isolated => place_isolated(engine, apps, live, nodes).map(|()| 0),
+        PolicyKind::Pairwise => {
+            place_pairwise(engine, apps, live, config, catalog, nodes).map(|()| 0)
+        }
         _ => place_predictive(
-            engine, apps, config, t, monitor, resil, nodes, abstain, scratch,
+            engine, apps, live, config, t, monitor, resil, nodes, abstain, scratch,
         ),
     }
 }
 
 /// Last-resort placement when the policy's model refuses every node: give
-/// the first ready, unfinished application one dynalloc-sized slice on the
-/// node with the most free memory, reserving whatever is free. Returns
-/// whether an executor was spawned.
+/// the first ready, unfinished application of `live` one dynalloc-sized
+/// slice on the node with the most free memory, reserving whatever is
+/// free. Returns whether an executor was spawned.
 pub(crate) fn force_place(
     engine: &mut ClusterEngine,
-    apps: &mut [AppRt],
+    apps: &[AppRt],
+    live: &[usize],
     config: &SchedulerConfig,
     t: f64,
 ) -> Result<bool, ColocateError> {
-    for app in apps.iter() {
+    for app in live.iter().map(|&i| &apps[i]) {
         if app.finished_at.is_some() || app.ready_at.max(app.retry_at) > t {
             continue;
         }
@@ -974,11 +978,12 @@ fn fitting_slice(curve: FittedCurve, want_gb: f64, budget_gb: f64) -> f64 {
 
 fn place_isolated(
     engine: &mut ClusterEngine,
-    apps: &mut [AppRt],
+    apps: &[AppRt],
+    live: &[usize],
     nodes: &[NodeId],
 ) -> Result<(), ColocateError> {
     // The first unfinished app owns the whole cluster.
-    let Some(active) = apps.iter().position(|a| a.finished_at.is_none()) else {
+    let Some(&active) = live.first() else {
         return Ok(());
     };
     let id = apps[active].engine_id;
@@ -1011,7 +1016,8 @@ fn place_isolated(
 
 fn place_pairwise(
     engine: &mut ClusterEngine,
-    apps: &mut [AppRt],
+    apps: &[AppRt],
+    live: &[usize],
     config: &SchedulerConfig,
     catalog: &Catalog,
     nodes: &[NodeId],
@@ -1023,14 +1029,7 @@ fn place_pairwise(
     // else waits. This matches the paper's description and its Fig. 7a
     // utilisation map (long idle stretches), and is why Pairwise "does not
     // scale up beyond pairwise co-location" (§6.2).
-    let active: Vec<usize> = apps
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.finished_at.is_none())
-        .map(|(i, _)| i)
-        .take(2)
-        .collect();
-    for i in active {
+    for &i in live.iter().take(2) {
         let id = apps[i].engine_id;
         if engine.app(id).unassigned_gb() <= 0.0 {
             continue;
@@ -1088,7 +1087,8 @@ fn place_pairwise(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn place_predictive(
     engine: &mut ClusterEngine,
-    apps: &mut [AppRt],
+    apps: &[AppRt],
+    live: &[usize],
     config: &SchedulerConfig,
     t: f64,
     monitor: &sparklite::monitor::ResourceMonitor,
@@ -1106,7 +1106,7 @@ pub(crate) fn place_predictive(
     // application: co-location is suspended until the distress rate
     // recovers, and each placement made that way is counted.
     if config.resilience.enabled || abstain {
-        for app in apps.iter() {
+        for app in live.iter().map(|&i| &apps[i]) {
             if !(app.isolated_fallback || abstain)
                 || app.finished_at.is_some()
                 || app.ready_at.max(app.retry_at) > t
@@ -1173,7 +1173,8 @@ pub(crate) fn place_predictive(
     scratch.stalled.resize(apps.len(), false);
     loop {
         let mut progress = false;
-        for (i, app) in apps.iter().enumerate() {
+        for &i in live {
+            let app = &apps[i];
             if scratch.stalled[i]
                 || app.finished_at.is_some()
                 || app.ready_at.max(app.retry_at) > t
@@ -1282,7 +1283,7 @@ pub(crate) fn place_predictive(
         // extension.
         let candidates = &mut scratch.candidates;
         let guard = config.min_slice_gb.max(config.partition_gb);
-        for app in apps.iter() {
+        for app in live.iter().map(|&i| &apps[i]) {
             if app.finished_at.is_some()
                 || app.ready_at.max(app.retry_at) > t
                 || app.isolated_fallback
@@ -1428,7 +1429,7 @@ fn resolve_node_ooms(
                 (e.app(), e.current_actual_gb(), e.reserved_gb())
             };
             engine.kill_executor(victim)?;
-            if let Some(app) = apps.iter_mut().find(|a| a.engine_id == owner) {
+            if let Some(app) = apps.get_mut(owner.index()) {
                 app.margin = (app.margin * 1.5).min(3.0).max(config.conservative_margin);
                 if resilience.enabled {
                     observe_footprint_error(app, actual, reserved, resilience.margin_alpha);

@@ -252,9 +252,9 @@ struct JobState {
     profile_ready: f64,
     /// WFQ virtual finish tag, assigned at arrival.
     vft: f64,
-    /// Predicted footprint booked against the headroom budget.
+    /// Predicted footprint booked against the headroom budget; released
+    /// when the job finishes and leaves the live list.
     committed_gb: f64,
-    released: bool,
 }
 
 /// Circuit-breaker state machine.
@@ -678,9 +678,14 @@ pub(crate) fn run_loop(
             profile_ready: ready,
             vft: 0.0,
             committed_gb: 0.0,
-            released: false,
         });
     }
+    // Fault handlers and the OOM resolver find an executor's owner as
+    // `apps[owner.index()]`: the engine numbers apps in submit order.
+    debug_assert!(apps
+        .iter()
+        .enumerate()
+        .all(|(i, app)| app.engine_id.index() == i));
     // One batched prediction over every planned job: the MoE serves it
     // through the whole-matrix selector path, bitwise identical to per-job
     // predict calls (and the profiling RNG draws above are untouched —
@@ -736,6 +741,10 @@ pub(crate) fn run_loop(
     let mut abstain_placements = 0usize;
     let mut depth_avg = TimeWeighted::new(SimTime::ZERO);
     let mut max_queue_depth = 0usize;
+    // The jobs still in play — arrived, not shed, not finished — by plan
+    // index in ascending order. Every per-job pass below walks this list
+    // instead of the whole plan (DESIGN.md §14, "Live jobs").
+    let mut live: Vec<usize> = Vec::with_capacity(plan.len());
 
     loop {
         guard += 1;
@@ -752,6 +761,12 @@ pub(crate) fn run_loop(
             // the event's position in plan order.
             let idx = plan.len() - arrivals.remaining() - 1;
             jobs[idx].arrived = true;
+            // Arrivals come in plan order, so the push keeps `live`
+            // sorted. A job profiling credit already finished never joins.
+            let joined = apps[idx].finished_at.is_none();
+            if joined {
+                live.push(idx);
+            }
             let weight = config
                 .tenant_weights
                 .get(event.tenant)
@@ -761,9 +776,12 @@ pub(crate) fn run_loop(
             let vft = pass.max(virtual_time) + apps[idx].input_gb / weight;
             *pass = vft;
             jobs[idx].vft = vft;
-            if admission.enabled && queued_count(&apps, &jobs) > admission.queue_capacity {
+            if admission.enabled && queued_count(&live, &jobs) > admission.queue_capacity {
                 jobs[idx].shed = true;
                 shed_jobs += 1;
+                if joined {
+                    live.pop();
+                }
             }
         }
 
@@ -815,12 +833,14 @@ pub(crate) fn run_loop(
         //    placement so policies see fresh state (the isolated policy
         //    must move on to the next app in the same instant its
         //    predecessor's last executor completes).
-        for app in &mut apps {
-            if app.finished_at.is_none() && engine.app(app.engine_id).is_finished() {
-                app.finished_at = Some(t.max(app.ready_at));
+        if guard == 1 {
+            // Profiling credit can finish a job at submit, before it
+            // arrives: the first pass stamps every job.
+            for (app, job) in apps.iter_mut().zip(&jobs) {
+                stamp_finish(&engine, app, job, t);
             }
         }
-        release_finished(&apps, &mut jobs);
+        retire_finished(&engine, &mut apps, &jobs, &mut live, t);
 
         // 4. Breaker recovery with hysteresis: after the cooldown the
         //    breaker closes only if the window has drained below the
@@ -833,22 +853,23 @@ pub(crate) fn run_loop(
         //    admission — it only forces isolated placement below — so the
         //    service degrades instead of stalling.
         if admission.enabled {
-            while queued_count(&apps, &jobs) > admission.shed_watermark {
-                let Some(victim) = pick_shed_victim(&apps, &jobs, shed_rng.as_mut()) else {
+            // Each pass sheds one queued job, so the excess is the count.
+            let excess = queued_count(&live, &jobs).saturating_sub(admission.shed_watermark);
+            for _ in 0..excess {
+                let Some(victim) = pick_shed_victim(&live, &jobs, shed_rng.as_mut()) else {
                     break;
                 };
                 jobs[victim].shed = true;
                 shed_jobs += 1;
+                if let Ok(at) = live.binary_search(&victim) {
+                    live.remove(at);
+                }
             }
             loop {
-                let eligible: Vec<usize> = (0..jobs.len())
-                    .filter(|&i| {
-                        jobs[i].arrived
-                            && !jobs[i].shed
-                            && jobs[i].admitted_at.is_none()
-                            && apps[i].finished_at.is_none()
-                            && jobs[i].profile_ready <= t
-                    })
+                let eligible: Vec<usize> = live
+                    .iter()
+                    .copied()
+                    .filter(|&i| jobs[i].admitted_at.is_none() && jobs[i].profile_ready <= t)
                     .collect();
                 if eligible.is_empty() {
                     break;
@@ -867,7 +888,7 @@ pub(crate) fn run_loop(
                 // keeps it exactly zero once everything admitted has
                 // finished, so the empty-cluster always-admit escape can
                 // never be wedged shut by floating-point residue.
-                let committed = committed_gb(&jobs);
+                let committed = committed_gb(&live, &jobs);
                 if committed > 0.0 && committed + need > headroom {
                     deferrals += eligible.len();
                     break;
@@ -880,14 +901,14 @@ pub(crate) fn run_loop(
                 // Audit the booking just written: the committed sum must
                 // stay non-negative, and may exceed headroom only through
                 // the single-booking empty-cluster escape.
-                let now_committed = committed_gb(&jobs);
+                let now_committed = committed_gb(&live, &jobs);
                 audit.peak_committed_gb = audit.peak_committed_gb.max(now_committed);
                 if now_committed < 0.0 {
                     audit.negative_commit_events += 1;
                 }
-                let in_flight = jobs
+                let in_flight = live
                     .iter()
-                    .filter(|j| j.admitted_at.is_some() && !j.released)
+                    .filter(|&&i| jobs[i].admitted_at.is_some())
                     .count();
                 if in_flight > 1 && now_committed > headroom {
                     audit.overbook_events += 1;
@@ -902,7 +923,8 @@ pub(crate) fn run_loop(
         abstain_placements += place(
             policy,
             &mut engine,
-            &mut apps,
+            &apps,
+            &live,
             sched,
             t,
             catalog,
@@ -922,7 +944,7 @@ pub(crate) fn run_loop(
             breaker.maybe_trip(t);
         }
 
-        let depth = queued_count(&apps, &jobs);
+        let depth = queued_count(&live, &jobs);
         max_queue_depth = max_queue_depth.max(depth);
         depth_avg.set(SimTime::from_secs(t), depth as f64);
         if record_trace {
@@ -932,21 +954,17 @@ pub(crate) fn run_loop(
             ));
         }
 
-        // 7. Mark finishes again (profiling credit alone can finish an
-        //    app) and terminate once the plan is drained and every
-        //    surviving job is done.
-        for app in &mut apps {
-            if app.finished_at.is_none() && engine.app(app.engine_id).is_finished() {
-                app.finished_at = Some(t.max(app.ready_at));
-            }
-        }
-        release_finished(&apps, &mut jobs);
-        if arrivals.remaining() == 0
-            && apps
-                .iter()
-                .zip(jobs.iter())
-                .all(|(a, j)| j.shed || a.finished_at.is_some())
-        {
+        // 7. Mark finishes again and terminate once the plan is drained
+        //    and no job is left in play.
+        retire_finished(&engine, &mut apps, &jobs, &mut live, t);
+        debug_assert_eq!(
+            live,
+            (0..jobs.len())
+                .filter(|&i| jobs[i].arrived && !jobs[i].shed && apps[i].finished_at.is_none())
+                .collect::<Vec<_>>(),
+            "the live list drifted from the job states at t={t}"
+        );
+        if arrivals.remaining() == 0 && live.is_empty() {
             break;
         }
 
@@ -956,22 +974,19 @@ pub(crate) fn run_loop(
         //    (admission waits for the memory estimate), the breaker's
         //    recovery check, a fault striking, or a crashed or revoked
         //    node's outage starting or ending. At a batch plan without
-        //    admission or faults only the ready times remain.
-        let next_ready = apps
+        //    admission or faults only the ready times remain. A job yet to
+        //    arrive is ready no earlier than its arrival, which is no
+        //    earlier than the next one, so the live jobs suffice.
+        let next_ready = live
             .iter()
-            .zip(jobs.iter())
-            .filter(|(a, j)| !j.shed && a.finished_at.is_none())
-            .map(|(a, _)| a.ready_at.max(a.retry_at))
+            .map(|&i| apps[i].ready_at.max(apps[i].retry_at))
             .filter(|&r| r > t && r.is_finite())
             .fold(f64::INFINITY, f64::min);
         let next_arrival = arrivals.next_at().unwrap_or(f64::INFINITY);
         let next_profile = if admission.enabled {
-            jobs.iter()
-                .zip(apps.iter())
-                .filter(|(j, a)| {
-                    j.arrived && !j.shed && j.admitted_at.is_none() && a.finished_at.is_none()
-                })
-                .map(|(j, _)| j.profile_ready)
+            live.iter()
+                .filter(|&&i| jobs[i].admitted_at.is_none())
+                .map(|&i| jobs[i].profile_ready)
                 .filter(|&r| r > t)
                 .fold(f64::INFINITY, f64::min)
         } else {
@@ -1031,7 +1046,7 @@ pub(crate) fn run_loop(
                 // still makes progress — force a minimum-slice placement
                 // on the emptiest node, capped at the free memory; if it
                 // pages, that is the baseline's deserved penalty.
-                if !force_place(&mut engine, &mut apps, sched, t)? {
+                if !force_place(&mut engine, &apps, &live, sched, t)? {
                     return Err(ColocateError::Config(format!(
                         "event loop stuck at t={t:.1}s with unfinished jobs"
                     )));
@@ -1094,28 +1109,23 @@ pub(crate) fn run_loop(
     })
 }
 
-/// Jobs sitting in the admission queue: arrived, not shed, not admitted,
-/// not finished (profiling credit alone can finish tiny jobs while they
-/// queue; with admission disabled this counts the arrived-but-unfinished
+/// Jobs sitting in the admission queue: the live jobs not yet admitted
+/// (with admission disabled this counts the arrived-but-unfinished
 /// backlog instead, since nothing is ever formally admitted).
-fn queued_count(apps: &[AppRt], jobs: &[JobState]) -> usize {
-    apps.iter()
-        .zip(jobs.iter())
-        .filter(|(a, j)| j.arrived && !j.shed && j.admitted_at.is_none() && a.finished_at.is_none())
+fn queued_count(live: &[usize], jobs: &[JobState]) -> usize {
+    live.iter()
+        .filter(|&&i| jobs[i].admitted_at.is_none())
         .count()
 }
 
 /// The queued job with the largest WFQ finish tag; exact ties are broken
 /// by a seeded draw so overload behaviour stays reproducible rather than
 /// depending on scan order.
-fn pick_shed_victim(apps: &[AppRt], jobs: &[JobState], rng: Option<&mut SimRng>) -> Option<usize> {
-    let queued: Vec<usize> = (0..jobs.len())
-        .filter(|&i| {
-            jobs[i].arrived
-                && !jobs[i].shed
-                && jobs[i].admitted_at.is_none()
-                && apps[i].finished_at.is_none()
-        })
+fn pick_shed_victim(live: &[usize], jobs: &[JobState], rng: Option<&mut SimRng>) -> Option<usize> {
+    let queued: Vec<usize> = live
+        .iter()
+        .copied()
+        .filter(|&i| jobs[i].admitted_at.is_none())
         .collect();
     let max_vft = queued
         .iter()
@@ -1132,21 +1142,37 @@ fn pick_shed_victim(apps: &[AppRt], jobs: &[JobState], rng: Option<&mut SimRng>)
     }
 }
 
-/// Releases the committed headroom of every newly finished admitted job.
-fn release_finished(apps: &[AppRt], jobs: &mut [JobState]) {
-    for (app, job) in apps.iter().zip(jobs.iter_mut()) {
-        if !job.released && job.admitted_at.is_some() && app.finished_at.is_some() {
-            job.released = true;
-        }
+/// Stamps `app` finished once the engine reports it done and returns
+/// whether it is. The stamp is the current instant, or the job's ready
+/// time if that is later: a job profiling credit finished at submit is
+/// stamped at its profiling-ready time, since with admission on it is
+/// never admitted and its `ready_at` stays `+∞`.
+fn stamp_finish(engine: &ClusterEngine, app: &mut AppRt, job: &JobState, t: f64) -> bool {
+    if app.finished_at.is_none() && engine.app(app.engine_id).is_finished() {
+        app.finished_at = Some(t.max(app.ready_at.min(job.profile_ready)));
     }
+    app.finished_at.is_some()
+}
+
+/// Stamps every live job the engine reports finished and drops it from
+/// `live`, which releases its committed headroom.
+fn retire_finished(
+    engine: &ClusterEngine,
+    apps: &mut [AppRt],
+    jobs: &[JobState],
+    live: &mut Vec<usize>,
+    t: f64,
+) {
+    live.retain(|&i| !stamp_finish(engine, &mut apps[i], &jobs[i], t));
 }
 
 /// Predicted footprint currently booked against the headroom budget: the
-/// sum over admitted-but-unfinished jobs. Recomputed from scratch so it
-/// is exactly `0.0` whenever nothing is in flight.
-fn committed_gb(jobs: &[JobState]) -> f64 {
-    jobs.iter()
-        .filter(|j| j.admitted_at.is_some() && !j.released)
+/// sum over admitted live jobs, in plan order. Recomputed from scratch so
+/// it is exactly `0.0` whenever nothing is in flight.
+fn committed_gb(live: &[usize], jobs: &[JobState]) -> f64 {
+    live.iter()
+        .map(|&i| &jobs[i])
+        .filter(|j| j.admitted_at.is_some())
         .map(|j| j.committed_gb)
         .sum()
 }
@@ -1477,6 +1503,7 @@ pub fn evaluate_openloop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::arrivals::ArrivalEvent;
     use sparklite::cluster::ClusterSpec;
 
     fn small_sched() -> SchedulerConfig {
@@ -1691,5 +1718,161 @@ mod tests {
         for j in &out.jobs {
             assert!(j.admitted_at.unwrap() >= j.arrived_at);
         }
+    }
+
+    /// A plan of `(arrival s, tenant, job class)` events.
+    fn trace(events: &[(f64, usize, usize)]) -> ArrivalPlan {
+        let events = events
+            .iter()
+            .map(|&(at_secs, tenant, job_class)| ArrivalEvent {
+                at_secs,
+                tenant,
+                job_class,
+            })
+            .collect();
+        ArrivalPlan::from_trace(events, 1_000.0)
+    }
+
+    /// Admission with room for one booking at a time, so later arrivals
+    /// queue behind the first job.
+    fn one_at_a_time(queue_capacity: usize, shed_watermark: usize) -> AdmissionConfig {
+        AdmissionConfig {
+            enabled: true,
+            queue_capacity,
+            shed_watermark,
+            headroom_frac: 0.01,
+            ..AdmissionConfig::default()
+        }
+    }
+
+    fn shed_flags(out: &ServiceOutcome) -> Vec<bool> {
+        for j in &out.jobs {
+            assert_eq!(j.shed, j.finished_at.is_none(), "{j:?}");
+        }
+        out.jobs.iter().map(|j| j.shed).collect()
+    }
+
+    #[test]
+    fn arrivals_beyond_the_queue_capacity_are_shed_on_the_spot() {
+        let catalog = Catalog::paper();
+        let sort = catalog.by_name("HB.Sort").unwrap().index();
+        // B lands on a full queue at t = 0; D lands at t = 20 behind the
+        // queued C while A still runs.
+        let plan = trace(&[(0.0, 0, 0), (0.0, 0, 0), (10.0, 0, 0), (20.0, 0, 0)]);
+        let config = ServiceConfig {
+            admission: one_at_a_time(1, 8),
+            ..service_config(small_sched(), vec![(sort, 30.0)])
+        };
+        let out = run_service(PolicyKind::Oracle, &catalog, &plan, None, &config, 2, None).unwrap();
+        assert_eq!(shed_flags(&out), [false, true, false, true]);
+        assert_eq!(out.shed_jobs, 2);
+    }
+
+    #[test]
+    fn the_watermark_sheds_the_largest_finish_tag_mid_queue() {
+        let catalog = Catalog::paper();
+        let sort = catalog.by_name("HB.Sort").unwrap().index();
+        // At t = 20 the queue holds B (tag 60) and C (tag 40, another
+        // tenant) above a watermark of one: B goes, from the middle of
+        // the jobs in play.
+        let plan = trace(&[(0.0, 0, 0), (10.0, 0, 0), (20.0, 1, 1)]);
+        let config = ServiceConfig {
+            admission: one_at_a_time(8, 1),
+            ..service_config(small_sched(), vec![(sort, 30.0), (sort, 10.0)])
+        };
+        let out = run_service(PolicyKind::Oracle, &catalog, &plan, None, &config, 2, None).unwrap();
+        assert_eq!(shed_flags(&out), [false, true, false]);
+        assert_eq!(out.shed_jobs, 1);
+    }
+
+    /// Job classes of a 30 GB sort and a `feature_sample_gb`-sized one
+    /// that profiling credit alone finishes at submit.
+    fn with_a_credit_finished_class(catalog: &Catalog) -> Vec<(usize, f64)> {
+        let sort = catalog.by_name("HB.Sort").unwrap().index();
+        vec![(sort, 30.0), (sort, 0.05)]
+    }
+
+    #[test]
+    fn a_job_profiling_alone_finishes_is_stamped_at_its_profiling_ready_time() {
+        let catalog = Catalog::paper();
+        let system = crate::harness::trained_system_for(
+            PolicyKind::Moe,
+            &catalog,
+            &RunConfig::default(),
+            42,
+        )
+        .unwrap();
+        let classes = with_a_credit_finished_class(&catalog);
+        let closed = crate::scheduler::run_schedule_custom(
+            PolicyKind::Moe,
+            &catalog,
+            &classes,
+            system.as_ref(),
+            &small_sched(),
+            3,
+        )
+        .unwrap();
+        let plan = ArrivalPlan::batch(&[(0, 0), (0, 1)]);
+        for admission in [AdmissionConfig::default(), AdmissionConfig::controlled()] {
+            let config = ServiceConfig {
+                admission,
+                ..service_config(small_sched(), classes.clone())
+            };
+            let out = run_service(
+                PolicyKind::Moe,
+                &catalog,
+                &plan,
+                system.as_ref(),
+                &config,
+                3,
+                None,
+            )
+            .unwrap();
+            let tiny = out.jobs[1];
+            assert!(!tiny.shed && tiny.admitted_at.is_none(), "{tiny:?}");
+            assert_eq!(
+                tiny.finished_at.map(f64::to_bits),
+                Some(closed.per_app[1].finished_at.to_bits()),
+                "{admission:?}"
+            );
+            assert!(out.mean_queue_depth.is_finite());
+        }
+    }
+
+    #[test]
+    fn a_credit_finished_job_arriving_later_never_joins_the_jobs_in_play() {
+        let catalog = Catalog::paper();
+        // C lands finished at t = 250 on a full queue (B waits behind A):
+        // it is not queued work, so it is not shed.
+        let plan = trace(&[(0.0, 0, 0), (150.0, 0, 0), (250.0, 0, 1)]);
+        let mut finishes = Vec::new();
+        for admission in [AdmissionConfig::default(), one_at_a_time(1, 4)] {
+            let config = ServiceConfig {
+                admission,
+                ..service_config(small_sched(), with_a_credit_finished_class(&catalog))
+            };
+            let out = run_service(
+                PolicyKind::UnifiedLinear,
+                &catalog,
+                &plan,
+                None,
+                &config,
+                4,
+                None,
+            )
+            .unwrap();
+            assert_eq!(shed_flags(&out), [false, false, false], "{admission:?}");
+            let tiny = out.jobs[2];
+            assert!(tiny.admitted_at.is_none(), "{tiny:?}");
+            let done = tiny.finished_at.unwrap();
+            assert!(done.is_finite() && done > 250.0, "{tiny:?}");
+            // A and B were still in play when C landed.
+            assert!(out.jobs[0].finished_at.unwrap() > done, "{out:?}");
+            if admission.enabled {
+                assert!(out.jobs[1].admitted_at.unwrap() > done, "{out:?}");
+            }
+            finishes.push(done.to_bits());
+        }
+        assert_eq!(finishes[0], finishes[1]);
     }
 }

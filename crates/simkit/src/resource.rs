@@ -58,7 +58,7 @@ impl std::error::Error for ResourceError {}
 /// ```
 /// use simkit::ResourcePool;
 ///
-/// let mut ram = ResourcePool::new("ram_mb", 64_000.0);
+/// let mut ram = ResourcePool::new(64_000.0);
 /// ram.reserve(24_000.0)?;
 /// assert_eq!(ram.available(), 40_000.0);
 /// ram.release(24_000.0)?;
@@ -67,7 +67,6 @@ impl std::error::Error for ResourceError {}
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ResourcePool {
-    name: String,
     capacity: f64,
     in_use: f64,
     peak: f64,
@@ -80,23 +79,16 @@ impl ResourcePool {
     ///
     /// Panics if `capacity` is negative or non-finite.
     #[must_use]
-    pub fn new(name: impl Into<String>, capacity: f64) -> Self {
+    pub fn new(capacity: f64) -> Self {
         assert!(
             capacity.is_finite() && capacity >= 0.0,
             "capacity must be finite and non-negative"
         );
         ResourcePool {
-            name: name.into(),
             capacity,
             in_use: 0.0,
             peak: 0.0,
         }
-    }
-
-    /// The pool's label (used in diagnostics).
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Total capacity.
@@ -219,7 +211,7 @@ mod tests {
 
     #[test]
     fn reserve_release_round_trip() {
-        let mut p = ResourcePool::new("ram", 100.0);
+        let mut p = ResourcePool::new(100.0);
         p.reserve(60.0).unwrap();
         assert_eq!(p.in_use(), 60.0);
         assert_eq!(p.available(), 40.0);
@@ -229,7 +221,7 @@ mod tests {
 
     #[test]
     fn exhaustion_is_reported() {
-        let mut p = ResourcePool::new("ram", 100.0);
+        let mut p = ResourcePool::new(100.0);
         p.reserve(80.0).unwrap();
         let err = p.reserve(30.0).unwrap_err();
         assert!(matches!(err, ResourceError::Exhausted { .. }));
@@ -239,7 +231,7 @@ mod tests {
 
     #[test]
     fn over_release_is_reported() {
-        let mut p = ResourcePool::new("ram", 100.0);
+        let mut p = ResourcePool::new(100.0);
         p.reserve(10.0).unwrap();
         let err = p.release(20.0).unwrap_err();
         assert!(matches!(err, ResourceError::OverRelease { .. }));
@@ -248,7 +240,7 @@ mod tests {
 
     #[test]
     fn invalid_amounts_rejected() {
-        let mut p = ResourcePool::new("ram", 100.0);
+        let mut p = ResourcePool::new(100.0);
         assert!(matches!(
             p.reserve(-1.0),
             Err(ResourceError::InvalidAmount(_))
@@ -265,7 +257,7 @@ mod tests {
 
     #[test]
     fn peak_tracks_high_water_mark() {
-        let mut p = ResourcePool::new("ram", 100.0);
+        let mut p = ResourcePool::new(100.0);
         p.reserve(70.0).unwrap();
         p.release(50.0).unwrap();
         p.reserve(10.0).unwrap();
@@ -276,7 +268,7 @@ mod tests {
 
     #[test]
     fn resize_grows_and_shrinks() {
-        let mut p = ResourcePool::new("ram", 100.0);
+        let mut p = ResourcePool::new(100.0);
         p.reserve(20.0).unwrap();
         p.resize(20.0, 50.0).unwrap();
         assert_eq!(p.in_use(), 50.0);
@@ -288,19 +280,19 @@ mod tests {
 
     #[test]
     fn utilization_and_can_reserve() {
-        let mut p = ResourcePool::new("cpu", 16.0);
+        let mut p = ResourcePool::new(16.0);
         assert_eq!(p.utilization(), 0.0);
         p.reserve(8.0).unwrap();
         assert_eq!(p.utilization(), 0.5);
         assert!(p.can_reserve(8.0));
         assert!(!p.can_reserve(8.1));
-        let zero = ResourcePool::new("none", 0.0);
+        let zero = ResourcePool::new(0.0);
         assert_eq!(zero.utilization(), 0.0);
     }
 
     #[test]
     fn float_accumulation_tolerated() {
-        let mut p = ResourcePool::new("ram", 1.0);
+        let mut p = ResourcePool::new(1.0);
         for _ in 0..10 {
             p.reserve(0.1).unwrap();
         }

@@ -165,7 +165,7 @@ proptest! {
         capacity in 1.0f64..1e6,
         ops in proptest::collection::vec((any::<bool>(), 0.0f64..1e6), 0..200),
     ) {
-        let mut pool = ResourcePool::new("p", capacity);
+        let mut pool = ResourcePool::new(capacity);
         for (is_reserve, amount) in ops {
             if is_reserve {
                 let _ = pool.reserve(amount);
@@ -182,7 +182,7 @@ proptest! {
     /// reserve followed by release of the same amount restores availability.
     #[test]
     fn resource_pool_round_trip(capacity in 1.0f64..1e6, frac in 0.0f64..1.0) {
-        let mut pool = ResourcePool::new("p", capacity);
+        let mut pool = ResourcePool::new(capacity);
         let amount = capacity * frac;
         pool.reserve(amount).unwrap();
         pool.release(amount).unwrap();

@@ -101,7 +101,7 @@ impl Node {
         Node {
             id,
             spec,
-            reserved: ResourcePool::new(format!("{id}-ram"), spec.ram_gb),
+            reserved: ResourcePool::new(spec.ram_gb),
             online: true,
         }
     }
