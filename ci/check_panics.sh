@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
 # Panic-freedom gate for the crash-consistency-critical paths: the journal
 # layer, the campaign harness, checkpoint codecs, the bench emission
-# helpers, the hot-path cache modules (event queue slab + calendar
-# backend, sharded engine rate cache + tournament tree, monitor window
-# memoization), the mlkit compute kernels, the ML campaign drivers, the
-# scale-sweep workload builders, the open-system layer (arrival plans +
+# helpers, the hot-path cache modules (sharded engine rate cache +
+# tournament tree, monitor window memoization), the mlkit compute
+# kernels, the ML campaign drivers, the open-system layer (arrival plans +
 # admission service), the chaos-search harness (episode generation +
 # shrinking, invariant battery, fig22 driver), the prediction
 # serving path (model artifacts, micro-batching, the firehose and its
-# fig23 driver), and the intra-simulation parallelism layer (the
-# simkit::par primitives and the fig20 threads-axis driver) must not
-# contain `unwrap()` / `expect(` outside test code.
+# fig23 driver), and the simkit::par fan-out must not contain
+# `unwrap()` / `expect(` outside test code.
 #
 # Intentional exceptions live in ci/panic_allowlist.txt as
 # `<path>:<needle>` lines; a gated line is tolerated iff it contains the
@@ -27,11 +25,9 @@ GATED_FILES=(
   crates/bench/src/report.rs
   crates/bench/src/csv.rs
   crates/bench/src/lib.rs
-  crates/simkit/src/event.rs
   crates/sparklite/src/engine.rs
   crates/sparklite/src/tourney.rs
   crates/sparklite/src/monitor.rs
-  crates/bench/src/scalekit.rs
   crates/mlkit/src/kernels.rs
   crates/mlkit/src/linalg.rs
   crates/mlkit/src/knn.rs
@@ -47,7 +43,6 @@ GATED_FILES=(
   crates/bench/src/serving.rs
   crates/bench/src/bin/fig23_serving.rs
   crates/simkit/src/par.rs
-  crates/bench/src/bin/fig20_scale.rs
 )
 
 ALLOWLIST=ci/panic_allowlist.txt

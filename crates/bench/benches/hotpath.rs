@@ -1,10 +1,8 @@
 //! Hot-path micro-benchmarks: the per-event costs every campaign binary
 //! multiplies by thousands of schedule mixes.
 //!
-//! Four groups, matching the zero-allocation work on the inner loop:
+//! Three groups, matching the zero-allocation work on the inner loop:
 //!
-//! * **event queue churn** — push/cancel/pop against `simkit::EventQueue`
-//!   (the slab-backed lifecycle bookkeeping vs the old `HashSet` pair);
 //! * **monitor query storm** — repeated `windowed_cpu`/`windowed_memory`
 //!   reads between observations (memoized window means vs deque rescans);
 //! * **engine step at 4/16/40 nodes** — one `next_completion` + `advance`
@@ -22,10 +20,13 @@
 //!   and speedups via the atomic report writer;
 //! * `SPARK_MOE_FIG06_SECS=<secs>` — optionally fold an externally timed
 //!   `fig06_overall` wall clock into the record.
+//!
+//! The committed record predates the event queue's removal from `simkit`,
+//! so it still lists an `event_queue_churn` row that no run produces now.
 
 use criterion::{criterion_group, Criterion};
 use mlkit::regression::{CurveFamily, FittedCurve};
-use simkit::{EventQueue, SimRng, SimTime};
+use simkit::SimRng;
 use sparklite::app::AppSpec;
 use sparklite::cluster::ClusterSpec;
 use sparklite::engine::ClusterEngine;
@@ -34,27 +35,7 @@ use sparklite::perf::InterferenceModel;
 use std::hint::black_box;
 use std::time::Instant;
 
-const QUEUE_EVENTS: usize = 4096;
 const STORM_QUERIES: usize = 4096;
-
-/// One churn round: schedule a pseudo-random event population, cancel a
-/// third of it, drain the rest.
-fn event_queue_round() -> usize {
-    let mut q = EventQueue::with_capacity(QUEUE_EVENTS);
-    let mut ids = Vec::with_capacity(QUEUE_EVENTS);
-    for i in 0..QUEUE_EVENTS {
-        let at = SimTime::from_secs(((i * 2_654_435_761) % QUEUE_EVENTS) as f64);
-        ids.push(q.push(at, i));
-    }
-    for id in ids.iter().skip(1).step_by(3) {
-        q.cancel(*id);
-    }
-    let mut sum = 0usize;
-    while let Some((_, e)) = q.pop() {
-        sum += e;
-    }
-    sum
-}
 
 fn steady_app(name: &str, input_gb: f64, cpu: f64) -> AppSpec {
     AppSpec {
@@ -144,12 +125,6 @@ fn replay_l5_oracle(mix: &[workloads::mixes::MixEntry]) -> f64 {
         .makespan_secs
 }
 
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("hotpath_event_queue_churn", |b| {
-        b.iter(|| black_box(event_queue_round()))
-    });
-}
-
 fn bench_monitor_storm(c: &mut Criterion) {
     let (monitor, eng) = warm_monitor(16);
     c.bench_function("hotpath_monitor_query_storm", |b| {
@@ -175,7 +150,6 @@ fn bench_mix_replay(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_event_queue,
     bench_monitor_storm,
     bench_engine_steps,
     bench_mix_replay
@@ -206,7 +180,6 @@ fn median_secs<R>(iters: usize, samples: usize, mut f: impl FnMut() -> R) -> f64
 /// Runs every case once through the median recorder, in a fixed order.
 fn recorded_cases() -> Vec<(&'static str, f64)> {
     let mut cases: Vec<(&'static str, f64)> = Vec::new();
-    cases.push(("event_queue_churn", median_secs(8, 15, event_queue_round)));
     {
         let (monitor, eng) = warm_monitor(16);
         cases.push((

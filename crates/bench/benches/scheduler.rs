@@ -33,37 +33,5 @@ fn bench_schedules(c: &mut Criterion) {
     });
 }
 
-/// Heap-churn microbenchmark for the pending-event set: the same
-/// push/pop-heavy workload against a cold `EventQueue::new` (which grows
-/// the `BinaryHeap` through repeated doublings) and a pre-sized
-/// `EventQueue::with_capacity`.
-fn bench_event_queue(c: &mut Criterion) {
-    use simkit::{EventQueue, SimTime};
-
-    const EVENTS: usize = 4096;
-    let times: Vec<SimTime> = (0..EVENTS)
-        .map(|i| SimTime::from_secs(((i * 2_654_435_761) % EVENTS) as f64))
-        .collect();
-
-    let drive = |mut q: EventQueue<usize>| {
-        for (i, &t) in times.iter().enumerate() {
-            q.push(t, i);
-        }
-        let mut sum = 0usize;
-        while let Some((_, e)) = q.pop() {
-            sum += e;
-        }
-        sum
-    };
-
-    c.bench_function("event_queue_churn_cold", |b| {
-        b.iter(|| black_box(drive(EventQueue::new())))
-    });
-
-    c.bench_function("event_queue_churn_prealloc", |b| {
-        b.iter(|| black_box(drive(EventQueue::with_capacity(EVENTS))))
-    });
-}
-
-criterion_group!(benches, bench_schedules, bench_event_queue);
+criterion_group!(benches, bench_schedules);
 criterion_main!(benches);

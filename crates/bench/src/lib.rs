@@ -25,7 +25,6 @@
 //! | `fig17_accuracy` | Fig. 17 — predicted vs measured footprints |
 //! | `fig18_curves` | Fig. 18 — predicted vs measured curves, all training apps |
 //! | `fig19_chaos` | Fig. 19 (extension) — STP/ANTT vs fault intensity, self-healing MoE vs plain/Pairwise/Oracle |
-//! | `fig20_scale` | Fig. 20 (extension) — simulator-core throughput vs cluster size (40 → 40k nodes) |
 //! | `fig21_openloop` | Fig. 21 (extension) — open-system tail slowdown/OOMs under overload, admission-controlled vs uncontrolled |
 //! | `fig22_chaos_search` | Fig. 22 (extension) — seeded chaos search over the fault × arrival × preset space with invariant battery and reproducer shrinking |
 //! | `ablation_sweep` | design-choice ablations (KNN k, PCs, calibration sizes, margins, CPU guard, monitor window, cluster scaling) |
@@ -45,7 +44,6 @@ pub mod csv;
 pub mod fsutil;
 pub mod mlcamp;
 pub mod report;
-pub mod scalekit;
 pub mod serving;
 
 use colocate::checkpoint::CheckpointConfig;

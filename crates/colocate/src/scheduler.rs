@@ -1359,24 +1359,14 @@ pub(crate) fn place_predictive(
     Ok(abstain_placements)
 }
 
-/// Minimum hot-node count before [`resolve_ooms`] fans its pressure scan
-/// across workers — storm-sized candidate sets only (DESIGN.md §17).
-const PAR_OOM_MIN_NODES: usize = 1024;
-
 /// Kills executors until no candidate node is out of memory; raises the
 /// owning application's margin so its re-run is conservative. `nodes` is
 /// the OOM candidate set — the engine's hot nodes — which provably covers
 /// every node the full-cluster scan could act on (cool nodes always report
-/// `Fits`). With resilience enabled it additionally feeds the margin
-/// controller, schedules a backed-off retry for the owner, and quarantines
-/// nodes that keep OOMing within one monitor window.
-///
-/// On storm-sized candidate sets the read-only pressure scan fans across
-/// workers first, and the serial kill loop then visits only flagged nodes
-/// in index order. Bit-identical to the plain loop: kills on a node only
-/// *reduce* that node's occupancy and touch no other node, so a node not
-/// OOM at scan time cannot have become OOM by the time the serial loop
-/// would have reached it — the skipped iterations are provably no-ops.
+/// `Fits`). Each node is killed youngest-first until its pressure drops
+/// below out-of-memory. With resilience enabled it additionally feeds the
+/// margin controller, schedules a backed-off retry for the owner, and
+/// quarantines nodes that keep OOMing within one monitor window.
 pub(crate) fn resolve_ooms(
     engine: &mut ClusterEngine,
     apps: &mut [AppRt],
@@ -1385,41 +1375,9 @@ pub(crate) fn resolve_ooms(
     resil: &mut ResilState,
     nodes: &[NodeId],
 ) -> Result<usize, ColocateError> {
-    let mut kills = 0;
-    if nodes.len() >= PAR_OOM_MIN_NODES {
-        let workers = simkit::par::available_workers();
-        if workers > 1 {
-            let engine_ref: &ClusterEngine = engine;
-            let flags = simkit::par::par_map_indexed(nodes, workers, |_, &n| {
-                matches!(engine_ref.memory_pressure(n), MemoryPressure::OutOfMemory)
-            });
-            for (&node, flagged) in nodes.iter().zip(flags) {
-                if flagged {
-                    kills += resolve_node_ooms(engine, apps, config, t, resil, node)?;
-                }
-            }
-            return Ok(kills);
-        }
-    }
-    for &node in nodes {
-        kills += resolve_node_ooms(engine, apps, config, t, resil, node)?;
-    }
-    Ok(kills)
-}
-
-/// One node's share of [`resolve_ooms`]: kill youngest-first until the
-/// node's pressure drops below out-of-memory.
-fn resolve_node_ooms(
-    engine: &mut ClusterEngine,
-    apps: &mut [AppRt],
-    config: &SchedulerConfig,
-    t: f64,
-    resil: &mut ResilState,
-    node: NodeId,
-) -> Result<usize, ColocateError> {
     let resilience = config.resilience;
     let mut kills = 0;
-    {
+    for &node in nodes {
         while matches!(engine.memory_pressure(node), MemoryPressure::OutOfMemory) {
             let Some(victim) = engine.oom_victim(node) else {
                 break;

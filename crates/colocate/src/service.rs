@@ -955,8 +955,16 @@ pub(crate) fn run_loop(
         }
 
         // 7. Mark finishes again and terminate once the plan is drained
-        //    and no job is left in play.
-        retire_finished(&engine, &mut apps, &jobs, &mut live, t);
+        //    and no job is left in play. Since step 3 only an OOM kill can
+        //    have finished an app: `kill_executor` hands the slice's
+        //    unprocessed work back, and when that is float dust (≤ 1e-9)
+        //    with nothing else unassigned, `abort_slice` marks the app
+        //    finished. Placement only takes input, and admission and the
+        //    breaker never touch the engine, so without a kill this pass
+        //    would retire nothing.
+        if kills > 0 {
+            retire_finished(&engine, &mut apps, &jobs, &mut live, t);
+        }
         debug_assert_eq!(
             live,
             (0..jobs.len())

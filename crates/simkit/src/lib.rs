@@ -1,11 +1,11 @@
-//! # simkit — deterministic discrete-event simulation engine
+//! # simkit — deterministic discrete-event simulation substrate
 //!
-//! `simkit` is the substrate beneath the Spark-co-location reproduction: a
-//! small, allocation-light discrete-event simulation (DES) core with
+//! `simkit` is the substrate beneath the Spark-co-location reproduction: the
+//! clock, randomness, pre-drawn schedules and statistics that the
+//! discrete-event simulation (DES) in `sparklite` and `colocate` is built
+//! from:
 //!
 //! * a virtual clock measured in seconds ([`SimTime`] / [`SimDuration`]),
-//! * a stable, deterministic [`event::EventQueue`] (ties broken by insertion
-//!   order, so replaying a seed replays the schedule exactly),
 //! * a seedable random-number layer ([`rng::SimRng`]) with the distributions
 //!   the workload models need (uniform, normal, log-normal, exponential),
 //! * capacity-checked [`resource::ResourcePool`]s for modeling RAM, swap and
@@ -34,10 +34,12 @@
 //!   experiment harness to decide when the 95 % confidence half-width has
 //!   shrunk below 5 % of the mean (the paper's stopping rule, §5.2).
 //!
-//! The engine is intentionally single-threaded: determinism and
+//! There is no event queue: the cluster engine jumps straight to its next
+//! completion, and the dispatcher loop merges that with the next pre-drawn
+//! arrival or fault. Each simulation is single-threaded: determinism and
 //! replayability matter more than wall-clock speed for scheduling studies,
 //! and a full 40-node, 30-application campaign simulates in milliseconds.
-//! Campaign-level parallelism lives one layer up: [`par::par_map_indexed`]
+//! The only parallelism is across simulations: [`par::par_map_indexed`]
 //! fans statistically independent replays out across scoped worker threads
 //! and commits their results in index order, so a multi-core campaign is
 //! bit-for-bit identical to the serial one.
@@ -45,23 +47,23 @@
 //! ## Example
 //!
 //! ```
-//! use simkit::{Engine, SimTime, SimDuration};
+//! use simkit::{SimDuration, SimRng, SimTime};
 //!
-//! #[derive(Debug)]
-//! enum Ev { Ping(u32) }
-//!
-//! let mut engine = Engine::new();
-//! engine.schedule(SimTime::ZERO, Ev::Ping(0));
-//! let mut seen = Vec::new();
-//! engine.run(|eng, ev| {
-//!     let Ev::Ping(n) = ev;
-//!     seen.push((eng.now(), n));
-//!     if n < 3 {
-//!         eng.schedule_after(SimDuration::from_secs(1.0), Ev::Ping(n + 1));
-//!     }
-//! });
-//! assert_eq!(seen.len(), 4);
-//! assert_eq!(seen[3].0, SimTime::from_secs(3.0));
+//! // A next-event loop in miniature: the clock jumps from one pre-drawn
+//! // arrival to the next, and a seed replays the same schedule.
+//! let draw = |seed| {
+//!     let mut rng = SimRng::seed_from(seed);
+//!     let mut now = SimTime::ZERO;
+//!     (0..4)
+//!         .map(|_| {
+//!             now += SimDuration::from_secs(rng.exponential(0.5));
+//!             now
+//!         })
+//!         .collect::<Vec<_>>()
+//! };
+//! let times = draw(7);
+//! assert!(times.windows(2).all(|w| w[0] <= w[1]));
+//! assert_eq!(times, draw(7));
 //! ```
 
 #![warn(missing_docs)]
@@ -69,8 +71,6 @@
 
 pub mod arrivals;
 pub mod chaoskit;
-pub mod engine;
-pub mod event;
 pub mod faults;
 pub mod journal;
 pub mod par;
@@ -83,8 +83,6 @@ pub use arrivals::{
     ArrivalCursor, ArrivalError, ArrivalEvent, ArrivalPlan, ArrivalPlanConfig, ArrivalProcess,
 };
 pub use chaoskit::{Episode, EpisodeSpace, ShrinkResult, Violation};
-pub use engine::Engine;
-pub use event::{EventQueue, QueueBackend};
 pub use faults::{FaultCursor, FaultEvent, FaultKind, FaultPlan, FaultPlanConfig};
 pub use resource::{ResourceError, ResourcePool};
 pub use rng::SimRng;

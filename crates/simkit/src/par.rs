@@ -17,18 +17,6 @@
 //! which the campaign layer guarantees by deriving every replay's RNG seed
 //! from `base_seed + index`.
 //!
-//! Two further primitives serve *intra*-simulation parallelism (DESIGN.md
-//! §17), where one giant engine step fans independent per-shard work over
-//! the same worker budget:
-//!
-//! * [`par_for_shards`] — the shard fan-out: like [`par_map_indexed`] but
-//!   with caller-owned output slots and **per-worker scratch arenas** that
-//!   persist across calls, so a refresh running every simulation tick
-//!   allocates nothing at steady state;
-//! * [`par_for_chunks_mut`] — a statically partitioned mutable sweep over
-//!   a slice (contiguous chunks, one per worker) for state that must be
-//!   mutated in place, such as the monitor's per-node windows.
-//!
 //! Built on `std::thread::scope` only: no external dependencies, no
 //! channels, no work stealing (stealing reorders *starts*, which is
 //! harmless, but a fixed claim order keeps scheduling easy to reason
@@ -134,181 +122,6 @@ where
         .collect()
 }
 
-/// Maps `f` over `items` on up to `workers` scoped threads into
-/// caller-owned storage, giving each worker a reusable scratch arena.
-///
-/// This is the intra-simulation twin of [`par_map_indexed`], shaped for
-/// hot loops that run every engine step (DESIGN.md §17):
-///
-/// * **Caller-owned output** — results land in `out[i] = Some(f(i, ..))`;
-///   `out` is cleared and resized here, so a caller that keeps the `Vec`
-///   around pays no allocation at steady state.
-/// * **Per-worker scratch arenas** — `scratch` is grown to `workers`
-///   entries with `make_scratch` and each worker borrows exactly one
-///   entry for the whole call. Arenas persist across calls, so buffers
-///   hoisted out of the serial loop stay hoisted under parallelism.
-/// * **Index-ordered claiming** — workers claim ascending indices from
-///   one atomic counter; each item is computed by exactly one worker.
-/// * **Panic propagation** — a panicking closure re-raises on the caller.
-///
-/// With `workers <= 1` (or fewer than two items) everything runs inline
-/// on the calling thread using `scratch[0]` — the serial base case the
-/// determinism suites compare against. Determinism of the *values*
-/// reduces to `f` being a pure function of `(index, item, scratch)` with
-/// scratch state it fully overwrites — exactly the contract of the
-/// engine's per-shard refresh.
-///
-/// # Examples
-///
-/// ```
-/// use simkit::par::par_for_shards;
-/// let items = [3u64, 1, 4, 1, 5];
-/// let mut scratch: Vec<Vec<u64>> = Vec::new();
-/// let mut out = Vec::new();
-/// par_for_shards(&items, 4, &mut scratch, Vec::new, &mut out, |i, &x, buf| {
-///     buf.clear();
-///     buf.extend(0..x);
-///     (i as u64) * 100 + buf.iter().sum::<u64>()
-/// });
-/// let got: Vec<u64> = out.iter().flatten().copied().collect();
-/// assert_eq!(got, vec![3, 100, 206, 300, 410]);
-/// ```
-pub fn par_for_shards<T, R, S, M, F>(
-    items: &[T],
-    workers: usize,
-    scratch: &mut Vec<S>,
-    make_scratch: M,
-    out: &mut Vec<Option<R>>,
-    f: F,
-) where
-    T: Sync,
-    R: Send,
-    S: Send,
-    M: FnMut() -> S,
-    F: Fn(usize, &T, &mut S) -> R + Sync,
-{
-    let workers = workers.clamp(1, items.len().max(1));
-    if scratch.len() < workers {
-        scratch.resize_with(workers, make_scratch);
-    }
-    out.clear();
-    out.resize_with(items.len(), || None);
-
-    if workers <= 1 {
-        let Some(arena) = scratch.first_mut() else {
-            return; // workers >= 1 forces scratch.len() >= 1; unreachable
-        };
-        for (i, (item, slot)) in items.iter().zip(out.iter_mut()).enumerate() {
-            *slot = Some(f(i, item, arena));
-        }
-        return;
-    }
-
-    let next = AtomicUsize::new(0);
-    let next = &next;
-    let f = &f;
-    let joined: Vec<std::thread::Result<Vec<(usize, R)>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = scratch
-            .iter_mut()
-            .take(workers)
-            .map(|arena| {
-                scope.spawn(move || {
-                    let mut claimed = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        claimed.push((i, f(i, &items[i], arena)));
-                    }
-                    claimed
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(std::thread::ScopedJoinHandle::join)
-            .collect()
-    });
-
-    for worker_results in joined {
-        match worker_results {
-            Ok(pairs) => {
-                for (i, r) in pairs {
-                    debug_assert!(out[i].is_none(), "index {i} computed twice");
-                    out[i] = Some(r);
-                }
-            }
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-}
-
-/// Runs `f(i, &mut items[i])` for every item, partitioning `items` into
-/// up to `workers` contiguous chunks — one scoped thread per chunk.
-///
-/// Unlike the claiming primitives this requires only `T: Send`, because
-/// each worker owns its chunk exclusively (`chunks_mut`): no shared
-/// reads, no `Sync` bound. That makes it usable on interior-mutability
-/// state like the monitor's memoized `NodeWindow`s. The closure receives
-/// the item's **global** index, so per-item work can stay a pure function
-/// of `(index, item)`; with that, partitioning cannot change any item's
-/// bits — only which thread computes them.
-///
-/// With `workers <= 1` (or fewer than two items) the loop runs inline.
-/// Worker panics re-raise on the calling thread.
-///
-/// # Examples
-///
-/// ```
-/// use simkit::par::par_for_chunks_mut;
-/// let mut cells = vec![0u64; 10];
-/// par_for_chunks_mut(&mut cells, 4, |i, c| *c = i as u64 * 2);
-/// assert_eq!(cells[9], 18);
-/// ```
-pub fn par_for_chunks_mut<T, F>(items: &mut [T], workers: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let workers = workers.clamp(1, items.len().max(1));
-    if workers <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-
-    // Static partition: ceil(len / workers) per chunk, so every worker
-    // gets one contiguous run and global indices are offset + position.
-    let len = items.len();
-    let chunk = len.div_ceil(workers);
-    let joined: Vec<std::thread::Result<()>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(c, chunk_items)| {
-                let f = &f;
-                scope.spawn(move || {
-                    let base = c * chunk;
-                    for (off, item) in chunk_items.iter_mut().enumerate() {
-                        f(base + off, item);
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(std::thread::ScopedJoinHandle::join)
-            .collect()
-    });
-    for result in joined {
-        if let Err(payload) = result {
-            std::panic::resume_unwind(payload);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,125 +174,6 @@ mod tests {
                 assert!(i != 9, "boom at 9");
                 i
             })
-        });
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn for_shards_matches_serial_for_any_worker_count() {
-        let items: Vec<u64> = (0..131).collect();
-        let expect: Vec<u64> = items
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| x * 3 + i as u64)
-            .collect();
-        for workers in [1, 2, 3, 8, 64, 200] {
-            let mut scratch: Vec<u64> = Vec::new();
-            let mut out = Vec::new();
-            par_for_shards(
-                &items,
-                workers,
-                &mut scratch,
-                || 0u64,
-                &mut out,
-                |i, &x, acc| {
-                    *acc += 1; // arena state must not leak into results
-                    x * 3 + i as u64
-                },
-            );
-            let got: Vec<u64> = out.iter().map(|s| s.expect("slot filled")).collect();
-            assert_eq!(got, expect, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn for_shards_reuses_scratch_and_out_capacity() {
-        let items: Vec<u32> = (0..40).collect();
-        let mut scratch: Vec<Vec<u32>> = Vec::new();
-        let mut out: Vec<Option<u32>> = Vec::new();
-        par_for_shards(&items, 4, &mut scratch, Vec::new, &mut out, |_, &x, buf| {
-            buf.clear();
-            buf.push(x);
-            buf[0] + 1
-        });
-        assert_eq!(scratch.len(), 4, "one arena per worker");
-        let out_cap = out.capacity();
-        par_for_shards(&items, 4, &mut scratch, Vec::new, &mut out, |_, &x, _| x);
-        assert_eq!(scratch.len(), 4, "arenas persist across calls");
-        assert_eq!(out.capacity(), out_cap, "output storage is reused");
-        assert_eq!(out[39], Some(39));
-    }
-
-    #[test]
-    fn for_shards_computes_every_item_exactly_once() {
-        use std::sync::atomic::AtomicU32;
-        let counters: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
-        let items: Vec<usize> = (0..64).collect();
-        let mut scratch: Vec<()> = Vec::new();
-        let mut out: Vec<Option<()>> = Vec::new();
-        par_for_shards(
-            &items,
-            8,
-            &mut scratch,
-            || (),
-            &mut out,
-            |i, _, ()| {
-                counters[i].fetch_add(1, Ordering::SeqCst);
-            },
-        );
-        for (i, c) in counters.iter().enumerate() {
-            assert_eq!(c.load(Ordering::SeqCst), 1, "item {i}");
-        }
-    }
-
-    #[test]
-    fn for_shards_empty_input_and_panic_propagation() {
-        let empty: Vec<u32> = Vec::new();
-        let mut scratch: Vec<()> = Vec::new();
-        let mut out: Vec<Option<u32>> = vec![Some(9)];
-        par_for_shards(&empty, 8, &mut scratch, || (), &mut out, |_, &x, ()| x);
-        assert!(out.is_empty(), "stale slots cleared");
-
-        let items: Vec<u32> = (0..16).collect();
-        let result = std::panic::catch_unwind(move || {
-            let mut scratch: Vec<()> = Vec::new();
-            let mut out: Vec<Option<u32>> = Vec::new();
-            par_for_shards(
-                &items,
-                4,
-                &mut scratch,
-                || (),
-                &mut out,
-                |i, &x, ()| {
-                    assert!(i != 9, "boom at 9");
-                    x
-                },
-            );
-        });
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn chunks_mut_matches_serial_for_any_worker_count() {
-        for workers in [1, 2, 3, 7, 16, 100] {
-            let mut cells: Vec<u64> = vec![0; 97];
-            par_for_chunks_mut(&mut cells, workers, |i, c| *c = (i as u64) * 7 + 1);
-            let expect: Vec<u64> = (0..97).map(|i| i * 7 + 1).collect();
-            assert_eq!(cells, expect, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn chunks_mut_handles_empty_single_and_panics() {
-        let mut empty: Vec<u32> = Vec::new();
-        par_for_chunks_mut(&mut empty, 8, |_, _| {});
-        let mut one = vec![5u32];
-        par_for_chunks_mut(&mut one, 8, |i, c| *c += i as u32 + 1);
-        assert_eq!(one, vec![6]);
-
-        let result = std::panic::catch_unwind(|| {
-            let mut cells: Vec<u32> = vec![0; 32];
-            par_for_chunks_mut(&mut cells, 4, |i, _| assert!(i != 17, "boom at 17"));
         });
         assert!(result.is_err());
     }

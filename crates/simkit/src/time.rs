@@ -50,7 +50,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `secs` is negative, NaN or infinite; such values would
-    /// poison the event queue's total order.
+    /// poison the total order of simulated instants.
     #[must_use]
     pub fn from_secs(secs: f64) -> Self {
         assert!(

@@ -2,162 +2,9 @@
 
 use proptest::prelude::*;
 use simkit::stats::{Histogram, TimeWeighted, Welford};
-use simkit::{EventQueue, QueueBackend, ResourcePool, SimRng, SimTime};
+use simkit::{ResourcePool, SimRng, SimTime};
 
 proptest! {
-    /// Events always pop in non-decreasing time order, regardless of the
-    /// insertion order.
-    #[test]
-    fn event_queue_pops_sorted(times in proptest::collection::vec(0.0f64..1e6, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_secs(t), i);
-        }
-        let mut last = SimTime::ZERO;
-        let mut popped = 0;
-        while let Some((at, _)) = q.pop() {
-            prop_assert!(at >= last);
-            last = at;
-            popped += 1;
-        }
-        prop_assert_eq!(popped, times.len());
-    }
-
-    /// Same-timestamp events preserve insertion order (stability).
-    #[test]
-    fn event_queue_stable_at_equal_times(n in 1usize..100) {
-        let mut q = EventQueue::new();
-        for i in 0..n {
-            q.push(SimTime::from_secs(42.0), i);
-        }
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
-    }
-
-    /// The slab-backed queue behaves exactly like a naive reference model
-    /// under arbitrary push / cancel / pop / peek / clear interleavings:
-    /// same pop order, same cancel verdicts, same lengths. This pins the
-    /// lifecycle bookkeeping (Live/Cancelled/Fired slots, eager front
-    /// compaction) against the simplest possible specification.
-    #[test]
-    fn event_queue_matches_reference_model(
-        ops in proptest::collection::vec((0u8..6, 0usize..64, 0.0f64..1e3), 1..200),
-    ) {
-        let mut q = EventQueue::new();
-        // Model: (time, seq, payload) of still-live events, plus every id
-        // ever issued so cancels can target fired/cancelled/cleared
-        // handles too.
-        let mut model: Vec<(SimTime, u64, usize)> = Vec::new();
-        let mut issued = Vec::new();
-        let mut next_seq = 0u64;
-        for (i, &(op, pick, time)) in ops.iter().enumerate() {
-            match op {
-                0 | 1 => {
-                    let at = SimTime::from_secs(time);
-                    let id = q.push(at, i);
-                    issued.push((id, next_seq));
-                    model.push((at, next_seq, i));
-                    next_seq += 1;
-                }
-                2 => {
-                    if !issued.is_empty() {
-                        let (id, seq) = issued[pick % issued.len()];
-                        let was_live = model.iter().any(|&(_, s, _)| s == seq);
-                        prop_assert_eq!(q.cancel(id), was_live);
-                        model.retain(|&(_, s, _)| s != seq);
-                    }
-                }
-                3 => {
-                    let mut best: Option<(usize, SimTime, u64)> = None;
-                    for (idx, &(at, s, _)) in model.iter().enumerate() {
-                        if best.is_none_or(|(_, bat, bs)| (at, s) < (bat, bs)) {
-                            best = Some((idx, at, s));
-                        }
-                    }
-                    match best {
-                        Some((idx, _, _)) => {
-                            let (at, _, payload) = model.remove(idx);
-                            prop_assert_eq!(q.pop(), Some((at, payload)));
-                        }
-                        None => prop_assert_eq!(q.pop(), None),
-                    }
-                }
-                4 => {
-                    let expect = model.iter().map(|&(at, s, _)| (at, s)).min().map(|(at, _)| at);
-                    prop_assert_eq!(q.peek_time(), expect);
-                }
-                _ => {
-                    q.clear();
-                    model.clear();
-                }
-            }
-            prop_assert_eq!(q.len(), model.len());
-            prop_assert_eq!(q.is_empty(), model.is_empty());
-        }
-    }
-
-    /// The calendar-queue backend is pinned **bit-identical** to the
-    /// binary heap: under arbitrary push/cancel/pop/peek/clear
-    /// interleavings the two backends agree on every pop (time *and*
-    /// payload — `(SimTime, seq)` order in both), every cancel verdict,
-    /// every peek and every length. Time generation deliberately mixes
-    /// three magnitudes so the calendar queue's overflow day (events far
-    /// beyond the cursor's day), cursor rewinds (pushes behind the
-    /// cursor) and bucket-resize boundaries (populations crossing the
-    /// 2·nbuckets / nbuckets/4 thresholds) all trigger, and a coarse
-    /// quantisation (rounding to 1/4s) produces frequent exact ties.
-    #[test]
-    fn calendar_queue_matches_heap_oracle(
-        ops in proptest::collection::vec(
-            (0u8..7, 0usize..64, 0.0f64..1e3, 0u8..3),
-            1..300,
-        ),
-    ) {
-        let mut heap = EventQueue::with_backend(QueueBackend::Heap);
-        let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
-        let mut heap_ids = Vec::new();
-        let mut cal_ids = Vec::new();
-        for (i, &(op, pick, time, scale)) in ops.iter().enumerate() {
-            match op {
-                // Pushes are weighted 3:1 against pops so populations grow
-                // enough to cross resize boundaries.
-                0..=2 => {
-                    // Quantised times at three magnitudes: dense ties,
-                    // day-scale spread, far-future overflow.
-                    let secs = match scale {
-                        0 => (time * 4.0).round() / 4.0,
-                        1 => (time * 4.0).round() * 25.0,
-                        _ => (time * 4.0).round() * 1e4,
-                    };
-                    let at = SimTime::from_secs(secs);
-                    heap_ids.push(heap.push(at, i));
-                    cal_ids.push(cal.push(at, i));
-                }
-                3 => {
-                    if !heap_ids.is_empty() {
-                        let k = pick % heap_ids.len();
-                        prop_assert_eq!(heap.cancel(heap_ids[k]), cal.cancel(cal_ids[k]));
-                    }
-                }
-                4 => prop_assert_eq!(heap.pop(), cal.pop()),
-                5 => prop_assert_eq!(heap.peek_time(), cal.peek_time()),
-                _ => {
-                    heap.clear();
-                    cal.clear();
-                }
-            }
-            prop_assert_eq!(heap.len(), cal.len());
-        }
-        // Drain both: the full remaining streams must match exactly.
-        loop {
-            let (h, c) = (heap.pop(), cal.pop());
-            prop_assert_eq!(h, c);
-            if h.is_none() {
-                break;
-            }
-        }
-    }
-
     /// A pool never reports usage below zero or above capacity, no matter
     /// what sequence of reserve/release calls is attempted.
     #[test]

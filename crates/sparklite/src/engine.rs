@@ -41,24 +41,6 @@ use crate::SparkliteError;
 use simkit::SimRng;
 use std::collections::BTreeMap;
 
-/// How the engine's rate cache reacts to placement mutations.
-///
-/// The default sharded mode is a pure optimization: both modes produce
-/// bit-identical simulations. [`RateCacheMode::WholePlacement`] reproduces
-/// the pre-sharding cost model — every mutation invalidates every node —
-/// and exists so the scale bench can measure before/after throughput from
-/// one binary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RateCacheMode {
-    /// Mutations dirty only the touched node's shard; queries recompute
-    /// O(dirty) shards.
-    #[default]
-    Sharded,
-    /// Mutations dirty every shard; queries recompute the whole placement,
-    /// like the pre-sharding engine did.
-    WholePlacement,
-}
-
 /// One node's slice of the rate cache.
 #[derive(Debug, Clone)]
 struct NodeShard {
@@ -115,7 +97,6 @@ fn cpu_demand<'a>(execs: impl Iterator<Item = &'a Executor>) -> f64 {
 /// refreshes, keeping the hot path allocation-free at steady state.
 #[derive(Debug)]
 struct RateCache {
-    mode: RateCacheMode,
     /// Effective rate (GB/s) per executor, parallel to the dense storage.
     exec_rates: Vec<f64>,
     shards: Vec<NodeShard>,
@@ -134,51 +115,11 @@ struct RateCache {
     /// Scratch: id-ordered `(id, rate)` pairs for
     /// [`ClusterEngine::cached_current_rates`].
     pairs: Vec<(ExecutorId, f64)>,
-    /// Worker budget for storm-sized refreshes (DESIGN.md §17). The
-    /// serial loop runs whenever this is 1 *or* the dirty set is small.
-    workers: usize,
-    /// Scratch: the drained, ascending-sorted dirty set for a parallel
-    /// refresh (canonical claim order).
-    par_dirty: Vec<usize>,
-    /// Scratch: per-shard refresh results, index-parallel to `par_dirty`.
-    par_out: Vec<Option<ShardRefresh>>,
-    /// Scratch: one refresh arena per worker, reused across refreshes.
-    par_scratch: Vec<RefreshScratch>,
-    /// Scratch: the slot/key batch for one bulk tournament-tree repair.
-    tree_batch: Vec<(usize, Option<ShardKey>)>,
 }
-
-/// Per-worker arena for the parallel refresh: the same three per-node
-/// scratch vectors the serial loop hoists, one private set per worker.
-#[derive(Debug, Default)]
-struct RefreshScratch {
-    node_demands: Vec<ExecutorDemand>,
-    multipliers: Vec<f64>,
-    member_pos: Vec<usize>,
-}
-
-/// One shard's refresh outcome, computed on a worker and committed by the
-/// caller in ascending shard order — the same write order as the serial
-/// loop (the values are order-independent anyway: each shard owns
-/// disjoint `exec_rates` slots).
-#[derive(Debug)]
-struct ShardRefresh {
-    hot: bool,
-    key: Option<ShardKey>,
-    /// `(dense position, rate)` per member, in member (id) order.
-    rates: Vec<(usize, f64)>,
-}
-
-/// Minimum dirty-shard count before a refresh fans out across workers.
-/// Steady-state sharded simulations dirty a handful of shards per event —
-/// scoped-thread spawn would dwarf the work — so only storm-sized sets
-/// (whole-placement mode, post-fault invalidation waves) go parallel.
-const PAR_REFRESH_MIN_SHARDS: usize = 64;
 
 impl RateCache {
     fn new(nodes: usize) -> Self {
         RateCache {
-            mode: RateCacheMode::default(),
             exec_rates: Vec::new(),
             shards: vec![NodeShard::default(); nodes],
             dirty_stack: Vec::new(),
@@ -188,11 +129,6 @@ impl RateCache {
             multipliers: Vec::new(),
             member_pos: Vec::new(),
             pairs: Vec::new(),
-            workers: simkit::par::available_workers(),
-            par_dirty: Vec::new(),
-            par_out: Vec::new(),
-            par_scratch: Vec::new(),
-            tree_batch: Vec::new(),
         }
     }
 
@@ -200,12 +136,6 @@ impl RateCache {
         if !self.is_dirty[node] {
             self.is_dirty[node] = true;
             self.dirty_stack.push(node);
-        }
-    }
-
-    fn mark_all_dirty(&mut self) {
-        for node in 0..self.is_dirty.len() {
-            self.mark_dirty(node);
         }
     }
 }
@@ -266,15 +196,6 @@ impl ClusterEngine {
             elapsed: 0.0,
             rate_cache: RateCache::new(nodes),
         }
-    }
-
-    /// Selects the rate-cache invalidation mode. Both modes simulate
-    /// bit-identically; [`RateCacheMode::WholePlacement`] merely recomputes
-    /// more (it reproduces the pre-sharding cost model for benchmarking).
-    pub fn set_rate_cache_mode(&mut self, mode: RateCacheMode) {
-        self.rate_cache.mode = mode;
-        // Re-derive everything under the new regime.
-        self.rate_cache.mark_all_dirty();
     }
 
     /// Sets the fixed startup latency charged to every newly spawned
@@ -429,12 +350,9 @@ impl ClusterEngine {
         self.apps[app.0].credit_profiled(gb);
     }
 
-    /// Marks `node`'s shard dirty under the cache's invalidation mode.
+    /// Marks `node`'s shard dirty.
     fn invalidate(&mut self, node: NodeId) {
-        match self.rate_cache.mode {
-            RateCacheMode::Sharded => self.rate_cache.mark_dirty(node.index()),
-            RateCacheMode::WholePlacement => self.rate_cache.mark_all_dirty(),
-        }
+        self.rate_cache.mark_dirty(node.index());
     }
 
     /// Spawns an executor for `app` on `node`:
@@ -724,27 +642,7 @@ impl ClusterEngine {
     /// flag and minimum completion key are recomputed alongside and the
     /// tournament tree is updated. Shards are independent, so refresh
     /// order cannot affect any value.
-    ///
-    /// Storm-sized dirty sets (≥ [`PAR_REFRESH_MIN_SHARDS`], with more
-    /// than one refresh worker configured) fan across scoped workers
-    /// (DESIGN.md §17); the serial loop is retained verbatim as the
-    /// oracle and handles every steady-state refresh.
     fn refresh_rates(&mut self) {
-        if self.rate_cache.dirty_stack.is_empty() {
-            return;
-        }
-        if self.rate_cache.workers > 1
-            && self.rate_cache.dirty_stack.len() >= PAR_REFRESH_MIN_SHARDS
-        {
-            self.refresh_rates_parallel();
-        } else {
-            self.refresh_rates_serial();
-        }
-    }
-
-    /// The serial refresh loop — the bit-identity oracle for
-    /// [`ClusterEngine::refresh_rates_parallel`].
-    fn refresh_rates_serial(&mut self) {
         let apps = &self.apps;
         let executors = &self.executors;
         let exec_index = &self.exec_index;
@@ -805,138 +703,6 @@ impl ClusterEngine {
             });
             tree.update(n, shard.key);
         }
-    }
-
-    /// Fans a storm-sized refresh across `workers` scoped threads.
-    ///
-    /// Bit-identity with [`ClusterEngine::refresh_rates_serial`] rests on
-    /// three facts (DESIGN.md §17): each shard's arithmetic reads only its
-    /// own members plus immutable engine state, so per-shard floats are
-    /// the serial ones regardless of which worker runs them; results are
-    /// committed in ascending shard index (and write disjoint
-    /// `exec_rates` slots anyway); and the one bulk tournament repair
-    /// reaches exactly the fixed point the serial per-shard pokes reach,
-    /// because `winner_of` is a pure function of final leaf values.
-    fn refresh_rates_parallel(&mut self) {
-        let apps = &self.apps;
-        let executors = &self.executors;
-        let exec_index = &self.exec_index;
-        let cluster = &self.cluster;
-        let model = &self.model;
-        let elapsed = self.elapsed;
-        let RateCache {
-            workers,
-            exec_rates,
-            shards,
-            dirty_stack,
-            is_dirty,
-            tree,
-            par_dirty,
-            par_out,
-            par_scratch,
-            tree_batch,
-            ..
-        } = &mut self.rate_cache;
-
-        // Drain the dirty set into a canonical (ascending) claim order.
-        // The stack holds each shard at most once by construction.
-        par_dirty.clear();
-        par_dirty.append(dirty_stack);
-        par_dirty.sort_unstable();
-        for &n in par_dirty.iter() {
-            is_dirty[n] = false;
-        }
-
-        let shards_ref: &[NodeShard] = shards;
-        simkit::par::par_for_shards(
-            par_dirty,
-            *workers,
-            par_scratch,
-            RefreshScratch::default,
-            par_out,
-            |_, &n, scratch| {
-                let shard = &shards_ref[n];
-                let RefreshScratch {
-                    node_demands,
-                    multipliers,
-                    member_pos,
-                } = scratch;
-                node_demands.clear();
-                member_pos.clear();
-                for id in &shard.members {
-                    let Some(pos) = live_pos(exec_index, *id) else {
-                        debug_assert!(false, "shard member {id} missing from the index");
-                        continue;
-                    };
-                    member_pos.push(pos);
-                    let e = &executors[pos];
-                    node_demands.push(ExecutorDemand {
-                        cpu_util: e.cpu_util(),
-                        actual_gb: e.current_actual_gb(),
-                    });
-                }
-                let ram = cluster.node(NodeId(n)).spec().ram_gb;
-                model.rate_multipliers_into(node_demands, ram, multipliers);
-
-                let mut final_total = 0.0f64;
-                let mut best: Option<(f64, ExecutorId)> = None;
-                let mut rates = Vec::with_capacity(member_pos.len());
-                for (&pos, &mult) in member_pos.iter().zip(multipliers.iter()) {
-                    let e = &executors[pos];
-                    let nominal = apps[e.app().0].spec().rate_gb_per_s;
-                    let rate = nominal * mult;
-                    rates.push((pos, rate));
-                    final_total += e.actual_gb();
-                    let cand = (e.remaining_work_gb() / rate.max(1e-12), e.id());
-                    if best.is_none_or(|b| cand < b) {
-                        best = Some(cand);
-                    }
-                }
-                ShardRefresh {
-                    hot: final_total > ram,
-                    key: best.map(|(dt, id)| ShardKey {
-                        t: elapsed + dt,
-                        elapsed,
-                        dt,
-                        id,
-                    }),
-                    rates,
-                }
-            },
-        );
-
-        // Index-ordered commit — the serial loop's write order.
-        tree_batch.clear();
-        for (i, &n) in par_dirty.iter().enumerate() {
-            let Some(result) = par_out[i].take() else {
-                debug_assert!(false, "shard {n} missing its refresh result");
-                continue;
-            };
-            for &(pos, rate) in &result.rates {
-                exec_rates[pos] = rate;
-            }
-            let shard = &mut shards[n];
-            shard.hot = result.hot;
-            shard.key = result.key;
-            tree_batch.push((n, result.key));
-        }
-        tree.update_bulk(tree_batch);
-        par_dirty.clear();
-    }
-
-    /// Sets the worker budget for storm-sized rate refreshes (clamped to
-    /// ≥ 1; 1 pins the engine to the serial oracle). Defaults to
-    /// [`simkit::par::available_workers`], so `SPARK_MOE_THREADS` governs
-    /// engines the same way it governs campaign fan-out. Worker count
-    /// never changes an output bit — see DESIGN.md §17.
-    pub fn set_refresh_workers(&mut self, workers: usize) {
-        self.rate_cache.workers = workers.max(1);
-    }
-
-    /// The configured refresh worker budget.
-    #[must_use]
-    pub fn refresh_workers(&self) -> usize {
-        self.rate_cache.workers
     }
 
     /// Effective rates under the current placement served from the
@@ -1055,7 +821,6 @@ impl ClusterEngine {
         }
         self.refresh_rates();
         let RateCache {
-            mode,
             exec_rates,
             shards,
             dirty_stack,
@@ -1074,22 +839,10 @@ impl ClusterEngine {
             }
         }
         self.elapsed += dt;
-        match mode {
-            RateCacheMode::Sharded => {
-                for (n, shard) in shards.iter().enumerate() {
-                    if shard.hot && !is_dirty[n] {
-                        is_dirty[n] = true;
-                        dirty_stack.push(n);
-                    }
-                }
-            }
-            RateCacheMode::WholePlacement => {
-                for (n, dirty) in is_dirty.iter_mut().enumerate().take(shards.len()) {
-                    if !*dirty {
-                        *dirty = true;
-                        dirty_stack.push(n);
-                    }
-                }
+        for (n, shard) in shards.iter().enumerate() {
+            if shard.hot && !is_dirty[n] {
+                is_dirty[n] = true;
+                dirty_stack.push(n);
             }
         }
     }
@@ -1530,120 +1283,6 @@ mod tests {
         eng.advance(1.0);
         eng.complete_executor(id).unwrap();
         assert!(eng.all_finished());
-    }
-
-    #[test]
-    fn whole_placement_mode_is_bit_identical() {
-        // The WholePlacement cost model must be invisible in every output:
-        // drive two engines through the same mixed workload and compare
-        // rates, completions and progress bit-for-bit at each step.
-        let mk = || {
-            let mut eng =
-                ClusterEngine::with_seed(ClusterSpec::small(3), InterferenceModel::default(), 7);
-            let mut specs = Vec::new();
-            for i in 0..3 {
-                let mut spec = linear_app(&format!("app{i}"), 40.0, 0.3 + 0.1 * i as f64);
-                spec.footprint_noise_sd = 0.04;
-                specs.push(eng.submit(spec));
-            }
-            (eng, specs)
-        };
-        let (mut a, apps_a) = mk();
-        let (mut b, apps_b) = mk();
-        b.set_rate_cache_mode(RateCacheMode::WholePlacement);
-        assert_eq!(apps_a, apps_b);
-        let nodes = a.cluster().node_ids();
-        for step in 0..30 {
-            let app = apps_a[step % 3];
-            let node = nodes[step % 3];
-            let ra = a.spawn_executor(app, node, 8.0, 7.0);
-            let rb = b.spawn_executor(app, node, 8.0, 7.0);
-            assert_eq!(ra, rb, "step {step}");
-            let ca = a.cached_current_rates().to_vec();
-            let cb = b.cached_current_rates().to_vec();
-            assert_eq!(ca.len(), cb.len());
-            for ((ia, ra), (ib, rb)) in ca.iter().zip(cb.iter()) {
-                assert_eq!(ia, ib);
-                assert_eq!(ra.to_bits(), rb.to_bits(), "step {step}");
-            }
-            let na = a.next_completion();
-            let nb = b.next_completion();
-            match (na, nb) {
-                (Some((da, ia)), Some((db, ib))) => {
-                    assert_eq!(da.to_bits(), db.to_bits(), "step {step}");
-                    assert_eq!(ia, ib, "step {step}");
-                    let dt = da * 0.5;
-                    a.advance(dt);
-                    b.advance(dt);
-                }
-                (x, y) => assert_eq!(x.map(|(_, i)| i), y.map(|(_, i)| i)),
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_refresh_is_bit_identical_to_the_serial_oracle() {
-        // A 128-node WholePlacement engine dirties every shard on every
-        // mutation/advance, so each refresh clears the parallel gate.
-        // Drive a serial-pinned twin through the same workload and demand
-        // bit-equal rates, completions, hot sets and elapsed time.
-        let mk = || {
-            let mut eng = ClusterEngine::with_seed(
-                ClusterSpec::with_nodes(128),
-                InterferenceModel::default(),
-                13,
-            );
-            eng.set_rate_cache_mode(RateCacheMode::WholePlacement);
-            let mut apps = Vec::new();
-            for i in 0..6 {
-                let mut spec = linear_app(&format!("app{i}"), 500.0, 0.25 + 0.05 * i as f64);
-                spec.footprint_noise_sd = 0.05;
-                apps.push(eng.submit(spec));
-            }
-            (eng, apps)
-        };
-        let (mut par, apps_p) = mk();
-        let (mut ser, apps_s) = mk();
-        assert_eq!(apps_p, apps_s);
-        par.set_refresh_workers(4);
-        ser.set_refresh_workers(1);
-        let nodes = par.cluster().node_ids();
-        let mut hot_p = Vec::new();
-        let mut hot_s = Vec::new();
-        for step in 0..200 {
-            let app = apps_p[step % apps_p.len()];
-            let node = nodes[(step * 29) % nodes.len()];
-            let rp = par.spawn_executor(app, node, 6.0, 5.0);
-            let rs = ser.spawn_executor(app, node, 6.0, 5.0);
-            assert_eq!(rp, rs, "step {step}");
-            let cp = par.cached_current_rates().to_vec();
-            let cs = ser.cached_current_rates().to_vec();
-            assert_eq!(cp.len(), cs.len(), "step {step}");
-            for ((ip, rp), (is, rs)) in cp.iter().zip(cs.iter()) {
-                assert_eq!(ip, is, "step {step}");
-                assert_eq!(rp.to_bits(), rs.to_bits(), "step {step}");
-            }
-            par.hot_nodes_into(&mut hot_p);
-            ser.hot_nodes_into(&mut hot_s);
-            assert_eq!(hot_p, hot_s, "step {step}");
-            let np = par.next_completion();
-            let ns = ser.next_completion();
-            match (np, ns) {
-                (Some((dp, ip)), Some((ds, is))) => {
-                    assert_eq!(dp.to_bits(), ds.to_bits(), "step {step}");
-                    assert_eq!(ip, is, "step {step}");
-                    let dt = dp * 0.75;
-                    par.advance(dt);
-                    ser.advance(dt);
-                    assert_eq!(
-                        par.elapsed_secs().to_bits(),
-                        ser.elapsed_secs().to_bits(),
-                        "step {step}"
-                    );
-                }
-                (x, y) => assert_eq!(x.map(|(_, i)| i), y.map(|(_, i)| i), "step {step}"),
-            }
-        }
     }
 
     #[test]

@@ -72,7 +72,7 @@ mod tourney;
 
 pub use app::{AppId, AppSpec};
 pub use cluster::{ClusterSpec, NodeId, NodeSpec};
-pub use engine::{ClusterEngine, RateCacheMode};
+pub use engine::ClusterEngine;
 pub use executor::ExecutorId;
 
 use std::fmt;

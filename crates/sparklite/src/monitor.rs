@@ -157,14 +157,7 @@ pub struct ResourceMonitor {
     /// Per-node dropout deadline: the node's daemon posts nothing until
     /// this simulated time (fault injection; 0 = reporting normally).
     dropped_until: Vec<f64>,
-    /// Worker budget for storm-sized window sweeps (DESIGN.md §17).
-    workers: usize,
 }
-
-/// Minimum monitored node count before [`ResourceMonitor::observe`] fans
-/// its window sweep across workers. A window update is tens of
-/// nanoseconds, so only very large clusters amortize thread spawn.
-const PAR_OBSERVE_MIN_NODES: usize = 4096;
 
 impl ResourceMonitor {
     /// Creates a monitor for `nodes` nodes.
@@ -175,16 +168,7 @@ impl ResourceMonitor {
             windows: vec![NodeWindow::default(); nodes],
             last_observation: None,
             dropped_until: vec![0.0; nodes],
-            workers: simkit::par::available_workers(),
         }
-    }
-
-    /// Sets the worker budget for storm-sized observation sweeps (clamped
-    /// to ≥ 1; 1 pins the serial loop). Worker count never changes an
-    /// output bit: each node's window update reads and writes only that
-    /// node's state.
-    pub fn set_observe_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
     }
 
     /// The configuration in use.
@@ -204,58 +188,23 @@ impl ResourceMonitor {
             }
         }
         self.last_observation = Some(now_secs);
-        if self.workers > 1 && self.windows.len() >= PAR_OBSERVE_MIN_NODES {
-            // Storm-sized sweep: fan contiguous window chunks across
-            // workers. Each node's update touches only that node's window
-            // (the engine reads are shared and immutable), so the chunk
-            // partition cannot change any window's bits — see DESIGN.md
-            // §17. `NodeWindow`'s memoization `Cell`s bar the shared-slice
-            // primitives, hence the owned-chunk sweep.
-            let window_secs = self.config.window_secs;
-            let dropped_until = &self.dropped_until;
-            simkit::par::par_for_chunks_mut(&mut self.windows, self.workers, |i, window| {
-                Self::observe_node(engine, now_secs, window_secs, dropped_until[i], i, window);
-            });
-            return;
-        }
         let window_secs = self.config.window_secs;
         for (i, window) in self.windows.iter_mut().enumerate() {
-            Self::observe_node(
-                engine,
-                now_secs,
-                window_secs,
-                self.dropped_until[i],
-                i,
-                window,
-            );
+            window.evict(now_secs, window_secs);
+            if now_secs < self.dropped_until[i] {
+                // The daemon is silent: no fresh report, and the eviction
+                // above lets the window age toward staleness.
+                continue;
+            }
+            let node = NodeId(i);
+            let spec = engine.cluster().node(node).spec();
+            let report = Report {
+                at_secs: now_secs,
+                cpu_load: engine.node_cpu_load(node),
+                used_memory_gb: spec.ram_gb - engine.node_free_memory(node),
+            };
+            window.push(report, window_secs);
         }
-    }
-
-    /// One node's share of an observation sweep: evict, then (daemon
-    /// permitting) post a fresh report. Pure in `(engine, now, node)` —
-    /// the body both the serial and the parallel sweep run verbatim.
-    fn observe_node(
-        engine: &ClusterEngine,
-        now_secs: f64,
-        window_secs: f64,
-        dropped_until: f64,
-        index: usize,
-        window: &mut NodeWindow,
-    ) {
-        window.evict(now_secs, window_secs);
-        if now_secs < dropped_until {
-            // The daemon is silent: no fresh report, and the eviction
-            // above lets the window age toward staleness.
-            return;
-        }
-        let node = NodeId(index);
-        let spec = engine.cluster().node(node).spec();
-        let report = Report {
-            at_secs: now_secs,
-            cpu_load: engine.node_cpu_load(node),
-            used_memory_gb: spec.ram_gb - engine.node_free_memory(node),
-        };
-        window.push(report, window_secs);
     }
 
     /// Silences a node's daemon until `until_secs` (fault injection: the
@@ -403,66 +352,6 @@ mod tests {
         // reports are within the window; at t=2030 everything is stale
         // except the new zero-load report.
         assert!(monitor.windowed_cpu(node) < 0.1);
-    }
-
-    #[test]
-    fn parallel_observe_sweep_matches_serial_bitwise() {
-        // A cluster past PAR_OBSERVE_MIN_NODES takes the chunked sweep;
-        // a serial-pinned twin must agree on every window, bit for bit —
-        // including dropped-out daemons and stale windows.
-        let nodes = PAR_OBSERVE_MIN_NODES + 100;
-        let mut engine =
-            ClusterEngine::new(ClusterSpec::with_nodes(nodes), InterferenceModel::default());
-        let app = engine.submit(AppSpec {
-            name: "a".into(),
-            input_gb: 1e9,
-            rate_gb_per_s: 0.01,
-            cpu_util: 0.4,
-            memory_curve: FittedCurve {
-                family: CurveFamily::Linear,
-                m: 0.5,
-                b: 1.0,
-            },
-            footprint_noise_sd: 0.0,
-        });
-        let ids = engine.cluster().node_ids();
-        for k in 0..400 {
-            let node = ids[(k * 131) % nodes];
-            engine.spawn_executor(app, node, 20.0, 11.0).unwrap();
-        }
-        let mut par = ResourceMonitor::new(nodes, MonitorConfig::default());
-        let mut ser = par.clone();
-        par.set_observe_workers(4);
-        ser.set_observe_workers(1);
-        for m in [par.workers, ser.workers] {
-            assert!(m >= 1);
-        }
-        for i in (0..nodes).step_by(7) {
-            par.drop_reports(NodeId(i), 45.0);
-            ser.drop_reports(NodeId(i), 45.0);
-        }
-        for t in [0.0, 30.0, 60.0, 90.0] {
-            par.observe(&engine, t);
-            ser.observe(&engine, t);
-        }
-        for &node in &ids {
-            assert_eq!(par.is_stale(node), ser.is_stale(node), "{node:?}");
-            assert_eq!(
-                par.windowed_cpu(node).to_bits(),
-                ser.windowed_cpu(node).to_bits(),
-                "{node:?}"
-            );
-            assert_eq!(
-                par.windowed_used_memory(node).to_bits(),
-                ser.windowed_used_memory(node).to_bits(),
-                "{node:?}"
-            );
-            assert_eq!(
-                par.reports_in_window(node),
-                ser.reports_in_window(node),
-                "{node:?}"
-            );
-        }
     }
 
     #[test]

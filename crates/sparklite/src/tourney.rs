@@ -79,8 +79,6 @@ pub(crate) struct TourneyTree {
     base: usize,
     /// `2·base` slots; index 0 unused.
     nodes: Vec<Option<(ShardKey, usize)>>,
-    /// Reusable ancestor frontier for [`TourneyTree::update_bulk`].
-    frontier: Vec<usize>,
 }
 
 impl TourneyTree {
@@ -90,7 +88,6 @@ impl TourneyTree {
         TourneyTree {
             base,
             nodes: vec![None; 2 * base],
-            frontier: Vec::new(),
         }
     }
 
@@ -108,54 +105,6 @@ impl TourneyTree {
             i /= 2;
             self.nodes[i] = Self::winner_of(self.nodes[2 * i], self.nodes[2 * i + 1]);
         }
-    }
-
-    /// Applies a batch of slot updates with one bottom-up repair pass.
-    ///
-    /// Equivalent to calling [`TourneyTree::update`] once per entry (in
-    /// any order — later entries win on duplicate slots, matching the
-    /// sequential semantics when the batch is slot-sorted, as the rate
-    /// cache's dirty sets are by construction): all changed leaves are
-    /// written first, then each ancestor level is repaired once over a
-    /// sorted, deduplicated frontier. `winner_of` is a pure function of
-    /// its children, so repairing level by level reaches exactly the
-    /// fixed point the per-update match replays reach, while an update
-    /// batch of `k` shards pays `O(k log(base/k) + base·[k large])`
-    /// shared-ancestor work instead of `k · log₂ base` independent
-    /// replays.
-    pub fn update_bulk(&mut self, updates: &[(usize, Option<ShardKey>)]) {
-        if updates.is_empty() {
-            return;
-        }
-        let mut frontier = std::mem::take(&mut self.frontier);
-        frontier.clear();
-        for &(slot, key) in updates {
-            debug_assert!(
-                slot < self.base,
-                "slot {slot} outside tree of {}",
-                self.base
-            );
-            self.nodes[self.base + slot] = key.map(|k| (k, slot));
-            let parent = (self.base + slot) / 2;
-            if parent >= 1 {
-                frontier.push(parent);
-            }
-        }
-        while !frontier.is_empty() {
-            frontier.sort_unstable();
-            frontier.dedup();
-            for &i in &frontier {
-                self.nodes[i] = Self::winner_of(self.nodes[2 * i], self.nodes[2 * i + 1]);
-            }
-            if frontier[0] <= 1 {
-                break;
-            }
-            for i in &mut frontier {
-                *i /= 2;
-            }
-        }
-        frontier.clear();
-        self.frontier = frontier;
     }
 
     /// The champion: the winning key and its slot, if any slot is filled.
@@ -257,72 +206,6 @@ mod tests {
         tree.update(0, Some(key(50.0, 10.0, 40.0, 7)));
         tree.update(1, Some(key(50.0, 20.0, 30.0, 3)));
         assert_eq!(tree.winner().map(|(k, _)| k.id), Some(ExecutorId(3)));
-    }
-
-    #[test]
-    fn update_bulk_matches_sequential_updates() {
-        // A deterministic LCG drives batches of random updates/vacates
-        // over a non-power-of-two slot count; after every batch the bulk
-        // tree must agree with a twin maintained by per-slot updates.
-        let mut seq = TourneyTree::new(13);
-        let mut bulk = TourneyTree::new(13);
-        let mut state = 0x2545_f491_4f6c_dd1d_u64;
-        let mut rng = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        for round in 0..200 {
-            let batch_len = (rng() % 13 + 1) as usize;
-            let mut batch = Vec::new();
-            for _ in 0..batch_len {
-                let slot = (rng() % 13) as usize;
-                let key = if rng() % 4 == 0 {
-                    None
-                } else {
-                    let t = (rng() % 1000) as f64 / 8.0;
-                    let e = (rng() % 100) as f64;
-                    Some(super::ShardKey {
-                        t: e + t,
-                        elapsed: e,
-                        dt: t,
-                        id: ExecutorId((rng() % 64) as usize),
-                    })
-                };
-                batch.push((slot, key));
-            }
-            // Sorted by slot, as the rate cache's drained dirty sets are.
-            batch.sort_by_key(|&(slot, _)| slot);
-            batch.dedup_by_key(|&mut (slot, _)| slot);
-            for &(slot, key) in &batch {
-                seq.update(slot, key);
-            }
-            bulk.update_bulk(&batch);
-            assert_eq!(
-                seq.winner().map(|(k, s)| (k.t.to_bits(), k.id, s)),
-                bulk.winner().map(|(k, s)| (k.t.to_bits(), k.id, s)),
-                "round {round}"
-            );
-            for (i, (a, b)) in seq.nodes.iter().zip(bulk.nodes.iter()).enumerate() {
-                assert_eq!(
-                    a.map(|(k, s)| (k.t.to_bits(), k.id, s)),
-                    b.map(|(k, s)| (k.t.to_bits(), k.id, s)),
-                    "round {round}, node {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn update_bulk_on_single_slot_and_empty_batch() {
-        let mut tree = TourneyTree::new(1);
-        tree.update_bulk(&[]);
-        assert_eq!(tree.winner(), None);
-        tree.update_bulk(&[(0, Some(key(2.0, 0.0, 2.0, 4)))]);
-        assert_eq!(tree.winner().map(|(k, _)| k.id), Some(ExecutorId(4)));
-        tree.update_bulk(&[(0, None)]);
-        assert_eq!(tree.winner(), None);
     }
 
     #[test]

@@ -23,13 +23,16 @@ fn app(input_gb: f64, cpu: f64, mem_m: f64) -> AppSpec {
     }
 }
 
-/// A 4-node engine with three plain apps and a memory hog whose
+/// A `nodes`-node engine with three plain apps and a memory hog whose
 /// executors overflow RAM, so operation sequences exercise hot shards
 /// (paging factors that ramp under advance) and not just the cool fast
 /// path.
-fn mixed_engine(seed: u64) -> (ClusterEngine, Vec<AppId>, Vec<NodeId>) {
-    let mut eng =
-        ClusterEngine::with_seed(ClusterSpec::small(4), InterferenceModel::default(), seed);
+fn mixed_engine(seed: u64, nodes: usize) -> (ClusterEngine, Vec<AppId>, Vec<NodeId>) {
+    let mut eng = ClusterEngine::with_seed(
+        ClusterSpec::small(nodes),
+        InterferenceModel::default(),
+        seed,
+    );
     let mut apps: Vec<_> = (0..3)
         .map(|i| eng.submit(app(500.0, 0.2 + 0.2 * i as f64, 0.3)))
         .collect();
@@ -189,13 +192,23 @@ proptest! {
     /// The engine's incremental rate cache is bit-identical to a
     /// from-scratch recomputation after arbitrary seeded sequences of
     /// spawn / extend / kill / fail / restore / advance — the invariant
-    /// the figure regeneration identity rests on.
+    /// the figure regeneration identity rests on. The 128-node cluster
+    /// starts with an overflowing executor on every node, so each
+    /// `advance` re-dirties every shard and the refresh loop walks a
+    /// 128-shard dirty set.
     #[test]
     fn cached_rates_match_from_scratch_recomputation(
         seed in 0u64..1000,
-        ops in proptest::collection::vec((0u8..6, 0usize..64, 0.1f64..30.0), 1..40),
+        large in any::<bool>(),
+        ops in proptest::collection::vec((0u8..6, 0usize..256, 0.1f64..30.0), 1..40),
     ) {
-        let (mut eng, apps, nodes) = mixed_engine(seed);
+        let (mut eng, apps, nodes) = mixed_engine(seed, if large { 128 } else { 4 });
+        if large {
+            let hog = eng.submit(app(30.0 * nodes.len() as f64, 0.3, 2.5));
+            for &n in &nodes {
+                prop_assert!(eng.spawn_executor(hog, n, 30.0, 12.0).unwrap().is_some());
+            }
+        }
         for &op in &ops {
             apply_op(&mut eng, &apps, &nodes, op);
             // After EVERY mutation the cache must agree bit-for-bit with
@@ -238,7 +251,7 @@ proptest! {
         seed in 0u64..1000,
         ops in proptest::collection::vec((0u8..7, 0usize..64, 0.1f64..30.0), 1..40),
     ) {
-        let (mut eng, apps, nodes) = mixed_engine(seed);
+        let (mut eng, apps, nodes) = mixed_engine(seed, 4);
         let mut spawned = Vec::new();
         for &op in &ops {
             spawned.extend(apply_op(&mut eng, &apps, &nodes, op));

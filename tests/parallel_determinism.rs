@@ -4,28 +4,14 @@
 //! every worker count (the replays commit in index order), and the
 //! isolated-baseline cache must return exactly what uncached solo runs
 //! produce.
-//!
-//! The intra-sim suite at the bottom pins the same promise one level
-//! down (DESIGN.md §17): *inside* one engine, the parallel dirty-shard
-//! rate refresh must leave every observable — rates, `next_completion`,
-//! elapsed clock, live population — bit-identical at any
-//! `SPARK_MOE_THREADS`, including under proptest-driven random placement
-//! mutation storms pinned against the retained serial oracle.
 
-use bench_suite::scalekit::{
-    build_queue, completion_churn, engine_digest, hold_churn, scale_engine, scale_engine_tracked,
-    slice_gb, storm_mutate, EXECUTORS_PER_NODE,
-};
 use colocate::harness::{
     evaluate_scenario, evaluate_scenario_multi, isolated_times, BaselineCache, RunConfig,
     ScenarioStats,
 };
 use colocate::scheduler::{PolicyKind, SchedulerConfig};
-use proptest::prelude::*;
-use simkit::{QueueBackend, SimRng};
+use simkit::SimRng;
 use sparklite::cluster::ClusterSpec;
-use sparklite::engine::{ClusterEngine, RateCacheMode};
-use sparklite::{AppId, ExecutorId};
 use workloads::{Catalog, MixScenario};
 
 fn config_with_workers(workers: usize) -> RunConfig {
@@ -133,9 +119,10 @@ fn converging_campaign_is_worker_count_invariant() {
 
 #[test]
 fn large_cluster_campaign_is_worker_count_invariant() {
-    // The 400-node configuration drives the scale machinery — per-node
-    // rate-cache shards, the tournament tree, hot-node OOM scans — through
-    // the full scheduling stack; its statistics must stay bit-for-bit
+    // The 400-node configuration drives the per-node rate-cache shards,
+    // the tournament tree and the hot-node OOM scan through the full
+    // scheduling stack. Each simulation runs serially; only the mixes fan
+    // out across workers, so the statistics must stay bit-for-bit
     // identical across worker counts, exactly like the 4-node scenarios.
     let catalog = Catalog::paper();
     let scenario = MixScenario { label: 2, apps: 6 };
@@ -207,168 +194,6 @@ fn baseline_cache_matches_uncached_solo_runs() {
     let fresh = isolated_times(&catalog, &mix, &config.scheduler, seed + 1).unwrap();
     for (c, u) in other.iter().zip(fresh.iter()) {
         assert_eq!(c.to_bits(), u.to_bits());
-    }
-}
-
-/// Engine-step outputs on a 400-node cluster, bit-identical at 1/2/4/8
-/// refresh workers: each round runs a placement storm (every shard
-/// dirty — well past the 64-shard parallel gate), a completion-churn
-/// burst and an explicit `next_completion` → `advance` engine step, and
-/// digests the full observable state (rates, next completion, clock,
-/// population) after each. Every worker count must reproduce the
-/// workers=1 digest trace exactly.
-#[test]
-fn intra_sim_engine_steps_are_worker_count_invariant() {
-    const NODES: usize = 400;
-    let mut reference: Option<Vec<u64>> = None;
-    for workers in [1usize, 2, 4, 8] {
-        let (mut eng, mut slots) = scale_engine_tracked(NODES, RateCacheMode::Sharded);
-        eng.set_refresh_workers(workers);
-        let mut k = NODES * EXECUTORS_PER_NODE;
-        let mut digests = Vec::new();
-        for _ in 0..3 {
-            storm_mutate(&mut eng, &mut slots, k);
-            k += NODES;
-            digests.push(engine_digest(&mut eng));
-            k = completion_churn(&mut eng, 50, k);
-            digests.push(engine_digest(&mut eng));
-            if let Some((dt, _)) = eng.next_completion() {
-                eng.advance(dt * 0.5);
-            }
-            digests.push(engine_digest(&mut eng));
-        }
-        match &reference {
-            None => reference = Some(digests),
-            Some(r) => assert_eq!(r, &digests, "{workers} refresh workers diverged"),
-        }
-    }
-}
-
-/// The fig20 hold-benchmark state (queue checksums on both backends) and
-/// the scale sweep's churn digests (both rate-cache modes) are pure
-/// functions of the configuration at any worker count — exactly what
-/// `SPARK_MOE_SCALE_CHECK=1` prints and CI `cmp`s across
-/// `SPARK_MOE_THREADS` values.
-#[test]
-fn fig20_benchmark_state_is_worker_count_invariant() {
-    const NODES: usize = 400;
-    let mut reference: Option<(u64, u64, u64, u64)> = None;
-    for workers in [1usize, 2, 4, 8] {
-        let hold = |backend| {
-            let mut q = build_queue(backend, 1000);
-            hold_churn(&mut q, 1000, 5_000, 0).to_bits()
-        };
-        let churn = |mode| {
-            let mut eng = scale_engine(NODES, mode);
-            eng.set_refresh_workers(workers);
-            completion_churn(&mut eng, 200, NODES * EXECUTORS_PER_NODE);
-            engine_digest(&mut eng)
-        };
-        let state = (
-            hold(QueueBackend::Heap),
-            hold(QueueBackend::Calendar),
-            churn(RateCacheMode::WholePlacement),
-            churn(RateCacheMode::Sharded),
-        );
-        match &reference {
-            None => reference = Some(state),
-            Some(r) => assert_eq!(r, &state, "{workers} refresh workers diverged"),
-        }
-    }
-}
-
-/// One random placement mutation applied identically to both engines.
-/// Encoded as `(kind, a, b)` integer tuples (the vendored proptest stub
-/// has no enum strategies).
-fn apply_mutation(
-    eng: &mut ClusterEngine,
-    slots: &mut [(AppId, ExecutorId)],
-    (kind, a, b): (usize, usize, usize),
-    k: usize,
-) {
-    let nodes = slots.len();
-    let node_ids = eng.cluster().node_ids();
-    match kind {
-        // Partial storm: kill + respawn the tracked executor on a random
-        // contiguous wrap-around span of ≥64 nodes (above the parallel
-        // gate, below a full storm). Completion churn may have retired a
-        // tracked executor; adopt the node's current first slice instead
-        // (membership order is deterministic across worker counts).
-        0 => {
-            let count = 64 + b % (nodes - 63);
-            for j in 0..count {
-                let i = (a + j) % nodes;
-                if eng.executor(slots[i].1).is_err() {
-                    if let Some(adopted) = eng.node_executors_iter(node_ids[i]).next() {
-                        slots[i].0 = eng.executor(adopted).expect("member is live").app();
-                        slots[i].1 = adopted;
-                    }
-                }
-                if eng.executor(slots[i].1).is_ok() {
-                    eng.kill_executor(slots[i].1).expect("tracked slot is live");
-                }
-                slots[i].1 = eng
-                    .spawn_executor(slots[i].0, node_ids[i], slice_gb(k + j), 14.0)
-                    .expect("respawn fits")
-                    .expect("input available");
-            }
-        }
-        // Completion-churn burst: the scheduler's event loop shape.
-        1 => {
-            completion_churn(eng, 1 + a % 40, k);
-        }
-        // A partial engine step: advance to a fraction of the next
-        // completion (dt is engine-derived, so identical states advance
-        // identically).
-        2 => {
-            if let Some((dt, _)) = eng.next_completion() {
-                eng.advance(dt * (a % 100) as f64 / 100.0);
-            }
-        }
-        // Node failure + restore: kills the node's executors through the
-        // failure path, then respawns the tracked slot (the untracked
-        // sibling stays retired — same population on both engines).
-        _ => {
-            let i = a % nodes;
-            eng.fail_node(node_ids[i]).expect("node is online");
-            eng.restore_node(node_ids[i]).expect("node is offline");
-            slots[i].1 = eng
-                .spawn_executor(slots[i].0, node_ids[i], slice_gb(k), 14.0)
-                .expect("respawn fits")
-                .expect("input available");
-        }
-    }
-}
-
-proptest! {
-    /// Random mutation storms, parallel path (4 workers) pinned against
-    /// the serial oracle (1 worker): after every mutation the two
-    /// engines' full observable state must agree bit-for-bit. Tracked
-    /// executors are killed through waves and node failures, so the
-    /// dirty sets cross the parallel gate from arbitrary placements.
-    #[test]
-    fn parallel_refresh_matches_serial_oracle_under_random_mutations(
-        ops in proptest::collection::vec((0usize..4, 0usize..10_000, 0usize..10_000), 1..7),
-    ) {
-        const NODES: usize = 128;
-        let (mut par, mut par_slots) = scale_engine_tracked(NODES, RateCacheMode::Sharded);
-        let (mut ser, mut ser_slots) = scale_engine_tracked(NODES, RateCacheMode::Sharded);
-        par.set_refresh_workers(4);
-        ser.set_refresh_workers(1);
-        prop_assert_eq!(par.refresh_workers(), 4);
-        prop_assert_eq!(ser.refresh_workers(), 1);
-        let mut k = NODES * EXECUTORS_PER_NODE;
-        for op in ops {
-            apply_mutation(&mut par, &mut par_slots, op, k);
-            apply_mutation(&mut ser, &mut ser_slots, op, k);
-            k += 2 * NODES;
-            prop_assert_eq!(
-                engine_digest(&mut par),
-                engine_digest(&mut ser),
-                "divergence after {:?}",
-                op
-            );
-        }
     }
 }
 
