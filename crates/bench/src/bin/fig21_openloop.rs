@@ -57,14 +57,6 @@ fn entries() -> Vec<OpenLoopEntry> {
     ]
 }
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
 fn main() {
     let catalog = bench_suite::catalog();
     // A 2-node slice of paper-spec hardware: dense enough that a
@@ -78,8 +70,8 @@ fn main() {
         },
         ..bench_suite::paper_run_config()
     };
-    let expected_jobs = env_usize("SPARK_MOE_OPENLOOP_JOBS", 18);
-    let replications = env_usize("SPARK_MOE_OPENLOOP_REPS", 3);
+    let expected_jobs = bench_suite::env_count("SPARK_MOE_OPENLOOP_JOBS", 18);
+    let replications = bench_suite::env_count("SPARK_MOE_OPENLOOP_REPS", 3);
     let entries = entries();
 
     // Linear-family, low-CPU classes: the CPU guard admits several per

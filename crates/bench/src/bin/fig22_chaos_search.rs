@@ -25,27 +25,12 @@ use colocate::harness::RunConfig;
 use colocate::invariants::{chaos_search, preset_label, SearchConfig};
 use std::time::Instant;
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
     let catalog = bench_suite::catalog();
     let config = SearchConfig {
-        episodes: env_usize("SPARK_MOE_CHAOS_EPISODES", 64),
-        base_seed: env_u64("SPARK_MOE_CHAOS_SEED", 42),
-        shrink_budget: env_usize("SPARK_MOE_CHAOS_SHRINK", 200),
+        episodes: bench_suite::env_count("SPARK_MOE_CHAOS_EPISODES", 64),
+        base_seed: bench_suite::env_seed("SPARK_MOE_CHAOS_SEED", 42),
+        shrink_budget: bench_suite::env_count("SPARK_MOE_CHAOS_SHRINK", 200),
         workers: RunConfig::default().effective_workers(),
         ..SearchConfig::default()
     };

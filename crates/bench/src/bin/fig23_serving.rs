@@ -21,29 +21,14 @@ use colocate::serving::ModelArtifact;
 use colocate::training::{train_system, TrainingConfig};
 use simkit::SimRng;
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn fmt_opt(v: Option<f64>, unit: &str) -> String {
     v.map_or_else(|| "-".to_string(), |x| format!("{x:.1}{unit}"))
 }
 
 fn main() {
     let catalog = bench_suite::catalog();
-    let requests = env_usize("SPARK_MOE_SERVING_REQS", 2_000_000);
-    let seed = env_u64("SPARK_MOE_SERVING_SEED", 42);
+    let requests = bench_suite::env_count("SPARK_MOE_SERVING_REQS", 2_000_000);
+    let seed = bench_suite::env_seed("SPARK_MOE_SERVING_SEED", 42);
     let timing = std::env::var("SPARK_MOE_SERVING_TIMING").is_ok_and(|v| v == "1");
 
     println!("Fig. 23: prediction serving firehose — {requests} requests from seed {seed}");

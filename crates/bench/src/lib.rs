@@ -64,14 +64,28 @@ pub fn catalog() -> &'static Catalog {
     CATALOG.get_or_init(Catalog::paper)
 }
 
+/// A positive count from environment variable `key`, or `default` when it
+/// is unset, unparsable or zero.
+#[must_use]
+pub fn env_count(key: &str, default: usize) -> usize {
+    env_parse(key).filter(|&n| n > 0).unwrap_or(default)
+}
+
+/// A seed from environment variable `key` (zero included), or `default`
+/// when it is unset or unparsable.
+#[must_use]
+pub fn env_seed(key: &str, default: u64) -> u64 {
+    env_parse(key).unwrap_or(default)
+}
+
+fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
+    std::env::var(key).ok().and_then(|v| v.parse().ok())
+}
+
 /// Number of random mixes per scenario, from `SPARK_MOE_MIXES` (default 8).
 #[must_use]
 pub fn mixes_per_scenario() -> usize {
-    std::env::var("SPARK_MOE_MIXES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(8)
+    env_count("SPARK_MOE_MIXES", 8)
 }
 
 /// The shared experiment configuration (paper cluster, default training).

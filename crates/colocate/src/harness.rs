@@ -3,12 +3,12 @@
 //! * [`isolated_times`] — per-task `C_iso`: each application alone on the
 //!   cluster with all memory (the denominator of every metric, §5.3);
 //! * [`run_policy`] — one mix under one policy, with normalised metrics;
-//! * [`evaluate_scenario`] — many random mixes of a Table 3 scenario,
-//!   replayed until the 95 % confidence half-width drops below 5 % of the
-//!   mean (§5.2), reporting mean and min–max bars (Fig. 6);
-//! * [`evaluate_chaos`] — shared-mix, shared-fault-plan chaos campaigns:
-//!   several `(policy, resilience)` entries replayed against identical
-//!   injected faults (Fig. 19);
+//! * [`evaluate_scenario`] (§5.2 CI-stopped mixes, Fig. 6),
+//!   [`evaluate_scenario_multi`] (policies on shared mixes, Figs. 6/9/10),
+//!   [`evaluate_chaos`] (entries on shared fault plans, Fig. 19) and
+//!   [`crate::service::evaluate_openloop`] (open-loop replications,
+//!   Fig. 21) — thin adapters over one private fold, `fold_campaign`:
+//!   serial draws, batched fan-out, index-ordered fold, optional journal;
 //! * [`bin_trace`] — converts event-sampled utilisation traces into the
 //!   time-binned per-node matrix of Fig. 7;
 //! * [`overhead_fractions`] — feature-extraction and calibration shares of
@@ -40,10 +40,11 @@ pub struct RunConfig {
     pub scheduler: SchedulerConfig,
     /// Offline training configuration.
     pub training: TrainingConfig,
-    /// Worker threads for campaign fan-out; `None` defers to
+    /// Worker threads each campaign batch fans out over; `None` defers to
     /// [`par::available_workers`] (the `SPARK_MOE_THREADS` override, then
-    /// the host's parallelism). Campaign results are identical for every
-    /// value — see [`evaluate_scenario`].
+    /// the host's parallelism). Every campaign folds its results in index
+    /// order, so results are identical for every value — see
+    /// [`evaluate_scenario`].
     pub workers: Option<usize>,
 }
 
@@ -272,19 +273,157 @@ pub fn trained_systems_for(
     config: &RunConfig,
     seed: u64,
 ) -> Result<Vec<Option<TrainedSystem>>, ColocateError> {
-    let mut shared: Option<TrainedSystem> = None;
-    let mut systems = Vec::with_capacity(policies.len());
-    for &p in policies {
-        if needs_offline_training(p) {
-            if shared.is_none() {
-                shared = trained_system_for(p, catalog, config, seed)?;
+    let shared = match policies.iter().find(|&&p| needs_offline_training(p)) {
+        Some(&p) => trained_system_for(p, catalog, config, seed)?,
+        None => None,
+    };
+    Ok(policies
+        .iter()
+        .map(|&p| {
+            if needs_offline_training(p) {
+                shared.clone()
+            } else {
+                None
             }
-            systems.push(shared.clone());
+        })
+        .collect())
+}
+
+/// The journal side of a checkpointed campaign: the file, the header
+/// binding that ties it to one campaign definition, and the codec of one
+/// fold record, `width` policies or entries wide.
+pub(crate) struct CampaignJournal<'a, R> {
+    ckpt: &'a CheckpointConfig,
+    binding: Vec<u8>,
+    width: usize,
+    encode: fn(&R) -> Vec<u8>,
+    decode: fn(&[u8], usize) -> Result<R, ColocateError>,
+}
+
+/// The one campaign loop behind every `evaluate_*` entry point.
+///
+/// Draws up to `items` inputs serially in index order (`draw` is the one
+/// RNG stream of the campaign), fans each batch out with
+/// [`par::par_map_indexed`] (`run` gets the item index and its input) and
+/// folds the results strictly in index order; `fold` gets the index and
+/// the result and returns `true` to stop early. The first batch runs every
+/// index below `upfront`, later batches `workers` items each, so an early
+/// stop discards at most one batch of speculative runs and the folded
+/// sequence is identical for every worker count.
+///
+/// With a journal, the file is opened and validated against the binding
+/// first, and its records go through the same `fold`, in the same order
+/// and under the same stop, before anything is dispatched. Each new result
+/// is appended *before* it is folded, so a kill between append and fold
+/// costs one recomputed run, never a double-counted one.
+///
+/// Returns the number of items folded.
+///
+/// # Errors
+///
+/// [`ColocateError::Config`] when `items` is zero; otherwise propagates
+/// per-item failures and journal I/O/validation failures.
+pub(crate) fn fold_campaign<I: Sync, R: Send>(
+    items: usize,
+    upfront: usize,
+    workers: usize,
+    journal: Option<CampaignJournal<'_, R>>,
+    mut draw: impl FnMut() -> I,
+    run: impl Fn(usize, &I) -> Result<R, ColocateError> + Sync,
+    mut fold: impl FnMut(usize, R) -> bool,
+) -> Result<usize, ColocateError> {
+    if items == 0 {
+        return Err(ColocateError::Config(
+            "a campaign needs at least one mix or replication".into(),
+        ));
+    }
+    let mut count = 0; // results folded
+    let mut done = false; // `fold` asked to stop
+    let mut log = None;
+    if let Some(spec) = journal {
+        let recovered = Journal::open(&spec.ckpt.path, &spec.binding, spec.ckpt.flush_every)?;
+        for payload in &recovered.records {
+            if done || count == items {
+                break;
+            }
+            done = fold(count, (spec.decode)(payload, spec.width)?);
+            count += 1;
+            // The journaled result consumed this draw of the item stream.
+            let _ = draw();
+        }
+        let mut j = recovered.journal;
+        j.set_kill_point(spec.ckpt.kill_point);
+        log = Some((j, spec.encode));
+    }
+
+    let mut dispatched = count; // items handed to the pool (>= count)
+    while !done && dispatched < items {
+        let batch = if dispatched < upfront {
+            upfront - dispatched
         } else {
-            systems.push(None);
+            workers
+        }
+        .min(items - dispatched);
+        let inputs: Vec<I> = (0..batch).map(|_| draw()).collect();
+        let first = dispatched;
+        let results = par::par_map_indexed(&inputs, workers, |i, input| run(first + i, input));
+        dispatched += batch;
+        for result in results {
+            let result = result?;
+            if let Some((j, encode)) = log.as_mut() {
+                j.append(&encode(&result))?;
+            }
+            done = fold(count, result);
+            count += 1;
+            if done {
+                break;
+            }
         }
     }
-    Ok(systems)
+    if let Some((j, _)) = log.as_mut() {
+        j.sync()?;
+    }
+    Ok(count)
+}
+
+/// `(normalized STP, ANTT reduction %)` of a schedule against the per-app
+/// isolated times of its mix.
+fn stp_antt(iso: &[f64], schedule: &ScheduleOutcome) -> (f64, f64) {
+    let turnarounds: Vec<f64> = schedule.per_app.iter().map(|a| a.finished_at).collect();
+    let n = normalize(iso, &turnarounds);
+    (n.normalized_stp, n.antt_reduction_pct)
+}
+
+/// Running STP and ANTT-reduction accumulators of one policy or entry.
+#[derive(Debug, Clone)]
+struct Outcomes {
+    stp: Welford,
+    antt: Welford,
+}
+
+impl Outcomes {
+    fn new() -> Self {
+        Outcomes {
+            stp: Welford::new(),
+            antt: Welford::new(),
+        }
+    }
+
+    fn push(&mut self, (stp, antt): (f64, f64)) {
+        self.stp.push(stp);
+        self.antt.push(antt);
+    }
+
+    fn stats(&self, scenario: MixScenario, mixes: usize) -> ScenarioStats {
+        ScenarioStats {
+            scenario,
+            stp_mean: self.stp.mean(),
+            stp_min_max: (self.stp.min(), self.stp.max()),
+            antt_mean: self.antt.mean(),
+            antt_min_max: (self.antt.min(), self.antt.max()),
+            mixes,
+        }
+    }
 }
 
 /// Aggregated results of a scenario campaign.
@@ -320,7 +459,8 @@ pub struct ScenarioStats {
 ///
 /// # Errors
 ///
-/// Propagates per-mix failures.
+/// [`ColocateError::Config`] when `max_mixes` is zero; propagates per-mix
+/// failures.
 pub fn evaluate_scenario(
     policy: PolicyKind,
     scenario: MixScenario,
@@ -337,20 +477,18 @@ pub fn evaluate_scenario(
 
 /// [`evaluate_scenario`] with opt-in crash-safe checkpointing.
 ///
-/// With `ckpt` set, every committed fold is appended to the journal at
-/// `ckpt.path` as it happens. On startup the journal is validated against
-/// this campaign's definition (seed, policy, scenario, mix bounds,
-/// catalog and config signatures — but *not* the worker count), torn or
-/// corrupt tail records are truncated, and the surviving folds are
-/// replayed through the same Welford accumulators and §5.2 stopping rule
-/// before any new replay is dispatched. Because the statistics are a pure
-/// function of the index-ordered fold sequence, a resumed campaign is
-/// bit-for-bit identical to an uninterrupted one — under any
-/// `SPARK_MOE_THREADS`, including a different one than the original run.
+/// With `ckpt` set, every fold is appended to the journal at `ckpt.path`
+/// before it is folded. A restart validates the journal against this
+/// campaign's definition (seed, policy, scenario, mix bounds, catalog and
+/// config signatures — but *not* the worker count), drops a torn tail and
+/// replays the surviving folds under the same §5.2 stop before anything
+/// new is dispatched, so a resumed campaign is bit-for-bit identical to an
+/// uninterrupted one under any `SPARK_MOE_THREADS`.
 ///
 /// # Errors
 ///
-/// Propagates per-mix failures and journal I/O/validation failures
+/// [`ColocateError::Config`] when `max_mixes` is zero; propagates per-mix
+/// failures and journal I/O/validation failures
 /// ([`ColocateError::Checkpoint`]).
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_scenario_checkpointed(
@@ -363,94 +501,34 @@ pub fn evaluate_scenario_checkpointed(
     base_seed: u64,
     ckpt: Option<&CheckpointConfig>,
 ) -> Result<ScenarioStats, ColocateError> {
-    let workers = config.effective_workers();
-    let mut stp = Welford::new();
-    let mut antt = Welford::new();
+    let mut acc = Outcomes::new();
     let mut mix_rng = SimRng::seed_from(base_seed);
-    let mut count = 0; // replays folded into the accumulators
-    let mut done = false; // §5.2 stopping rule (or max_mixes) satisfied
-
-    let mut journal: Option<Journal> = None;
-    if let Some(c) = ckpt {
-        let binding = checkpoint::scenario_binding(
-            policy, scenario, catalog, config, min_mixes, max_mixes, base_seed,
-        );
-        let recovered = Journal::open(&c.path, &binding, c.flush_every)?;
-        // Replay committed folds exactly as the original run folded them,
-        // stopping where the original loop would have stopped.
-        for payload in &recovered.records {
-            if done {
-                break;
-            }
-            let pair = checkpoint::decode_folds(payload, 1)?;
-            stp.push(pair[0].0);
-            antt.push(pair[0].1);
-            count += 1;
-            done = count >= max_mixes || (count >= min_mixes && stp.ci_converged(0.05));
-        }
-        // Keep the scenario RNG aligned: the journaled folds consumed the
-        // first `count` draws of the one serial mix stream.
-        for _ in 0..count {
-            let _ = scenario.random_mix(catalog, &mut mix_rng);
-        }
-        let mut j = recovered.journal;
-        j.set_kill_point(c.kill_point);
-        journal = Some(j);
-    }
-
-    let mut dispatched = count; // replays handed to the pool (>= count)
-    'campaign: while !done && dispatched < max_mixes {
-        // Cover the mandatory replays first (the stopping rule cannot
-        // fire before min_mixes/two samples); later batches fill the pool.
-        let mandatory = min_mixes.max(2).saturating_sub(dispatched);
-        let batch = if mandatory > 0 {
-            mandatory.min(max_mixes - dispatched)
-        } else {
-            workers.min(max_mixes - dispatched)
-        };
-        // Mix drawing stays serial: the scenario RNG is one stream.
-        let mixes: Vec<Vec<MixEntry>> = (0..batch)
-            .map(|_| scenario.random_mix(catalog, &mut mix_rng))
-            .collect();
-        let first = dispatched;
-        let results = par::par_map_indexed(&mixes, workers, |i, mix| {
-            run_policy(policy, catalog, mix, config, base_seed + (first + i) as u64)
-        });
-        dispatched += batch;
-        for result in results {
-            let outcome = result?;
-            let pair = (
-                outcome.normalized.normalized_stp,
-                outcome.normalized.antt_reduction_pct,
-            );
-            // Journal the fold before consuming it, so a kill between
-            // append and fold costs one recomputed replay, never a
-            // double-counted one.
-            if let Some(j) = journal.as_mut() {
-                j.append(&checkpoint::encode_folds(&[pair]))?;
-            }
-            stp.push(pair.0);
-            antt.push(pair.1);
-            count += 1;
-            if count >= min_mixes && stp.ci_converged(0.05) {
-                break 'campaign;
-            }
-            if count >= max_mixes {
-                break 'campaign;
-            }
-        }
-    }
-    if let Some(j) = journal.as_mut() {
-        j.sync()?;
-    }
-    Ok(ScenarioStats {
-        scenario,
-        stp_mean: stp.mean(),
-        stp_min_max: (stp.min(), stp.max()),
-        antt_mean: antt.mean(),
-        antt_min_max: (antt.min(), antt.max()),
-        mixes: count,
-    })
+    let mixes = fold_campaign(
+        max_mixes,
+        // The stopping rule cannot fire before min_mixes (or two samples).
+        min_mixes.max(2),
+        config.effective_workers(),
+        ckpt.map(|c| CampaignJournal {
+            ckpt: c,
+            binding: checkpoint::scenario_binding(
+                policy, scenario, catalog, config, min_mixes, max_mixes, base_seed,
+            ),
+            width: 1,
+            encode: |pairs: &Vec<(f64, f64)>| checkpoint::encode_folds(pairs),
+            decode: checkpoint::decode_folds,
+        }),
+        || scenario.random_mix(catalog, &mut mix_rng),
+        |i, mix| {
+            let outcome = run_policy(policy, catalog, mix, config, base_seed + i as u64)?;
+            let n = outcome.normalized;
+            Ok(vec![(n.normalized_stp, n.antt_reduction_pct)])
+        },
+        |i, pairs| {
+            acc.push(pairs[0]);
+            i + 1 >= min_mixes && acc.stp.ci_converged(0.05)
+        },
+    )?;
+    Ok(acc.stats(scenario, mixes))
 }
 
 /// Per-policy aggregates from a shared-mix campaign
@@ -477,7 +555,8 @@ pub struct MultiPolicyStats {
 ///
 /// # Errors
 ///
-/// Propagates per-mix failures.
+/// [`ColocateError::Config`] when `mixes` is zero; propagates per-mix
+/// failures.
 pub fn evaluate_scenario_multi(
     policies: &[PolicyKind],
     scenario: MixScenario,
@@ -493,18 +572,15 @@ pub fn evaluate_scenario_multi(
 
 /// [`evaluate_scenario_multi`] with opt-in crash-safe checkpointing.
 ///
-/// With `ckpt` set, each mix's per-policy fold is journaled as it
-/// commits (in mix-index order) and the computation proceeds one batch
-/// of `workers` mixes at a time, so an interrupted campaign loses at most
-/// the in-flight batch. On resume the journal is validated against this
-/// campaign definition, its folds are replayed, and only the remaining
-/// mixes are computed — bit-for-bit identical stats to an uninterrupted
-/// run, at any worker count. Without `ckpt` this is exactly
-/// [`evaluate_scenario_multi`].
+/// With `ckpt` set, each mix's per-policy fold is journaled in mix-index
+/// order and mixes run one batch of `workers` at a time, so a kill loses
+/// at most the in-flight batch; a resume replays the journal and computes
+/// only the remaining mixes, bit-for-bit identical at any worker count.
 ///
 /// # Errors
 ///
-/// Propagates per-mix failures and journal I/O/validation failures.
+/// [`ColocateError::Config`] when `mixes` is zero; propagates per-mix
+/// failures and journal I/O/validation failures.
 pub fn evaluate_scenario_multi_checkpointed(
     policies: &[PolicyKind],
     scenario: MixScenario,
@@ -514,110 +590,57 @@ pub fn evaluate_scenario_multi_checkpointed(
     base_seed: u64,
     ckpt: Option<&CheckpointConfig>,
 ) -> Result<MultiPolicyStats, ColocateError> {
-    let workers = config.effective_workers();
-    let mut stp = vec![Welford::new(); policies.len()];
-    let mut antt = vec![Welford::new(); policies.len()];
-
     // Train once per campaign; predictive policies share one bit-identical
     // system (and thereby one campaign-wide prediction table).
     let systems = trained_systems_for(policies, catalog, config, base_seed)?;
-
-    // Mix drawing stays serial: the scenario RNG is one stream.
-    let mut mix_rng = SimRng::seed_from(base_seed);
-    let all_mixes: Vec<Vec<MixEntry>> = (0..mixes)
-        .map(|_| scenario.random_mix(catalog, &mut mix_rng))
-        .collect();
-
-    let mut journal: Option<Journal> = None;
-    let mut start = 0; // first mix index not covered by the journal
-    if let Some(c) = ckpt {
-        let binding =
-            checkpoint::multi_binding(policies, scenario, catalog, config, mixes, base_seed);
-        let recovered = Journal::open(&c.path, &binding, c.flush_every)?;
-        for payload in recovered.records.iter().take(mixes) {
-            for (pi, (s, a)) in checkpoint::decode_folds(payload, policies.len())?
-                .into_iter()
-                .enumerate()
-            {
-                stp[pi].push(s);
-                antt[pi].push(a);
-            }
-            start += 1;
-        }
-        let mut j = recovered.journal;
-        j.set_kill_point(c.kill_point);
-        journal = Some(j);
-    }
-
     let baselines = BaselineCache::new();
-    let mut next = start;
-    while next < mixes {
-        // Checkpointed runs commit one worker-batch at a time so a kill
-        // loses at most the in-flight batch; unjournaled runs keep the
-        // single full fan-out. Either way folds commit in index order,
-        // so the statistics are identical.
-        let batch = if journal.is_some() {
-            workers.min(mixes - next)
-        } else {
-            mixes - next
-        };
-        let first = next;
-        let per_mix = par::par_map_indexed(&all_mixes[first..first + batch], workers, |i, mix| {
-            let seed = base_seed + (first + i) as u64;
+    let mut acc = vec![Outcomes::new(); policies.len()];
+    let mut mix_rng = SimRng::seed_from(base_seed);
+    fold_campaign(
+        mixes,
+        // Journaled runs commit one worker-batch at a time, so a kill
+        // loses at most the in-flight batch; unjournaled runs fan out once.
+        if ckpt.is_some() { 0 } else { mixes },
+        config.effective_workers(),
+        ckpt.map(|c| CampaignJournal {
+            ckpt: c,
+            binding: checkpoint::multi_binding(
+                policies, scenario, catalog, config, mixes, base_seed,
+            ),
+            width: policies.len(),
+            encode: |pairs: &Vec<(f64, f64)>| checkpoint::encode_folds(pairs),
+            decode: checkpoint::decode_folds,
+        }),
+        || scenario.random_mix(catalog, &mut mix_rng),
+        |i, mix| {
+            let seed = base_seed + i as u64;
             let iso = baselines.isolated_times(catalog, mix, &config.scheduler, seed)?;
             policies
                 .iter()
-                .enumerate()
-                .map(|(pi, &policy)| {
+                .zip(&systems)
+                .map(|(&policy, system)| {
                     let schedule = run_schedule(
                         policy,
                         catalog,
                         mix,
-                        systems[pi].as_ref(),
+                        system.as_ref(),
                         &config.scheduler,
                         seed,
                     )?;
-                    let turnarounds: Vec<f64> =
-                        schedule.per_app.iter().map(|a| a.finished_at).collect();
-                    Ok(normalize(&iso, &turnarounds))
+                    Ok(stp_antt(&iso, &schedule))
                 })
-                .collect::<Result<Vec<NormalizedMetrics>, ColocateError>>()
-        });
-        next += batch;
-
-        for result in per_mix {
-            let metrics = result?;
-            if let Some(j) = journal.as_mut() {
-                let pairs: Vec<(f64, f64)> = metrics
-                    .iter()
-                    .map(|n| (n.normalized_stp, n.antt_reduction_pct))
-                    .collect();
-                j.append(&checkpoint::encode_folds(&pairs))?;
+                .collect()
+        },
+        |_, pairs: Vec<(f64, f64)>| {
+            for (a, pair) in acc.iter_mut().zip(pairs) {
+                a.push(pair);
             }
-            for (pi, n) in metrics.iter().enumerate() {
-                stp[pi].push(n.normalized_stp);
-                antt[pi].push(n.antt_reduction_pct);
-            }
-        }
-    }
-    if let Some(j) = journal.as_mut() {
-        j.sync()?;
-    }
-
+            false
+        },
+    )?;
     Ok(MultiPolicyStats {
         scenario,
-        per_policy: policies
-            .iter()
-            .enumerate()
-            .map(|(pi, _)| ScenarioStats {
-                scenario,
-                stp_mean: stp[pi].mean(),
-                stp_min_max: (stp[pi].min(), stp[pi].max()),
-                antt_mean: antt[pi].mean(),
-                antt_min_max: (antt[pi].min(), antt[pi].max()),
-                mixes,
-            })
-            .collect(),
+        per_policy: acc.iter().map(|a| a.stats(scenario, mixes)).collect(),
     })
 }
 
@@ -671,6 +694,31 @@ impl ChaosSpec {
             intensity,
             ..ChaosSpec::default()
         }
+    }
+
+    /// The fault plan this spec draws from `seed ^ 0xC4A0_5EED` (a stream
+    /// independent of the schedule seed) over `horizon_secs` on `nodes`
+    /// nodes running `apps` applications.
+    pub(crate) fn fault_plan(
+        &self,
+        seed: u64,
+        horizon_secs: f64,
+        nodes: usize,
+        apps: usize,
+    ) -> FaultPlan {
+        let config = FaultPlanConfig {
+            intensity: self.intensity,
+            horizon_secs,
+            nodes,
+            apps,
+            mean_outage_secs: self.mean_outage_secs,
+            mean_dropout_secs: self.mean_dropout_secs,
+            noise_sd: self.noise_sd,
+            spot_rate: self.spot_rate,
+            spot_warning_secs: self.spot_warning_secs,
+            noise_window_frac: self.noise_window_frac,
+        };
+        FaultPlan::generate(seed ^ 0xC4A0_5EED, &config)
     }
 }
 
@@ -736,7 +784,8 @@ pub struct ChaosStats {
 ///
 /// # Errors
 ///
-/// Propagates training and per-mix scheduler failures.
+/// [`ColocateError::Config`] when `mixes` is zero; propagates training
+/// and per-mix scheduler failures.
 pub fn evaluate_chaos(
     entries: &[ChaosEntry],
     scenario: MixScenario,
@@ -753,16 +802,15 @@ pub fn evaluate_chaos(
 
 /// [`evaluate_chaos`] with opt-in crash-safe checkpointing.
 ///
-/// Works like [`evaluate_scenario_multi_checkpointed`]: with `ckpt` set,
-/// each mix's per-entry fold (STP, ANTT, OOM kills, fault counters) is
-/// journaled as it commits, mixes are computed one worker-batch at a
-/// time, and a resumed campaign — even one killed mid fault plan, since
-/// plans are regenerated deterministically from `(seed, spec)` — yields
-/// bit-for-bit identical [`ChaosStats`] at any worker count.
+/// Works like [`evaluate_scenario_multi_checkpointed`], journaling each
+/// mix's per-entry STP, ANTT, OOM kills and fault counters. Fault plans
+/// are regenerated from `(seed, spec)`, so even a campaign killed mid
+/// plan resumes to bit-for-bit identical [`ChaosStats`].
 ///
 /// # Errors
 ///
-/// Propagates training, per-mix scheduler and journal failures.
+/// [`ColocateError::Config`] when `mixes` is zero; propagates training,
+/// per-mix scheduler and journal failures.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_chaos_checkpointed(
     entries: &[ChaosEntry],
@@ -774,15 +822,8 @@ pub fn evaluate_chaos_checkpointed(
     chaos: &ChaosSpec,
     ckpt: Option<&CheckpointConfig>,
 ) -> Result<ChaosStats, ColocateError> {
-    let workers = config.effective_workers();
-
-    // Train once per distinct policy; entries share systems read-only.
-    let mut by_policy: HashMap<PolicyKind, Option<TrainedSystem>> = HashMap::new();
-    for e in entries {
-        if let std::collections::hash_map::Entry::Vacant(slot) = by_policy.entry(e.policy) {
-            slot.insert(trained_system_for(e.policy, catalog, config, base_seed)?);
-        }
-    }
+    let policies: Vec<PolicyKind> = entries.iter().map(|e| e.policy).collect();
+    let systems = trained_systems_for(&policies, catalog, config, base_seed)?;
     // Per-entry scheduler configs differ only in their resilience block.
     let cfgs: Vec<SchedulerConfig> = entries
         .iter()
@@ -791,149 +832,73 @@ pub fn evaluate_chaos_checkpointed(
             ..config.scheduler.clone()
         })
         .collect();
-
-    // Mix drawing stays serial: the scenario RNG is one stream.
-    let mut mix_rng = SimRng::seed_from(base_seed);
-    let all_mixes: Vec<Vec<MixEntry>> = (0..mixes)
-        .map(|_| scenario.random_mix(catalog, &mut mix_rng))
-        .collect();
-
-    let mut stp = vec![Welford::new(); entries.len()];
-    let mut antt = vec![Welford::new(); entries.len()];
-    let mut ooms = vec![Welford::new(); entries.len()];
-    let mut faults = vec![FaultStats::default(); entries.len()];
-    struct ChaosAccum<'a> {
-        stp: &'a mut [Welford],
-        antt: &'a mut [Welford],
-        ooms: &'a mut [Welford],
-        faults: &'a mut [FaultStats],
-    }
-    fn fold(acc: &mut ChaosAccum<'_>, per_entry: &[checkpoint::ChaosFold]) {
-        for (ei, (s, a, kills, f)) in per_entry.iter().enumerate() {
-            acc.stp[ei].push(*s);
-            acc.antt[ei].push(*a);
-            acc.ooms[ei].push(*kills as f64);
-            let agg = &mut acc.faults[ei];
-            agg.node_crashes += f.node_crashes;
-            agg.executor_crashes += f.executor_crashes;
-            agg.monitor_dropouts += f.monitor_dropouts;
-            agg.prediction_noise += f.prediction_noise;
-            agg.slices_requeued_gb += f.slices_requeued_gb;
-            agg.retries += f.retries;
-            agg.quarantines += f.quarantines;
-            agg.isolated_fallbacks += f.isolated_fallbacks;
-            agg.spot_preemptions += f.spot_preemptions;
-            agg.drains += f.drains;
-        }
-    }
-    let mut acc = ChaosAccum {
-        stp: &mut stp,
-        antt: &mut antt,
-        ooms: &mut ooms,
-        faults: &mut faults,
-    };
-
-    let mut journal: Option<Journal> = None;
-    let mut start = 0; // first mix index not covered by the journal
-    if let Some(c) = ckpt {
-        let binding =
-            checkpoint::chaos_binding(entries, scenario, catalog, config, mixes, base_seed, chaos);
-        let recovered = Journal::open(&c.path, &binding, c.flush_every)?;
-        for payload in recovered.records.iter().take(mixes) {
-            fold(
-                &mut acc,
-                &checkpoint::decode_chaos_folds(payload, entries.len())?,
-            );
-            start += 1;
-        }
-        let mut j = recovered.journal;
-        j.set_kill_point(c.kill_point);
-        journal = Some(j);
-    }
-
     let baselines = BaselineCache::new();
-    let mut next = start;
-    while next < mixes {
-        let batch = if journal.is_some() {
-            workers.min(mixes - next)
-        } else {
-            mixes - next
-        };
-        let first = next;
-        let per_mix = par::par_map_indexed(&all_mixes[first..first + batch], workers, |i, mix| {
-            let seed = base_seed + (first + i) as u64;
+    // Per entry: STP/ANTT, OOM kills per mix, summed fault counters.
+    let mut acc = vec![(Outcomes::new(), Welford::new(), FaultStats::default()); entries.len()];
+    let mut mix_rng = SimRng::seed_from(base_seed);
+    fold_campaign(
+        mixes,
+        if ckpt.is_some() { 0 } else { mixes },
+        config.effective_workers(),
+        ckpt.map(|c| CampaignJournal {
+            ckpt: c,
+            binding: checkpoint::chaos_binding(
+                entries, scenario, catalog, config, mixes, base_seed, chaos,
+            ),
+            width: entries.len(),
+            encode: |folds: &Vec<checkpoint::ChaosFold>| checkpoint::encode_chaos_folds(folds),
+            decode: checkpoint::decode_chaos_folds,
+        }),
+        || scenario.random_mix(catalog, &mut mix_rng),
+        |i, mix| {
+            let seed = base_seed + i as u64;
             let iso = baselines.isolated_times(catalog, mix, &config.scheduler, seed)?;
             let jobs: Vec<(usize, f64)> = mix.iter().map(|e| (e.benchmark, e.size.gb())).collect();
             let horizon = (iso.iter().sum::<f64>() * chaos.horizon_frac).max(60.0);
-            let plan = FaultPlan::generate(
-                seed ^ 0xC4A0_5EED,
-                &FaultPlanConfig {
-                    intensity: chaos.intensity,
-                    horizon_secs: horizon,
-                    nodes: config.scheduler.cluster.nodes,
-                    apps: jobs.len(),
-                    mean_outage_secs: chaos.mean_outage_secs,
-                    mean_dropout_secs: chaos.mean_dropout_secs,
-                    noise_sd: chaos.noise_sd,
-                    spot_rate: chaos.spot_rate,
-                    spot_warning_secs: chaos.spot_warning_secs,
-                    noise_window_frac: chaos.noise_window_frac,
-                },
-            );
+            let plan = chaos.fault_plan(seed, horizon, config.scheduler.cluster.nodes, jobs.len());
             entries
                 .iter()
-                .enumerate()
-                .map(|(ei, entry)| {
+                .zip(&systems)
+                .zip(&cfgs)
+                .map(|((entry, system), cfg)| {
                     let schedule = run_schedule_with_faults(
                         entry.policy,
                         catalog,
                         &jobs,
-                        by_policy[&entry.policy].as_ref(),
-                        &cfgs[ei],
+                        system.as_ref(),
+                        cfg,
                         seed,
                         &plan,
                     )?;
-                    let turnarounds: Vec<f64> =
-                        schedule.per_app.iter().map(|a| a.finished_at).collect();
-                    let n = normalize(&iso, &turnarounds);
-                    Ok((
-                        n.normalized_stp,
-                        n.antt_reduction_pct,
-                        schedule.oom_kills,
-                        schedule.faults,
-                    ))
+                    let (stp, antt) = stp_antt(&iso, &schedule);
+                    Ok((stp, antt, schedule.oom_kills, schedule.faults))
                 })
-                .collect::<Result<Vec<checkpoint::ChaosFold>, ColocateError>>()
-        });
-        next += batch;
-
-        for result in per_mix {
-            let per_entry = result?;
-            if let Some(j) = journal.as_mut() {
-                j.append(&checkpoint::encode_chaos_folds(&per_entry))?;
+                .collect()
+        },
+        |_, per_entry: Vec<checkpoint::ChaosFold>| {
+            for ((outcomes, ooms, faults), (stp, antt, kills, f)) in acc.iter_mut().zip(per_entry) {
+                outcomes.push((stp, antt));
+                ooms.push(kills as f64);
+                *faults += f;
             }
-            fold(&mut acc, &per_entry);
-        }
-    }
-    if let Some(j) = journal.as_mut() {
-        j.sync()?;
-    }
-
+            false
+        },
+    )?;
     Ok(ChaosStats {
         scenario,
         intensity: chaos.intensity,
         mixes,
         per_entry: entries
             .iter()
-            .enumerate()
-            .map(|(ei, e)| ChaosPolicyStats {
+            .zip(&acc)
+            .map(|(e, (o, ooms, faults))| ChaosPolicyStats {
                 label: e.label,
-                stp_mean: stp[ei].mean(),
-                stp_min_max: (stp[ei].min(), stp[ei].max()),
-                antt_mean: antt[ei].mean(),
-                antt_min_max: (antt[ei].min(), antt[ei].max()),
-                oom_kills_mean: ooms[ei].mean(),
-                faults: faults[ei],
+                stp_mean: o.stp.mean(),
+                stp_min_max: (o.stp.min(), o.stp.max()),
+                antt_mean: o.antt.mean(),
+                antt_min_max: (o.antt.min(), o.antt.max()),
+                oom_kills_mean: ooms.mean(),
+                faults: *faults,
             })
             .collect(),
     })
@@ -1014,6 +979,8 @@ pub fn overhead_fractions(outcome: &ScheduleOutcome) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{evaluate_openloop, AdmissionConfig, OpenLoopEntry, OpenLoopSpec};
+    use simkit::arrivals::ArrivalProcess;
     use sparklite::cluster::ClusterSpec;
     use workloads::mixes::InputSize;
 
@@ -1111,6 +1078,106 @@ mod tests {
         assert!(stats.mixes >= 2);
         assert!(stats.stp_min_max.0 <= stats.stp_mean);
         assert!(stats.stp_mean <= stats.stp_min_max.1);
+    }
+
+    fn assert_config_error<T: std::fmt::Debug>(result: Result<T, ColocateError>) {
+        assert!(
+            matches!(result, Err(ColocateError::Config(_))),
+            "expected a configuration error, got {result:?}"
+        );
+    }
+
+    #[test]
+    fn zero_size_campaigns_are_config_errors() {
+        let catalog = Catalog::paper();
+        let cfg = small_run_config();
+        let sc = MixScenario { label: 1, apps: 2 };
+        let oracle = PolicyKind::Oracle;
+        assert_config_error(evaluate_scenario(oracle, sc, &catalog, &cfg, 0, 0, 1));
+        assert_config_error(evaluate_scenario_multi(&[oracle], sc, &catalog, &cfg, 0, 1));
+        let resilience = ResilienceConfig::default();
+        let entry = ChaosEntry {
+            label: "oracle",
+            policy: oracle,
+            resilience,
+        };
+        let chaos = ChaosSpec::default();
+        assert_config_error(evaluate_chaos(&[entry], sc, &catalog, &cfg, 0, 1, &chaos));
+        let entry = OpenLoopEntry {
+            label: "oracle",
+            policy: oracle,
+            admission: AdmissionConfig::controlled(),
+            resilience,
+        };
+        let spec = OpenLoopSpec {
+            process: ArrivalProcess::Poisson { rate_per_sec: 0.01 },
+            horizon_secs: 1_000.0,
+            tenants: 1,
+            tenant_weights: Vec::new(),
+            job_classes: vec![(0, InputSize::Small.gb())],
+            max_jobs: 0,
+            chaos,
+            replications: 0,
+        };
+        assert_config_error(evaluate_openloop(&[entry], &catalog, &cfg, &spec, 1));
+    }
+
+    /// A journaled campaign that converges before `max_mixes` journals
+    /// exactly the folds it kept: the speculative replays dispatched past
+    /// the stop are discarded before they reach the journal.
+    #[test]
+    fn early_stop_journals_only_folded_mixes() {
+        let catalog = Catalog::paper();
+        let cfg = RunConfig {
+            workers: Some(4),
+            ..small_run_config()
+        };
+        // Converges after five folds: the second batch (mixes 2..6) ran
+        // one replay past the stop.
+        let sc = MixScenario { label: 1, apps: 3 };
+        let (min_mixes, max_mixes, seed) = (2, 12, 3);
+        let dir = std::env::temp_dir().join(format!("harness_early_stop_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = CheckpointConfig::new(dir.join("campaign.journal"));
+        let oracle = PolicyKind::Oracle;
+        let stats = evaluate_scenario_checkpointed(
+            oracle,
+            sc,
+            &catalog,
+            &cfg,
+            min_mixes,
+            max_mixes,
+            seed,
+            Some(&ckpt),
+        )
+        .unwrap();
+        assert_eq!(stats.mixes, 5, "campaign must converge early");
+        let binding =
+            checkpoint::scenario_binding(oracle, sc, &catalog, &cfg, min_mixes, max_mixes, seed);
+        let recovered = Journal::open(&ckpt.path, &binding, 1).unwrap();
+        assert_eq!(recovered.records.len(), stats.mixes);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fault_stats_add_assign_sums_every_field() {
+        // Every field distinct, so a dropped or crossed field shows.
+        let scaled = |k: usize| FaultStats {
+            node_crashes: k,
+            executor_crashes: 2 * k,
+            monitor_dropouts: 3 * k,
+            prediction_noise: 4 * k,
+            slices_requeued_gb: 5.5 * k as f64,
+            retries: 6 * k,
+            quarantines: 7 * k,
+            isolated_fallbacks: 8 * k,
+            spot_preemptions: 9 * k,
+            drains: 10 * k,
+        };
+        let mut sum = scaled(1);
+        sum += scaled(1);
+        assert_eq!(sum, scaled(2));
     }
 
     #[test]

@@ -274,6 +274,35 @@ pub struct FaultStats {
     pub drains: usize,
 }
 
+impl std::ops::AddAssign for FaultStats {
+    /// Sums every counter. The destructuring names each field, so a new
+    /// counter fails to compile here until it is summed too.
+    fn add_assign(&mut self, rhs: Self) {
+        let FaultStats {
+            node_crashes,
+            executor_crashes,
+            monitor_dropouts,
+            prediction_noise,
+            slices_requeued_gb,
+            retries,
+            quarantines,
+            isolated_fallbacks,
+            spot_preemptions,
+            drains,
+        } = rhs;
+        self.node_crashes += node_crashes;
+        self.executor_crashes += executor_crashes;
+        self.monitor_dropouts += monitor_dropouts;
+        self.prediction_noise += prediction_noise;
+        self.slices_requeued_gb += slices_requeued_gb;
+        self.retries += retries;
+        self.quarantines += quarantines;
+        self.isolated_fallbacks += isolated_fallbacks;
+        self.spot_preemptions += spot_preemptions;
+        self.drains += drains;
+    }
+}
+
 /// Outcome for one application in a schedule.
 #[derive(Debug, Clone)]
 pub struct AppOutcome {

@@ -36,7 +36,7 @@
 //! `false` no admission, shedding or breaker state moves and nothing extra
 //! is drawn from the RNG.
 
-use crate::harness::{BaselineCache, ChaosSpec, RunConfig};
+use crate::harness::{fold_campaign, trained_systems_for, BaselineCache, ChaosSpec, RunConfig};
 use crate::metrics::percentiles;
 use crate::profiling::{profile_app, AppProfile, ProfilingCost};
 use crate::scheduler::{
@@ -47,9 +47,9 @@ use crate::scheduler::{
 use crate::training::TrainedSystem;
 use crate::ColocateError;
 use simkit::arrivals::{ArrivalPlan, ArrivalPlanConfig, ArrivalProcess};
-use simkit::faults::{FaultPlan, FaultPlanConfig};
+use simkit::faults::FaultPlan;
 use simkit::stats::TimeWeighted;
-use simkit::{par, SimRng, SimTime};
+use simkit::{SimRng, SimTime};
 use sparklite::engine::ClusterEngine;
 use sparklite::NodeId;
 use std::collections::{HashMap, VecDeque};
@@ -1224,7 +1224,7 @@ pub struct OpenLoopSpec {
 }
 
 /// Tail metrics of one open-loop entry, folded across replications.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OpenLoopEntryStats {
     /// The entry's label.
     pub label: &'static str,
@@ -1267,22 +1267,21 @@ pub struct OpenLoopStats {
     pub per_entry: Vec<OpenLoopEntryStats>,
 }
 
-/// Per-replication fold produced by one entry.
-type RepFold = (Vec<f64>, ServiceFold);
-
-/// Scalar counters of one replication.
-#[derive(Debug, Clone, Copy)]
-struct ServiceFold {
-    arrivals: usize,
-    finished: usize,
-    shed: usize,
-    oom_kills: usize,
-    deferrals: usize,
-    abstain_placements: usize,
-    breaker_trips: usize,
-    max_queue_depth: usize,
-    mean_queue_depth: f64,
-    faults: FaultStats,
+impl OpenLoopEntryStats {
+    /// Adds one replication's counters: sums, except the queue-depth
+    /// maximum; `mean_queue_depth` is summed here and averaged at the end.
+    fn add_replication(&mut self, rep: &OpenLoopEntryStats) {
+        self.arrivals += rep.arrivals;
+        self.finished += rep.finished;
+        self.shed += rep.shed;
+        self.oom_kills += rep.oom_kills;
+        self.deferrals += rep.deferrals;
+        self.abstain_placements += rep.abstain_placements;
+        self.breaker_trips += rep.breaker_trips;
+        self.max_queue_depth = self.max_queue_depth.max(rep.max_queue_depth);
+        self.mean_queue_depth += rep.mean_queue_depth;
+        self.faults += rep.faults;
+    }
 }
 
 /// Evaluates several `(policy, admission, resilience)` entries on the
@@ -1295,14 +1294,16 @@ struct ServiceFold {
 /// independent of the schedule stream: changing an entry's admission or
 /// resilience config never changes what lands on it. Job slowdowns are
 /// turnaround (finish − arrival) over the job's fault-free isolated time
-/// (memoized in a [`BaselineCache`]). Replications fan out across
-/// [`RunConfig::effective_workers`] threads with results folded in index
+/// (memoized in a [`BaselineCache`]). Replications run through the
+/// harness's campaign fold without a journal: one fan-out across
+/// [`RunConfig::effective_workers`] threads, results folded in index
 /// order, so the returned stats are bit-for-bit identical for every
 /// worker count.
 ///
 /// # Errors
 ///
-/// Propagates training and per-replication service failures.
+/// [`ColocateError::Config`] when `spec.replications` is zero; propagates
+/// training and per-replication service failures.
 pub fn evaluate_openloop(
     entries: &[OpenLoopEntry],
     catalog: &Catalog,
@@ -1310,17 +1311,8 @@ pub fn evaluate_openloop(
     spec: &OpenLoopSpec,
     base_seed: u64,
 ) -> Result<OpenLoopStats, ColocateError> {
-    let workers = config.effective_workers();
-
-    // Train once per distinct policy; entries share systems read-only.
-    let mut by_policy: HashMap<PolicyKind, Option<TrainedSystem>> = HashMap::new();
-    for e in entries {
-        if let std::collections::hash_map::Entry::Vacant(slot) = by_policy.entry(e.policy) {
-            slot.insert(crate::harness::trained_system_for(
-                e.policy, catalog, config, base_seed,
-            )?);
-        }
-    }
+    let policies: Vec<PolicyKind> = entries.iter().map(|e| e.policy).collect();
+    let systems = trained_systems_for(&policies, catalog, config, base_seed)?;
     let cfgs: Vec<ServiceConfig> = entries
         .iter()
         .map(|e| ServiceConfig {
@@ -1333,7 +1325,6 @@ pub fn evaluate_openloop(
             job_classes: spec.job_classes.clone(),
         })
         .collect();
-
     let arrival_cfg = ArrivalPlanConfig {
         process: spec.process,
         horizon_secs: spec.horizon_secs,
@@ -1342,166 +1333,98 @@ pub fn evaluate_openloop(
         max_jobs: spec.max_jobs,
     };
     let baselines = BaselineCache::new();
-    let reps: Vec<usize> = (0..spec.replications).collect();
-    let per_rep = par::par_map_indexed(&reps, workers, |i, _| {
-        let seed = base_seed + i as u64;
-        let plan = ArrivalPlan::generate(seed ^ 0xA441_5EED, &arrival_cfg);
-        if plan.is_empty() {
-            // A quiet replication (possible at tiny rates) contributes
-            // empty folds instead of tripping run_service's empty check.
-            let empty = ServiceFold {
-                arrivals: 0,
-                finished: 0,
-                shed: 0,
-                oom_kills: 0,
-                deferrals: 0,
-                abstain_placements: 0,
-                breaker_trips: 0,
-                max_queue_depth: 0,
-                mean_queue_depth: 0.0,
-                faults: FaultStats::default(),
-            };
-            return Ok(vec![(Vec::new(), empty); entries.len()]);
-        }
-        let storm = FaultPlan::generate(
-            seed ^ 0xC4A0_5EED,
-            &FaultPlanConfig {
-                intensity: spec.chaos.intensity,
-                horizon_secs: spec.horizon_secs,
-                nodes: config.scheduler.cluster.nodes,
-                apps: plan.len(),
-                mean_outage_secs: spec.chaos.mean_outage_secs,
-                mean_dropout_secs: spec.chaos.mean_dropout_secs,
-                noise_sd: spec.chaos.noise_sd,
-                spot_rate: spec.chaos.spot_rate,
-                spot_warning_secs: spec.chaos.spot_warning_secs,
-                noise_window_frac: spec.chaos.noise_window_frac,
-            },
-        );
-        entries
-            .iter()
-            .enumerate()
-            .map(|(ei, entry)| {
-                let outcome = run_service(
-                    entry.policy,
-                    catalog,
-                    &plan,
-                    by_policy[&entry.policy].as_ref(),
-                    &cfgs[ei],
-                    seed,
-                    Some(&storm),
-                )?;
-                let mut slowdowns = Vec::new();
-                let mut finished = 0usize;
-                for job in &outcome.jobs {
-                    let Some(done) = job.finished_at else {
-                        continue;
-                    };
-                    finished += 1;
-                    let iso = baselines.isolated_secs(
-                        catalog,
-                        (job.benchmark, job.input_gb),
-                        &config.scheduler,
-                        seed,
-                    )?;
-                    if iso > 0.0 {
-                        slowdowns.push((done - job.arrived_at) / iso);
-                    }
-                }
-                Ok((
-                    slowdowns,
-                    ServiceFold {
-                        arrivals: outcome.jobs.len(),
-                        finished,
-                        shed: outcome.shed_jobs,
-                        oom_kills: outcome.oom_kills,
-                        deferrals: outcome.deferrals,
-                        abstain_placements: outcome.abstain_placements,
-                        breaker_trips: outcome.breaker_trips,
-                        max_queue_depth: outcome.max_queue_depth,
-                        mean_queue_depth: outcome.mean_queue_depth,
-                        faults: outcome.faults,
-                    },
-                ))
-            })
-            .collect::<Result<Vec<RepFold>, ColocateError>>()
-    });
-
-    // Fold strictly in replication order for worker-count independence.
+    let mut per_entry = vec![OpenLoopEntryStats::default(); entries.len()];
     let mut slowdowns: Vec<Vec<f64>> = vec![Vec::new(); entries.len()];
-    let mut folds: Vec<Vec<ServiceFold>> = vec![Vec::new(); entries.len()];
-    for result in per_rep {
-        for (ei, (s, f)) in result?.into_iter().enumerate() {
-            slowdowns[ei].extend(s);
-            folds[ei].push(f);
-        }
+    let replications = fold_campaign(
+        spec.replications,
+        spec.replications,
+        config.effective_workers(),
+        None,
+        || (),
+        |i, ()| {
+            let seed = base_seed + i as u64;
+            let plan = ArrivalPlan::generate(seed ^ 0xA441_5EED, &arrival_cfg);
+            if plan.is_empty() {
+                // A quiet replication (possible at tiny rates) contributes
+                // empty folds instead of tripping run_service's empty check.
+                return Ok(vec![Default::default(); entries.len()]);
+            }
+            let nodes = config.scheduler.cluster.nodes;
+            let storm = spec
+                .chaos
+                .fault_plan(seed, spec.horizon_secs, nodes, plan.len());
+            entries
+                .iter()
+                .zip(&systems)
+                .zip(&cfgs)
+                .map(|((entry, system), cfg)| {
+                    let outcome = run_service(
+                        entry.policy,
+                        catalog,
+                        &plan,
+                        system.as_ref(),
+                        cfg,
+                        seed,
+                        Some(&storm),
+                    )?;
+                    let mut slowdowns = Vec::new();
+                    let mut finished = 0usize;
+                    for job in &outcome.jobs {
+                        let Some(done) = job.finished_at else {
+                            continue;
+                        };
+                        finished += 1;
+                        let iso = baselines.isolated_secs(
+                            catalog,
+                            (job.benchmark, job.input_gb),
+                            &config.scheduler,
+                            seed,
+                        )?;
+                        if iso > 0.0 {
+                            slowdowns.push((done - job.arrived_at) / iso);
+                        }
+                    }
+                    Ok((
+                        slowdowns,
+                        OpenLoopEntryStats {
+                            arrivals: outcome.jobs.len(),
+                            finished,
+                            shed: outcome.shed_jobs,
+                            oom_kills: outcome.oom_kills,
+                            deferrals: outcome.deferrals,
+                            abstain_placements: outcome.abstain_placements,
+                            breaker_trips: outcome.breaker_trips,
+                            max_queue_depth: outcome.max_queue_depth,
+                            mean_queue_depth: outcome.mean_queue_depth,
+                            faults: outcome.faults,
+                            ..Default::default()
+                        },
+                    ))
+                })
+                .collect()
+        },
+        |_, per_rep: Vec<(Vec<f64>, OpenLoopEntryStats)>| {
+            for ((stats, all), (s, rep)) in per_entry.iter_mut().zip(&mut slowdowns).zip(per_rep) {
+                all.extend(s);
+                stats.add_replication(&rep);
+            }
+            false
+        },
+    )?;
+
+    for ((stats, s), e) in per_entry.iter_mut().zip(&slowdowns).zip(entries) {
+        stats.label = e.label;
+        let ps = percentiles(s, &[50.0, 95.0, 99.0]);
+        stats.slowdown_p50 = ps[0];
+        stats.slowdown_p95 = ps[1];
+        stats.slowdown_p99 = ps[2];
+        stats.slowdown_mean = if s.is_empty() {
+            f64::NAN
+        } else {
+            s.iter().sum::<f64>() / s.len() as f64
+        };
+        stats.mean_queue_depth /= replications as f64;
     }
-
-    let per_entry = entries
-        .iter()
-        .enumerate()
-        .map(|(ei, e)| {
-            let ps = percentiles(&slowdowns[ei], &[50.0, 95.0, 99.0]);
-            let n = slowdowns[ei].len();
-            let mean = if n > 0 {
-                slowdowns[ei].iter().sum::<f64>() / n as f64
-            } else {
-                f64::NAN
-            };
-            let mut agg = ServiceFold {
-                arrivals: 0,
-                finished: 0,
-                shed: 0,
-                oom_kills: 0,
-                deferrals: 0,
-                abstain_placements: 0,
-                breaker_trips: 0,
-                max_queue_depth: 0,
-                mean_queue_depth: 0.0,
-                faults: FaultStats::default(),
-            };
-            let reps = folds[ei].len().max(1);
-            for f in &folds[ei] {
-                agg.arrivals += f.arrivals;
-                agg.finished += f.finished;
-                agg.shed += f.shed;
-                agg.oom_kills += f.oom_kills;
-                agg.deferrals += f.deferrals;
-                agg.abstain_placements += f.abstain_placements;
-                agg.breaker_trips += f.breaker_trips;
-                agg.max_queue_depth = agg.max_queue_depth.max(f.max_queue_depth);
-                agg.mean_queue_depth += f.mean_queue_depth;
-                agg.faults.node_crashes += f.faults.node_crashes;
-                agg.faults.executor_crashes += f.faults.executor_crashes;
-                agg.faults.monitor_dropouts += f.faults.monitor_dropouts;
-                agg.faults.prediction_noise += f.faults.prediction_noise;
-                agg.faults.slices_requeued_gb += f.faults.slices_requeued_gb;
-                agg.faults.retries += f.faults.retries;
-                agg.faults.quarantines += f.faults.quarantines;
-                agg.faults.isolated_fallbacks += f.faults.isolated_fallbacks;
-                agg.faults.spot_preemptions += f.faults.spot_preemptions;
-                agg.faults.drains += f.faults.drains;
-            }
-            OpenLoopEntryStats {
-                label: e.label,
-                arrivals: agg.arrivals,
-                finished: agg.finished,
-                shed: agg.shed,
-                slowdown_p50: ps[0],
-                slowdown_p95: ps[1],
-                slowdown_p99: ps[2],
-                slowdown_mean: mean,
-                oom_kills: agg.oom_kills,
-                deferrals: agg.deferrals,
-                abstain_placements: agg.abstain_placements,
-                breaker_trips: agg.breaker_trips,
-                max_queue_depth: agg.max_queue_depth,
-                mean_queue_depth: agg.mean_queue_depth / reps as f64,
-                faults: agg.faults,
-            }
-        })
-        .collect();
-
     Ok(OpenLoopStats {
         replications: spec.replications,
         per_entry,

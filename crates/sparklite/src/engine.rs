@@ -112,9 +112,6 @@ struct RateCache {
     multipliers: Vec<f64>,
     /// Scratch: one node's member positions in the dense storage.
     member_pos: Vec<usize>,
-    /// Scratch: id-ordered `(id, rate)` pairs for
-    /// [`ClusterEngine::cached_current_rates`].
-    pairs: Vec<(ExecutorId, f64)>,
 }
 
 impl RateCache {
@@ -128,7 +125,6 @@ impl RateCache {
             node_demands: Vec::new(),
             multipliers: Vec::new(),
             member_pos: Vec::new(),
-            pairs: Vec::new(),
         }
     }
 
@@ -708,19 +704,17 @@ impl ClusterEngine {
     /// Effective rates under the current placement served from the
     /// engine's incremental cache, as `(executor id, GB/s)` pairs in id
     /// order. Refreshes dirty shards if mutations invalidated them;
-    /// bit-identical to [`ClusterEngine::current_rates`].
-    pub fn cached_current_rates(&mut self) -> &[(ExecutorId, f64)] {
+    /// bit-identical to [`ClusterEngine::current_rates`]. The property
+    /// tests use it to check the cache against that reference.
+    pub fn cached_current_rates(&mut self) -> Vec<(ExecutorId, f64)> {
         self.refresh_rates();
         let exec_rates = &self.rate_cache.exec_rates;
-        self.rate_cache.pairs.clear();
-        self.rate_cache.pairs.extend(
-            self.exec_index
-                .iter()
-                .enumerate()
-                .filter(|&(_, &pos)| pos != DEAD)
-                .map(|(id, &pos)| (ExecutorId(id), exec_rates[pos])),
-        );
-        &self.rate_cache.pairs
+        self.exec_index
+            .iter()
+            .enumerate()
+            .filter(|&(_, &pos)| pos != DEAD)
+            .map(|(id, &pos)| (ExecutorId(id), exec_rates[pos]))
+            .collect()
     }
 
     /// Effective processing rate (GB/s) of each live executor under the
@@ -729,8 +723,8 @@ impl ClusterEngine {
     /// Always recomputes from scratch and allocates the map; this is the
     /// reference implementation the sharded cache is checked against. It
     /// deliberately bypasses the shard membership lists (it sorts the
-    /// dense storage itself), so it cross-checks those too. Hot paths use
-    /// [`ClusterEngine::cached_current_rates`] instead.
+    /// dense storage itself), so it cross-checks those too. The engine's
+    /// own stepping reads the cache directly.
     #[must_use]
     pub fn current_rates(&self) -> BTreeMap<ExecutorId, f64> {
         let mut by_id: Vec<&Executor> = self.executors.iter().collect();

@@ -214,7 +214,7 @@ proptest! {
             // After EVERY mutation the cache must agree bit-for-bit with
             // the reference implementation.
             let scratch = eng.current_rates();
-            let cached = eng.cached_current_rates().to_vec();
+            let cached = eng.cached_current_rates();
             prop_assert_eq!(cached.len(), scratch.len());
             for (id, rate) in cached {
                 let reference = scratch[&id];
