@@ -10,9 +10,7 @@
 //!   Fig. 21) — thin adapters over one private fold, `fold_campaign`:
 //!   serial draws, batched fan-out, index-ordered fold, optional journal;
 //! * [`bin_trace`] — converts event-sampled utilisation traces into the
-//!   time-binned per-node matrix of Fig. 7;
-//! * [`overhead_fractions`] — feature-extraction and calibration shares of
-//!   total execution time (Figs. 11/12).
+//!   time-binned per-node matrix of Fig. 7.
 
 use crate::checkpoint::{self, CheckpointConfig};
 use crate::metrics::{normalize, NormalizedMetrics};
@@ -960,22 +958,6 @@ pub fn bin_trace(trace: &[(f64, Vec<f64>)], makespan_secs: f64, bins: usize) -> 
     sums
 }
 
-/// Mean feature-extraction and calibration fractions of total execution
-/// time across a schedule's applications (the Fig. 11 stack).
-#[must_use]
-pub fn overhead_fractions(outcome: &ScheduleOutcome) -> (f64, f64) {
-    let mut feature = 0.0;
-    let mut calib = 0.0;
-    let mut total = 0.0;
-    for app in &outcome.per_app {
-        feature += app.profiling.feature_secs;
-        calib += app.profiling.calibration_secs;
-        total += app.finished_at;
-    }
-    let total = total.max(1e-9);
-    (feature / total, calib / total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1204,22 +1186,5 @@ mod tests {
         let bins = bin_trace(&trace, 29.973, 7);
         let avg: f64 = bins.iter().map(|b| b[0]).sum::<f64>() / 7.0;
         assert!(avg > 0.2 && avg < 1.0);
-    }
-
-    #[test]
-    fn overheads_are_small_fractions() {
-        let catalog = Catalog::paper();
-        let cfg = small_run_config();
-        let m = mix(
-            &catalog,
-            &[
-                ("HB.Sort", InputSize::Medium),
-                ("HB.Kmeans", InputSize::Medium),
-            ],
-        );
-        let out = run_policy(PolicyKind::Moe, &catalog, &m, &cfg, 5).unwrap();
-        let (feature, calib) = overhead_fractions(&out.schedule);
-        assert!(feature > 0.0 && feature < 0.5, "feature {feature}");
-        assert!(calib > 0.0 && calib < 0.5, "calib {calib}");
     }
 }

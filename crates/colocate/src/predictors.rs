@@ -111,6 +111,25 @@ pub trait MemoryPredictor: fmt::Debug {
     }
 }
 
+/// A shared predictor predicts as the one it shares.
+impl<P: MemoryPredictor + ?Sized> MemoryPredictor for Arc<P> {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn needs_profiling(&self) -> bool {
+        (**self).needs_profiling()
+    }
+
+    fn predict(&self, profile: &AppProfile) -> Result<Prediction, ColocateError> {
+        (**self).predict(profile)
+    }
+
+    fn predict_batch(&self, profiles: &[&AppProfile]) -> Result<Vec<Prediction>, ColocateError> {
+        (**self).predict_batch(profiles)
+    }
+}
+
 /// Calibrates `expert` on two points, falling back to a least-squares fit
 /// through the same two points when the exact solve is infeasible (e.g. a
 /// saturating exponential whose measured ratio is pushed out of range by
@@ -1016,6 +1035,42 @@ mod tests {
         let truth = bench.true_footprint_gb(slice);
         let got = pred.model.footprint_gb(slice);
         assert!(got > 0.3 * truth && got < 3.0 * truth, "{got} vs {truth}");
+    }
+
+    #[test]
+    fn cached_quasar_predicts_as_a_fresh_one() {
+        let (catalog, system, mut rng) = setup();
+        let cached = system.quasar().unwrap();
+        assert!(
+            Arc::ptr_eq(&cached, &system.clone().quasar().unwrap()),
+            "clones share one build"
+        );
+        let fresh = QuasarPredictor::new(&system).unwrap();
+        for name in ["SP.Kmeans", "HB.Sort", "SB.TriangleCount", "BDB.Grep"] {
+            let profile = profile_of(&catalog, name, 30.0, &mut rng);
+            let (a, b) = (
+                cached.predict(&profile).unwrap(),
+                fresh.predict(&profile).unwrap(),
+            );
+            assert_eq!(a.low_confidence, b.low_confidence, "{name}");
+            assert_eq!(
+                a.cpu_estimate.map(f64::to_bits),
+                b.cpu_estimate.map(f64::to_bits),
+                "{name}"
+            );
+            for x in [0.01, 0.5, 3.0, 12.8, 40.0, 400.0] {
+                assert_eq!(
+                    a.model.footprint_gb(x).to_bits(),
+                    b.model.footprint_gb(x).to_bits(),
+                    "{name} at {x}"
+                );
+                assert_eq!(
+                    a.model.max_input_for_budget(x).map(f64::to_bits),
+                    b.model.max_input_for_budget(x).map(f64::to_bits),
+                    "{name} budget {x}"
+                );
+            }
+        }
     }
 
     #[test]

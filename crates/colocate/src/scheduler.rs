@@ -35,7 +35,7 @@
 //!   respective memory predictor.
 
 use crate::predictors::{
-    AnnPredictor, MemoryPredictor, MoePolicy, Oracle, Prediction, QuasarPredictor, UnifiedFamily,
+    AnnPredictor, MemoryPredictor, MoePolicy, Oracle, Prediction, UnifiedFamily,
 };
 use crate::profiling::{ProfilingConfig, ProfilingCost};
 use crate::service::{run_loop, AdmissionConfig, LoopRun, ServiceConfig};
@@ -375,6 +375,17 @@ pub(crate) struct ResilState {
     /// Recent OOM-kill timestamps per node (pruned to the monitor window).
     pub(crate) oom_times: Vec<VecDeque<f64>>,
     pub(crate) stats: FaultStats,
+    /// Writes to `quarantined_until` so far: a placement view re-checks
+    /// eligibility when the count moves.
+    pub(crate) quarantine_writes: usize,
+}
+
+impl ResilState {
+    /// Quarantines node `node` (by index) until `until`.
+    pub(crate) fn quarantine(&mut self, node: usize, until: f64) {
+        self.quarantined_until[node] = until;
+        self.quarantine_writes += 1;
+    }
 }
 
 /// The margin the dispatcher books for `app`: its per-app margin (raised
@@ -683,7 +694,7 @@ pub(crate) fn apply_fault(
                 // Drain: stop placing onto the doomed node for the whole
                 // warning window (the quarantine machinery already keeps
                 // placement away; the node's offline spell covers the rest).
-                resil.quarantined_until[node] = resil.quarantined_until[node].max(revoke);
+                resil.quarantine(node, resil.quarantined_until[node].max(revoke));
                 resil.stats.drains += 1;
             }
         }
@@ -751,7 +762,7 @@ pub(crate) fn build_predictor(
         PolicyKind::Isolated | PolicyKind::Pairwise => None,
         PolicyKind::Oracle | PolicyKind::OnlineSearch => Some(Box::new(Oracle::new(catalog))),
         PolicyKind::Moe => Some(Box::new(MoePolicy::new(need_system()?.clone()))),
-        PolicyKind::Quasar => Some(Box::new(QuasarPredictor::new(need_system()?)?)),
+        PolicyKind::Quasar => Some(Box::new(need_system()?.quasar()?)),
         PolicyKind::UnifiedLinear => Some(Box::new(UnifiedFamily::new(CurveFamily::Linear))),
         PolicyKind::UnifiedExponential => {
             Some(Box::new(UnifiedFamily::new(CurveFamily::Exponential)))
@@ -771,51 +782,237 @@ pub(crate) fn build_predictor(
     })
 }
 
-/// Reusable buffers for [`place_predictive`], owned by the event loop so
-/// per-event placement passes allocate nothing at steady state.
+/// What placement reads of one node: the inputs of the water-filling
+/// ranking, the executor cap and the CPU guard.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeFacts {
+    /// Free memory by reservations, GB.
+    free: f64,
+    /// The guard's observed CPU load ([`observed_cpu_load`]).
+    load: f64,
+    /// At the executor cap.
+    full: bool,
+    /// Online and not quarantined: placement may use the node.
+    eligible: bool,
+}
+
+impl NodeFacts {
+    /// Reads `node`'s facts at time `t`, given its observed load.
+    fn read(
+        engine: &ClusterEngine,
+        resil: &ResilState,
+        t: f64,
+        max_execs: usize,
+        node: NodeId,
+        load: f64,
+    ) -> Self {
+        NodeFacts {
+            free: engine.node_free_memory(node),
+            load,
+            full: engine.node_executor_count(node) >= max_execs,
+            eligible: engine.node_online(node) && resil.quarantined_until[node.index()] <= t,
+        }
+    }
+
+    /// The node's term in the guard floor's fold: its load while it can
+    /// take an executor, else `+∞`, which the fold ignores.
+    fn floor_term(self) -> f64 {
+        if self.eligible && !self.full {
+            self.load
+        } else {
+            f64::INFINITY
+        }
+    }
+}
+
+/// Whether a floor term folds below `floor`: it is less, or it is NaN
+/// over a non-NaN floor. A NaN load passes the guard, so the floor keeps
+/// it; a plain `f64::min` would drop it.
+fn beats_floor(term: f64, floor: f64) -> bool {
+    term < floor || (term.is_nan() && !floor.is_nan())
+}
+
+/// Whether a floor term ties `floor`: equal in value, or both NaN.
+fn ties_floor(term: f64, floor: f64) -> bool {
+    term == floor || (term.is_nan() && floor.is_nan())
+}
+
+/// [`place_predictive`]'s view of the cluster, owned by the event loop
+/// and kept current across calls (DESIGN.md §11, "Scheduler sweep").
+/// Between syncs only the nodes the engine files as touched, the monitor's
+/// observations, quarantine writes and quarantine expiries change what a
+/// fresh read would give, so [`PlaceScratch::sync`] re-reads just those.
+/// The first sync fills every field.
 #[derive(Debug, Default)]
 pub(crate) struct PlaceScratch {
-    /// Every node with its free memory in [`rank_order`] as of the last
-    /// snapshot, kept across calls: between calls only a few nodes' free
-    /// memory moves, so [`resort`] restores the order in close to linear
-    /// time.
-    order: Vec<(NodeId, f64)>,
-    /// Eligible nodes in [`rank_order`] with their free memory: the
-    /// eligible subsequence of `order`, taken once per call and kept
-    /// current by [`rerank`] after each spawn.
+    /// Each node's facts as of the last sync, by node index.
+    facts: Vec<NodeFacts>,
+    /// Eligible nodes in [`rank_order`] with their free memory.
     ranked: Vec<(NodeId, f64)>,
+    /// The fold of every node's [`NodeFacts::floor_term`]: the least load
+    /// over the ranked nodes below the executor cap, NaN if any of those
+    /// loads is NaN, `+∞` if there are none.
+    guard_floor: f64,
+    /// How many nodes' terms tie the floor. The floor is refolded only
+    /// when the last of them leaves it.
+    floor_ties: usize,
+    /// The monitor's observation count the loads were read at.
+    observations: u64,
+    /// The quarantine writes seen, and the earliest quarantine deadline
+    /// still in the future at the last eligibility check.
+    quarantine_writes: usize,
+    next_expiry: f64,
+    /// Scratch: the nodes the engine filed as touched.
+    touched: Vec<NodeId>,
     /// Dynamic-adjustment candidates: `(executor, node, free memory)`.
     candidates: Vec<(sparklite::ExecutorId, NodeId, f64)>,
-    /// Per-call snapshot of each node's observed CPU load, by node index;
-    /// empty until the first scan of the call needs it.
-    node_load: Vec<f64>,
-    /// The least `node_load` over the `ranked` nodes still below the
-    /// executor cap: NaN if any of those loads is NaN, `+∞` if there are
-    /// none. Recomputed with the snapshot and after every spawn attempt.
-    guard_floor: f64,
     /// Per-call flags, by application position: the app's last scan found
     /// no node passing both guards and the memory fit.
     stalled: Vec<bool>,
 }
 
 impl PlaceScratch {
-    /// Recomputes [`guard_floor`](Self::guard_floor); `full` tells whether
-    /// a node is at the executor cap. The fold keeps a NaN load: a NaN
-    /// node passes the guard, so the floor must not rule it out.
-    fn refresh_guard_floor(&mut self, full: impl Fn(NodeId) -> bool) {
-        let node_load = &self.node_load;
-        self.guard_floor = self
-            .ranked
-            .iter()
-            .filter(|&&(n, _)| !full(n))
-            .map(|&(n, _)| node_load[n.index()])
-            .fold(f64::INFINITY, |floor, load| {
-                if load < floor || load.is_nan() {
-                    load
+    /// Brings the view up to date with `engine`, `monitor` and `resil` at
+    /// time `t`, re-reading only what may have moved since the last sync:
+    ///
+    /// * every fact of each node the engine filed as touched;
+    /// * every load, after a new monitor observation;
+    /// * every eligibility flag, after a quarantine write or once `t`
+    ///   reaches the earliest quarantine deadline seen pending.
+    ///
+    /// The first sync reads everything. The floor is kept per touched
+    /// node, or refolded once when loads or eligibility were re-read.
+    fn sync(
+        &mut self,
+        engine: &mut ClusterEngine,
+        monitor: &sparklite::monitor::ResourceMonitor,
+        resil: &ResilState,
+        nodes: &[NodeId],
+        t: f64,
+        max_execs: usize,
+    ) {
+        engine.take_touched_nodes(&mut self.touched);
+        let engine = &*engine;
+        let fresh = self.facts.len() != nodes.len();
+        if fresh {
+            self.facts = vec![NodeFacts::default(); nodes.len()];
+            self.ranked.clear();
+            self.touched.clear();
+            self.touched.extend_from_slice(nodes);
+        }
+        let loads_moved = fresh || monitor.observations() != self.observations;
+        let eligibility_moved =
+            fresh || resil.quarantine_writes != self.quarantine_writes || t >= self.next_expiry;
+        let refold = loads_moved || eligibility_moved;
+        if loads_moved {
+            self.observations = monitor.observations();
+            for (&n, facts) in nodes.iter().zip(&mut self.facts) {
+                facts.load = observed_cpu_load(engine, monitor, n);
+            }
+        }
+        for k in 0..self.touched.len() {
+            let n = self.touched[k];
+            let load = if loads_moved {
+                self.facts[n.index()].load
+            } else {
+                observed_cpu_load(engine, monitor, n)
+            };
+            let facts = NodeFacts::read(engine, resil, t, max_execs, n, load);
+            self.refile(n, facts, !refold);
+        }
+        if eligibility_moved {
+            self.quarantine_writes = resil.quarantine_writes;
+            for &n in nodes {
+                let facts = NodeFacts {
+                    eligible: engine.node_online(n) && resil.quarantined_until[n.index()] <= t,
+                    ..self.facts[n.index()]
+                };
+                self.refile(n, facts, false);
+            }
+            self.next_expiry = resil
+                .quarantined_until
+                .iter()
+                .copied()
+                .filter(|&until| until > t)
+                .fold(f64::INFINITY, f64::min);
+        }
+        if refold {
+            self.refold_floor();
+        }
+    }
+
+    /// Takes `facts` as node `n`'s: re-files it in `ranked` if its
+    /// eligibility or free memory moved and, with `keep_floor`, keeps the
+    /// floor exact. A term folding below the floor becomes it; otherwise
+    /// the floor holds while some node still ties it.
+    fn refile(&mut self, n: NodeId, facts: NodeFacts, keep_floor: bool) {
+        let old = std::mem::replace(&mut self.facts[n.index()], facts);
+        let ranked = &mut self.ranked;
+        // The key is unique, so a binary search under the old one finds
+        // the node.
+        let find = |ranked: &[(NodeId, f64)], free: f64| {
+            let at = ranked.partition_point(|e| rank_order(e, &(n, free)).is_lt());
+            debug_assert_eq!(ranked.get(at).map(|e| e.0), Some(n));
+            at
+        };
+        match (old.eligible, facts.eligible) {
+            (true, true) if old.free.to_bits() != facts.free.to_bits() => {
+                // Shift the nodes between its old and new places by one.
+                let at = find(ranked, old.free);
+                let entry = (n, facts.free);
+                let before = ranked[..at].partition_point(|e| rank_order(e, &entry).is_lt());
+                if before < at {
+                    ranked[before..=at].rotate_right(1);
+                    ranked[before] = entry;
                 } else {
-                    floor
+                    let rest = &ranked[at + 1..];
+                    let to = at + rest.partition_point(|e| rank_order(e, &entry).is_lt());
+                    ranked[at..=to].rotate_left(1);
+                    ranked[to] = entry;
                 }
-            });
+            }
+            (true, false) => {
+                let at = find(ranked, old.free);
+                ranked.remove(at);
+            }
+            (false, true) => {
+                let at = ranked.partition_point(|e| rank_order(e, &(n, facts.free)).is_lt());
+                ranked.insert(at, (n, facts.free));
+            }
+            _ => {}
+        }
+        if !keep_floor {
+            return;
+        }
+        let (was, now) = (old.floor_term(), facts.floor_term());
+        if was.to_bits() == now.to_bits() {
+            return;
+        }
+        if ties_floor(was, self.guard_floor) {
+            self.floor_ties -= 1;
+        }
+        if beats_floor(now, self.guard_floor) {
+            self.guard_floor = now;
+            self.floor_ties = 1;
+        } else if ties_floor(now, self.guard_floor) {
+            self.floor_ties += 1;
+        } else if self.floor_ties == 0 {
+            self.refold_floor();
+        }
+    }
+
+    /// Recomputes [`guard_floor`](Self::guard_floor) and its tie count
+    /// over the dense per-node facts.
+    fn refold_floor(&mut self) {
+        let (mut floor, mut ties) = (f64::INFINITY, 0);
+        for term in self.facts.iter().map(|f| f.floor_term()) {
+            if beats_floor(term, floor) {
+                (floor, ties) = (term, 1);
+            } else if ties_floor(term, floor) {
+                ties += 1;
+            }
+        }
+        (self.guard_floor, self.floor_ties) = (floor, ties);
     }
 
     /// Whether an application demanding `cpu` fails the CPU guard on every
@@ -824,27 +1021,6 @@ impl PlaceScratch {
     fn guard_stalls(&self, cpu: f64, cpu_cap: f64) -> bool {
         self.guard_floor + cpu > cpu_cap
     }
-
-    /// Books a spawn attempt on `node`: re-files it under its fresh free
-    /// memory, takes its fresh observed load if the spawn went through
-    /// (`None`: refused, which clears every stall) and recomputes the
-    /// floor.
-    fn note_attempt(
-        &mut self,
-        node: NodeId,
-        free: f64,
-        load: Option<f64>,
-        full: impl Fn(NodeId) -> bool,
-    ) {
-        rerank(&mut self.ranked, node, free);
-        match load {
-            Some(load) => self.node_load[node.index()] = load,
-            // A refused spawn releases its reservation, which may round
-            // free memory up: the stalls no longer hold.
-            None => self.stalled.fill(false),
-        }
-        self.refresh_guard_floor(full);
-    }
 }
 
 /// The water-filling node order: most free memory first, ties by node
@@ -852,32 +1028,6 @@ impl PlaceScratch {
 /// stable sort by free memory alone.
 fn rank_order(a: &(NodeId, f64), b: &(NodeId, f64)) -> std::cmp::Ordering {
     b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
-}
-
-/// Insertion sort by [`rank_order`]: one pass over an already ranked list
-/// plus one swap per inversion. The key is total, so the result is the
-/// one any sort gives.
-fn resort(order: &mut [(NodeId, f64)]) {
-    for i in 1..order.len() {
-        let mut j = i;
-        while j > 0 && rank_order(&order[j - 1], &order[j]).is_gt() {
-            order.swap(j - 1, j);
-            j -= 1;
-        }
-    }
-}
-
-/// Re-files `node` in `ranked` (held in [`rank_order`]) under its fresh
-/// free memory `free`. A node absent from `ranked` — offline or
-/// quarantined for this call — stays absent.
-fn rerank(ranked: &mut Vec<(NodeId, f64)>, node: NodeId, free: f64) {
-    let Some(at) = ranked.iter().position(|&(n, _)| n == node) else {
-        return;
-    };
-    ranked.remove(at);
-    let entry = (node, free);
-    let at = ranked.partition_point(|e| rank_order(e, &entry).is_lt());
-    ranked.insert(at, entry);
 }
 
 /// The CPU load the placement guard sees on `node`: the instantaneous
@@ -1180,12 +1330,12 @@ pub(crate) fn place_predictive(
     // starved behind large jobs the way strict per-slot FCFS would.
     //
     // Within the call a node's free memory only falls and its load and
-    // executor count only rise, so the per-call load snapshot, the
-    // `break` on the first failed memory fit, the `stalled` flags and the
-    // guard floor all leave the outcome bit-identical (DESIGN.md §11,
-    // "Scheduler sweep"). Only a spawn attempt moves a node's free memory
-    // and eligibility is fixed for the call, so `ranked` is sorted once and
-    // re-filed one node per attempt.
+    // executor count only rise, so the `break` on the first failed memory
+    // fit, the `stalled` flags and the guard floor all leave the outcome
+    // bit-identical (DESIGN.md §11, "Scheduler sweep"). The view in
+    // `scratch` is synced before a scan that follows the call's start or a
+    // spawn attempt; it re-reads only what changed since it was last
+    // synced.
     let quantize = |gb: f64| -> f64 {
         // Whole RDD partitions only (never exceeding what was asked for; a
         // final sub-partition tail is allowed so inputs drain completely).
@@ -1194,10 +1344,8 @@ pub(crate) fn place_predictive(
         }
         (gb / config.partition_gb).floor() * config.partition_gb
     };
-    let full = |engine: &ClusterEngine, n: NodeId| {
-        engine.node_executor_count(n) >= config.max_execs_per_node
-    };
-    scratch.node_load.clear();
+    let max_execs = config.max_execs_per_node;
+    let mut synced = false;
     scratch.stalled.clear();
     scratch.stalled.resize(apps.len(), false);
     loop {
@@ -1223,28 +1371,13 @@ pub(crate) fn place_predictive(
             if engine.app(id).live_executors() >= target {
                 continue;
             }
-            if scratch.node_load.is_empty() {
-                scratch
-                    .node_load
-                    .extend(nodes.iter().map(|&n| observed_cpu_load(engine, monitor, n)));
-                // Nodes with the most free memory first (§4.3: spawn on
-                // servers that have spare memory). Offline and quarantined
-                // nodes are left out of the ranking, so rounds on a
-                // degraded cluster never visit dead nodes.
-                if scratch.order.len() != nodes.len() {
-                    scratch.order = nodes.iter().map(|&n| (n, 0.0)).collect();
-                }
-                for entry in &mut scratch.order {
-                    entry.1 = engine.node_free_memory(entry.0);
-                }
-                resort(&mut scratch.order);
-                scratch.ranked.clear();
-                scratch
-                    .ranked
-                    .extend(scratch.order.iter().copied().filter(|&(n, _)| {
-                        engine.node_online(n) && resil.quarantined_until[n.index()] <= t
-                    }));
-                scratch.refresh_guard_floor(|n| full(engine, n));
+            // Nodes with the most free memory first (§4.3: spawn on
+            // servers that have spare memory). Offline and quarantined
+            // nodes are left out of the ranking, so rounds on a degraded
+            // cluster never visit dead nodes.
+            if !synced {
+                scratch.sync(engine, monitor, resil, nodes, t, max_execs);
+                synced = true;
             }
             let cpu = app.measured_cpu;
             // Every node fails the CPU guard: the scan would find nothing.
@@ -1259,7 +1392,8 @@ pub(crate) fn place_predictive(
             let mut placement = None;
             for &(node, free) in &scratch.ranked {
                 // CPU guard: aggregate load stays under the cap (§4.3).
-                if full(engine, node) || scratch.node_load[node.index()] + cpu > config.cpu_cap {
+                let facts = scratch.facts[node.index()];
+                if facts.full || facts.load + cpu > config.cpu_cap {
                     continue;
                 }
                 let (slice, reserve) = if need <= free {
@@ -1291,10 +1425,13 @@ pub(crate) fn place_predictive(
             };
             let spawned = engine.spawn_executor(id, node, slice, reserve)?.is_some();
             progress |= spawned;
-            let load = spawned.then(|| observed_cpu_load(engine, monitor, node));
-            scratch.note_attempt(node, engine.node_free_memory(node), load, |n| {
-                full(engine, n)
-            });
+            if !spawned {
+                // A refused spawn releases its reservation, which may
+                // round free memory up: the stalls no longer hold.
+                scratch.stalled.fill(false);
+            }
+            // The attempt touched `node`: the next scan re-reads it.
+            synced = false;
         }
         if !progress {
             break;
@@ -1434,8 +1571,8 @@ pub(crate) fn resolve_ooms(
                     times.pop_front();
                 }
                 if times.len() >= resilience.quarantine_threshold {
-                    resil.quarantined_until[node.index()] = t + resilience.quarantine_secs;
                     times.clear();
+                    resil.quarantine(node.index(), t + resilience.quarantine_secs);
                     resil.stats.quarantines += 1;
                 }
             }
@@ -1460,6 +1597,8 @@ impl NextSeed for SimRng {
 mod tests {
     use super::*;
     use crate::training::train_system;
+    use mlkit::regression::CurveFamily;
+    use sparklite::perf::InterferenceModel;
     use workloads::mixes::{InputSize, MixEntry};
 
     fn small_config() -> SchedulerConfig {
@@ -1651,100 +1790,236 @@ mod tests {
         );
     }
 
+    /// One step of the floor's fold as the per-call rebuild ran it.
+    fn fold_floor(floor: f64, term: f64) -> f64 {
+        if term < floor || term.is_nan() {
+            term
+        } else {
+            floor
+        }
+    }
+
+    /// The number of `facts` whose floor term ties the view's floor.
+    fn recount_ties(view: &PlaceScratch) -> usize {
+        view.facts
+            .iter()
+            .filter(|f| ties_floor(f.floor_term(), view.guard_floor))
+            .count()
+    }
+
+    /// A rebuilt view: ranked nodes, loads and cap flags by node, floor.
+    type RebuiltView = (Vec<(NodeId, f64)>, Vec<f64>, Vec<bool>, f64);
+
+    /// The view as a fresh rebuild reads it, the way every placement call
+    /// used to build it: every node's observed load, the eligible nodes
+    /// sorted by [`rank_order`], the cap flags, and the floor folded over
+    /// the ranked nodes below the cap, in ranked order.
+    fn rebuild_view(
+        engine: &ClusterEngine,
+        monitor: &sparklite::monitor::ResourceMonitor,
+        resil: &ResilState,
+        nodes: &[NodeId],
+        t: f64,
+        max_execs: usize,
+    ) -> RebuiltView {
+        let loads: Vec<f64> = nodes
+            .iter()
+            .map(|&n| observed_cpu_load(engine, monitor, n))
+            .collect();
+        let full: Vec<bool> = nodes
+            .iter()
+            .map(|&n| engine.node_executor_count(n) >= max_execs)
+            .collect();
+        let mut ranked: Vec<(NodeId, f64)> = nodes
+            .iter()
+            .filter(|&&n| engine.node_online(n) && resil.quarantined_until[n.index()] <= t)
+            .map(|&n| (n, engine.node_free_memory(n)))
+            .collect();
+        ranked.sort_by(rank_order);
+        let floor = ranked
+            .iter()
+            .filter(|&&(n, _)| !full[n.index()])
+            .map(|&(n, _)| loads[n.index()])
+            .fold(f64::INFINITY, fold_floor);
+        (ranked, loads, full, floor)
+    }
+
+    fn ranked_bits(r: &[(NodeId, f64)]) -> Vec<(NodeId, u64)> {
+        r.iter().map(|&(n, f)| (n, f.to_bits())).collect()
+    }
+
+    /// Floors are equal in value: the fold's order decides only the sign
+    /// of a zero floor, and `±0 + cpu` is the same guard test.
+    fn same_floor(a: f64, b: f64) -> bool {
+        a == b || (a.is_nan() && b.is_nan())
+    }
+
     proptest::proptest! {
-        /// Re-filing one node after each free-memory change keeps `ranked`
-        /// equal to a fresh stable sort of the eligible, index-ordered
-        /// nodes by free memory — ties, `0.0` vs `-0.0`, a single node and
-        /// nodes left out of the ranking (offline or quarantined) included.
-        /// So does re-sorting the previous ranking of every node with
-        /// [`resort`] and keeping its eligible nodes.
+        /// The persistent view equals a fresh rebuild after every sync,
+        /// through random spawns (refused ones included), extensions,
+        /// kills, completions, node failures and restores, monitor
+        /// observations and dropouts, quarantine writes and the passage of
+        /// time past quarantine deadlines. Empty nodes load `-0.0`, and a
+        /// zero-demand executor makes `+0.0`. Inputs are small, so apps
+        /// drain and their spawns and extensions are refused: a refused
+        /// reservation is released again, which can round free memory.
         #[test]
-        fn rerank_matches_a_fresh_stable_sort(
-            eligible in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..10),
-            initial in proptest::collection::vec((0u8..8, 0.0f64..16.0), 10),
-            updates in proptest::collection::vec((0usize..10, 0u8..8, 0.0f64..16.0), 0..40),
+        fn placement_view_matches_a_fresh_rebuild_through_engine_events(
+            ops in proptest::collection::vec(
+                (0u8..11, 0usize..64, 0usize..64, 0.0f64..16.0),
+                1..120,
+            ),
         ) {
-            // Mostly repeated values, so ties and signed zeros are common.
-            let pick = |(k, x): (u8, f64)| match k {
-                0 => 0.0,
-                1 => -0.0,
-                2 | 3 => 1.5,
-                4 => 6.0,
-                _ => x,
+            const MAX_EXECS: usize = 2;
+            let mut engine = ClusterEngine::with_seed(
+                ClusterSpec::small(5),
+                InterferenceModel::default(),
+                3,
+            );
+            let curve = mlkit::regression::FittedCurve {
+                family: CurveFamily::Linear,
+                m: 0.5,
+                b: 1.0,
             };
-            let nodes = sparklite::cluster::Cluster::new(ClusterSpec::with_nodes(eligible.len()))
-                .node_ids();
-            let mut free: Vec<f64> = nodes.iter().map(|n| pick(initial[n.index()])).collect();
-            let fresh = |free: &[f64]| {
-                let mut r: Vec<(NodeId, f64)> = nodes
-                    .iter()
-                    .filter(|n| eligible[n.index()])
-                    .map(|&n| (n, free[n.index()]))
-                    .collect();
-                r.sort_by(|a, b| b.1.total_cmp(&a.1));
-                r
+            let apps: Vec<AppId> = [0.0, 0.25, 0.5, 0.75]
+                .iter()
+                .map(|&cpu| {
+                    engine.submit(sparklite::app::AppSpec {
+                        name: "a".into(),
+                        input_gb: 40.0,
+                        rate_gb_per_s: 1.0,
+                        cpu_util: cpu,
+                        memory_curve: curve,
+                        footprint_noise_sd: 0.0,
+                    })
+                })
+                .collect();
+            let nodes = engine.cluster().node_ids();
+            let mut monitor = sparklite::monitor::ResourceMonitor::new(
+                nodes.len(),
+                sparklite::monitor::MonitorConfig::default(),
+            );
+            let mut resil = ResilState {
+                jitter: None,
+                quarantined_until: vec![0.0; nodes.len()],
+                oom_times: vec![VecDeque::new(); nodes.len()],
+                stats: FaultStats::default(),
+                quarantine_writes: 0,
             };
-            let bits = |r: &[(NodeId, f64)]| -> Vec<(NodeId, u64)> {
-                r.iter().map(|&(n, f)| (n, f.to_bits())).collect()
+            let mut view = PlaceScratch::default();
+            let mut t = 0.0f64;
+            let nth_live = |engine: &ClusterEngine, k: usize| {
+                let n = nodes[k % nodes.len()];
+                engine.node_executors_iter(n).nth(k / nodes.len())
             };
-            let mut ranked = fresh(&free);
-            ranked.sort_by(rank_order);
-            proptest::prop_assert_eq!(bits(&ranked), bits(&fresh(&free)));
-            let mut order: Vec<(NodeId, f64)> = nodes.iter().map(|&n| (n, 0.0)).collect();
-            for &(i, k, x) in &updates {
-                let node = nodes[i % nodes.len()];
-                free[node.index()] = pick((k, x));
-                rerank(&mut ranked, node, free[node.index()]);
-                proptest::prop_assert_eq!(bits(&ranked), bits(&fresh(&free)));
-                if i % 3 == 0 {
-                    for entry in &mut order {
-                        entry.1 = free[entry.0.index()];
+            for &(op, a, b, x) in &ops {
+                let node = nodes[b % nodes.len()];
+                match op {
+                    0 | 1 => {
+                        // Tiny reservations are refused spawns' rounding.
+                        let _ = engine.spawn_executor(apps[a % 4], node, x, x * 0.37);
                     }
-                    resort(&mut order);
-                    let eligible_order: Vec<(NodeId, f64)> =
-                        order.iter().copied().filter(|e| eligible[e.0.index()]).collect();
-                    proptest::prop_assert_eq!(bits(&eligible_order), bits(&fresh(&free)));
+                    2 => {
+                        if let Some(id) = nth_live(&engine, a) {
+                            let _ = engine.extend_executor(id, x, x * 0.11);
+                        }
+                    }
+                    3 => {
+                        if let Some(id) = nth_live(&engine, a) {
+                            engine.kill_executor(id).unwrap();
+                        }
+                    }
+                    4 => {
+                        if let Some((dt, id)) = engine.next_completion() {
+                            engine.advance(dt);
+                            t += dt;
+                            engine.complete_executor(id).unwrap();
+                        }
+                    }
+                    5 => {
+                        if a % 2 == 0 {
+                            engine.fail_node(node).unwrap();
+                        } else {
+                            engine.restore_node(node).unwrap();
+                        }
+                    }
+                    6 => monitor.observe(&engine, t),
+                    7 => monitor.drop_reports(node, t + x * 10.0),
+                    8 => resil.quarantine(node.index(), t + x * 4.0),
+                    9 => {
+                        // Time passes: quarantines may expire.
+                        t += x * 2.0;
+                        engine.advance(x * 0.01);
+                    }
+                    _ => {}
                 }
+                // Sync at random points, as calls with no scan skip it.
+                if a % 3 != 0 {
+                    continue;
+                }
+                view.sync(&mut engine, &monitor, &resil, &nodes, t, MAX_EXECS);
+                let (ranked, loads, full, floor) =
+                    rebuild_view(&engine, &monitor, &resil, &nodes, t, MAX_EXECS);
+                proptest::prop_assert_eq!(ranked_bits(&view.ranked), ranked_bits(&ranked));
+                for &(n, _) in &ranked {
+                    proptest::prop_assert_eq!(
+                        view.facts[n.index()].load.to_bits(),
+                        loads[n.index()].to_bits(),
+                        "load of {}", n
+                    );
+                }
+                let view_full: Vec<bool> = view.facts.iter().map(|f| f.full).collect();
+                proptest::prop_assert_eq!(view_full, full);
+                proptest::prop_assert!(
+                    same_floor(view.guard_floor, floor),
+                    "floor {} vs rebuilt {}", view.guard_floor, floor
+                );
+                proptest::prop_assert_eq!(view.floor_ties, recount_ties(&view));
             }
         }
     }
 
     /// The guard-only scan the floor test replaces: does some ranked node
     /// below the executor cap pass the CPU guard?
-    fn guard_admits_some_node(
-        scratch: &PlaceScratch,
-        full: impl Fn(NodeId) -> bool,
-        cpu: f64,
-        cpu_cap: f64,
-    ) -> bool {
-        scratch
-            .ranked
-            .iter()
-            .any(|&(n, _)| !(full(n) || scratch.node_load[n.index()] + cpu > cpu_cap))
+    fn guard_admits_some_node(view: &PlaceScratch, cpu: f64, cpu_cap: f64) -> bool {
+        view.ranked.iter().any(|&(n, _)| {
+            let f = view.facts[n.index()];
+            !(f.full || f.load + cpu > cpu_cap)
+        })
     }
 
     proptest::proptest! {
-        /// The floor test stalls an application exactly when the scan's
-        /// CPU guard fails on every ranked node — through a run of spawn
-        /// attempts, with an empty ranking, a single node, signed zeros,
-        /// NaN loads, loads at or past the cap and nodes at the executor
-        /// cap.
+        /// Re-filing nodes one at a time keeps the view equal to a fresh
+        /// rebuild over the same facts: `ranked` to a fresh stable sort of
+        /// the eligible nodes by free memory, and the floor test to the
+        /// guard-only scan — through ties, `0.0` vs `-0.0` free memory and
+        /// loads, NaN loads, loads at or past the cap, nodes at the
+        /// executor cap, a single node and an empty ranking.
         #[test]
-        fn guard_floor_stalls_exactly_when_no_node_passes_the_guard(
-            eligible in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..8),
-            initial in proptest::collection::vec((0u8..10, 0.0f64..1.5, 0usize..4), 8),
+        fn placement_view_refile_matches_a_fresh_rebuild_over_any_facts(
+            initial in proptest::collection::vec(
+                ((0u8..8, 0.0f64..16.0), (0u8..10, 0.0f64..1.5), 0u8..4),
+                1..9,
+            ),
             cap_pick in 0usize..3,
             cpus in proptest::collection::vec(0.0f64..1.5, 4),
-            attempts in proptest::collection::vec(
-                (0usize..8, proptest::prelude::any::<bool>(), 0u8..10, 0.0f64..1.5),
-                0..12,
+            updates in proptest::collection::vec(
+                (0usize..9, (0u8..8, 0.0f64..16.0), (0u8..10, 0.0f64..1.5), 0u8..4),
+                0..40,
             ),
         ) {
-            const MAX_EXECS: usize = 3;
             let cpu_cap = [0.75, 0.875, 1.0][cap_pick];
+            // Mostly repeated values, so ties and signed zeros are common.
+            let pick_free = |k: u8, x: f64| match k {
+                0 => 0.0,
+                1 => -0.0,
+                2 | 3 => 1.5,
+                4 => 6.0,
+                _ => x,
+            };
             // Mostly named loads. They are dyadic, like the caps, so
             // `cap - load` is exact and `load + cpu` can land on the cap.
-            let pick = |k: u8, x: f64| match k {
+            let pick_load = |k: u8, x: f64| match k {
                 0 => 0.0,
                 1 => -0.0,
                 2 => f64::NAN,
@@ -1754,46 +2029,59 @@ mod tests {
                 6 => 0.5,
                 _ => x,
             };
-            let nodes = sparklite::cluster::Cluster::new(ClusterSpec::with_nodes(eligible.len()))
+            let facts_of = |(kf, f): (u8, f64), (kl, l): (u8, f64), flags: u8| NodeFacts {
+                free: pick_free(kf, f),
+                load: pick_load(kl, l),
+                full: flags & 1 == 1,
+                eligible: flags != 2,
+            };
+            let nodes = sparklite::cluster::Cluster::new(ClusterSpec::with_nodes(initial.len()))
                 .node_ids();
-            let mut counts: Vec<usize> = nodes.iter().map(|n| initial[n.index()].2).collect();
-            let mut scratch = PlaceScratch {
-                node_load: nodes
-                    .iter()
-                    .map(|n| pick(initial[n.index()].0, initial[n.index()].1))
-                    .collect(),
-                ranked: nodes
-                    .iter()
-                    .filter(|n| eligible[n.index()])
-                    .map(|&n| (n, 8.0))
-                    .collect(),
+            let mut facts: Vec<NodeFacts> = initial
+                .iter()
+                .map(|&(free, load, flags)| facts_of(free, load, flags))
+                .collect();
+            let mut view = PlaceScratch {
+                facts: vec![NodeFacts::default(); nodes.len()],
                 ..PlaceScratch::default()
             };
-            let check = |scratch: &PlaceScratch, counts: &[usize]| {
-                let full = |n: NodeId| counts[n.index()] >= MAX_EXECS;
+            for &n in &nodes {
+                view.refile(n, facts[n.index()], false);
+            }
+            view.refold_floor();
+            let check = |view: &PlaceScratch, facts: &[NodeFacts]| {
+                let mut ranked: Vec<(NodeId, f64)> = nodes
+                    .iter()
+                    .filter(|n| facts[n.index()].eligible)
+                    .map(|&n| (n, facts[n.index()].free))
+                    .collect();
+                ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+                proptest::prop_assert_eq!(ranked_bits(&view.ranked), ranked_bits(&ranked));
+                let floor = ranked
+                    .iter()
+                    .filter(|&&(n, _)| !facts[n.index()].full)
+                    .map(|&(n, _)| facts[n.index()].load)
+                    .fold(f64::INFINITY, fold_floor);
+                proptest::prop_assert!(same_floor(view.guard_floor, floor));
+                proptest::prop_assert_eq!(view.floor_ties, recount_ties(view));
                 // Random demands, plus each load's exact distance to the cap.
-                let tight = scratch.node_load.iter().map(|&l| cpu_cap - l);
+                let tight = facts.iter().map(|f| cpu_cap - f.load);
                 for cpu in cpus.iter().copied().chain(tight).filter(|c| c.is_finite()) {
                     proptest::prop_assert_eq!(
-                        scratch.guard_stalls(cpu, cpu_cap),
-                        !guard_admits_some_node(scratch, full, cpu, cpu_cap),
-                        "cpu {} floor {} loads {:?}",
+                        view.guard_stalls(cpu, cpu_cap),
+                        !guard_admits_some_node(view, cpu, cpu_cap),
+                        "cpu {} floor {}",
                         cpu,
-                        scratch.guard_floor,
-                        scratch.node_load
+                        view.guard_floor
                     );
                 }
             };
-            scratch.refresh_guard_floor(|n| counts[n.index()] >= MAX_EXECS);
-            check(&scratch, &counts);
-            for &(i, spawned, k, x) in &attempts {
-                let node = nodes[i % nodes.len()];
-                let load = spawned.then(|| pick(k, x));
-                if spawned {
-                    counts[node.index()] += 1;
-                }
-                scratch.note_attempt(node, x, load, |n| counts[n.index()] >= MAX_EXECS);
-                check(&scratch, &counts);
+            check(&view, &facts);
+            for &(i, free, load, flags) in &updates {
+                let n = nodes[i % nodes.len()];
+                facts[n.index()] = facts_of(free, load, flags);
+                view.refile(n, facts[n.index()], true);
+                check(&view, &facts);
             }
         }
     }

@@ -723,11 +723,14 @@ pub(crate) fn run_loop(
     let mut restore_at = vec![0.0f64; node_ids.len()];
     let mut revoke_at = vec![0.0f64; node_ids.len()];
     let mut revoke_outage = vec![0.0f64; node_ids.len()];
+    // Whether any fault has been delivered yet.
+    let mut faulted = false;
     let mut resil = ResilState {
         jitter: sched.resilience.enabled.then(|| rng.fork()),
         quarantined_until: vec![0.0; node_ids.len()],
         oom_times: vec![VecDeque::new(); node_ids.len()],
         stats: FaultStats::default(),
+        quarantine_writes: 0,
     };
     let mut shed_rng = admission.enabled.then(|| rng.fork());
 
@@ -785,10 +788,13 @@ pub(crate) fn run_loop(
             }
         }
 
-        // 2. Faults, spot revocations, node restores.
+        // 2. Faults, spot revocations, node restores. Only a delivered
+        //    fault writes the outage arrays, so until one arrives they are
+        //    all zero and their passes are skipped.
         let crashes_before = resil.stats.executor_crashes;
         if let Some(cursor) = fault_cursor.as_mut() {
             while let Some(event) = cursor.pop_due(t) {
+                faulted = true;
                 apply_fault(
                     event,
                     &mut engine,
@@ -803,21 +809,23 @@ pub(crate) fn run_loop(
                 )?;
             }
         }
-        process_revocations(
-            &mut engine,
-            &mut apps,
-            sched,
-            t,
-            &node_ids,
-            &mut revoke_at,
-            &mut revoke_outage,
-            &mut restore_at,
-            &mut resil,
-        )?;
-        for (i, due) in restore_at.iter_mut().enumerate() {
-            if *due > 0.0 && *due <= t {
-                engine.restore_node(node_ids[i])?;
-                *due = 0.0;
+        if faulted {
+            process_revocations(
+                &mut engine,
+                &mut apps,
+                sched,
+                t,
+                &node_ids,
+                &mut revoke_at,
+                &mut revoke_outage,
+                &mut restore_at,
+                &mut resil,
+            )?;
+            for (i, due) in restore_at.iter_mut().enumerate() {
+                if *due > 0.0 && *due <= t {
+                    engine.restore_node(node_ids[i])?;
+                    *due = 0.0;
+                }
             }
         }
         if admission.enabled {
@@ -1005,16 +1013,17 @@ pub(crate) fn run_loop(
             .as_ref()
             .and_then(simkit::faults::FaultCursor::next_at)
             .unwrap_or(f64::INFINITY);
-        let next_restore = restore_at
-            .iter()
-            .copied()
-            .filter(|&r| r > t)
-            .fold(f64::INFINITY, f64::min);
-        let next_revoke = revoke_at
-            .iter()
-            .copied()
-            .filter(|&r| r > t)
-            .fold(f64::INFINITY, f64::min);
+        let next_outage = |at: &[f64]| {
+            at.iter()
+                .copied()
+                .filter(|&r| r > t)
+                .fold(f64::INFINITY, f64::min)
+        };
+        let (next_restore, next_revoke) = if faulted {
+            (next_outage(&restore_at), next_outage(&revoke_at))
+        } else {
+            (f64::INFINITY, f64::INFINITY)
+        };
         let next_event = next_ready
             .min(next_arrival)
             .min(next_profile)

@@ -22,7 +22,7 @@
 //! that split to profile a campaign's benchmarks once and fan the cheap
 //! per-fold selector training out across workers deterministically.
 
-use crate::predictors::PredictionTable;
+use crate::predictors::{PredictionTable, QuasarPredictor};
 use crate::profiling::ProfilingConfig;
 use crate::ColocateError;
 use mlkit::regression::{self, CurveFamily, FittedCurve};
@@ -31,7 +31,7 @@ use moe_core::predictor::{MoePredictor, PredictorConfig, TrainingProgram};
 use moe_core::registry::ExpertRegistry;
 use simkit::SimRng;
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use workloads::catalog::{Benchmark, Catalog};
 use workloads::signatures;
 
@@ -82,6 +82,30 @@ pub struct TrainedSystem {
     /// every clone of this system, so policies and mix replays built from
     /// the same binding reuse each other's KNN lookups.
     pub selections: Arc<PredictionTable>,
+    /// The Quasar baseline's estimator over `programs`, built on first use
+    /// by [`TrainedSystem::quasar`] and shared (via `Arc`), like
+    /// `selections`, by every clone of this system.
+    quasar: Arc<OnceLock<Arc<QuasarPredictor>>>,
+}
+
+impl TrainedSystem {
+    /// The Quasar baseline's estimator over this system's programs. Its
+    /// truncated SVD depends only on the system, so it is built once, on
+    /// first use, and every schedule (and every clone of the system)
+    /// shares it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`QuasarPredictor::new`]'s failures.
+    pub fn quasar(&self) -> Result<Arc<QuasarPredictor>, ColocateError> {
+        if let Some(built) = self.quasar.get() {
+            return Ok(Arc::clone(built));
+        }
+        // Racing workers may each build one; they are identical, and the
+        // first stored wins.
+        let built = Arc::new(QuasarPredictor::new(self)?);
+        Ok(Arc::clone(self.quasar.get_or_init(|| built)))
+    }
 }
 
 /// Offline-fits one benchmark's memory curve and returns the winning
@@ -210,6 +234,7 @@ pub fn train_from_profiles(
         program_benchmarks: keep.iter().map(|&i| profiles.benchmarks[i]).collect(),
         program_cpus: keep.iter().map(|&i| profiles.cpus[i]).collect(),
         selections: Arc::new(PredictionTable::new()),
+        quasar: Arc::default(),
     })
 }
 

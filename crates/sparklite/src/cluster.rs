@@ -155,6 +155,12 @@ impl Node {
 pub struct Cluster {
     spec: ClusterSpec,
     nodes: Vec<Node>,
+    /// Nodes touched since the last [`Cluster::take_touched`], each once,
+    /// in first-touch order. Every mutable borrow of a node goes through
+    /// [`Cluster::node_mut`], which files it here.
+    touched: Vec<NodeId>,
+    /// Whether each node is in `touched`, guarding it against duplicates.
+    is_touched: Vec<bool>,
 }
 
 impl Cluster {
@@ -164,7 +170,12 @@ impl Cluster {
         let nodes = (0..spec.nodes)
             .map(|i| Node::new(NodeId(i), spec.node))
             .collect();
-        Cluster { spec, nodes }
+        Cluster {
+            touched: Vec::new(),
+            is_touched: vec![false; spec.nodes],
+            spec,
+            nodes,
+        }
     }
 
     /// The cluster's spec.
@@ -209,8 +220,29 @@ impl Cluster {
         &self.nodes[id.0]
     }
 
+    /// Mutably borrow a node, filing it as touched.
     pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
+        self.touch(id);
         &mut self.nodes[id.0]
+    }
+
+    /// Files `id` as touched: something a reader of the node's state may
+    /// see changed since the last [`Cluster::take_touched`].
+    pub(crate) fn touch(&mut self, id: NodeId) {
+        if !self.is_touched[id.0] {
+            self.is_touched[id.0] = true;
+            self.touched.push(id);
+        }
+    }
+
+    /// Moves the nodes touched since the last call into `out` (cleared
+    /// first), each once, in first-touch order.
+    pub(crate) fn take_touched(&mut self, out: &mut Vec<NodeId>) {
+        out.clear();
+        std::mem::swap(out, &mut self.touched);
+        for &id in out.iter() {
+            self.is_touched[id.0] = false;
+        }
     }
 
     /// Checks that `id` indexes this cluster.
@@ -280,6 +312,25 @@ mod tests {
         assert!(c.node(c.node_ids()[1]).is_online(), "other nodes untouched");
         c.node_mut(id).set_online(true);
         assert!(c.node(id).is_online());
+    }
+
+    #[test]
+    fn node_mut_files_each_node_once_until_taken() {
+        let mut c = Cluster::new(ClusterSpec::small(3));
+        let ids = c.node_ids();
+        let mut out = vec![ids[0]];
+        c.take_touched(&mut out);
+        assert!(out.is_empty(), "a fresh cluster has touched nothing");
+        c.node_mut(ids[2]).reserve(1.0).unwrap();
+        c.node_mut(ids[0]).set_online(false);
+        c.node_mut(ids[2]).release(1.0).unwrap();
+        c.take_touched(&mut out);
+        assert_eq!(out, vec![ids[2], ids[0]]);
+        c.take_touched(&mut out);
+        assert!(out.is_empty());
+        c.node_mut(ids[2]).set_online(true);
+        c.take_touched(&mut out);
+        assert_eq!(out, vec![ids[2]]);
     }
 
     #[test]

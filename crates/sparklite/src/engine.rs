@@ -102,6 +102,10 @@ struct RateCache {
     shards: Vec<NodeShard>,
     /// Indices of dirty shards awaiting refresh (each at most once).
     dirty_stack: Vec<usize>,
+    /// Number of shards whose `hot` flag is set, kept by
+    /// [`ClusterEngine::refresh_rates`] (the only writer of the flags), so
+    /// the walks over hot shards are skipped outright when there are none.
+    hot_count: usize,
     /// Dirty flag per shard, guarding `dirty_stack` against duplicates.
     is_dirty: Vec<bool>,
     /// Tournament tree over the shards' completion keys.
@@ -120,6 +124,7 @@ impl RateCache {
             exec_rates: Vec::new(),
             shards: vec![NodeShard::default(); nodes],
             dirty_stack: Vec::new(),
+            hot_count: 0,
             is_dirty: vec![false; nodes],
             tree: TourneyTree::new(nodes),
             node_demands: Vec::new(),
@@ -346,9 +351,23 @@ impl ClusterEngine {
         self.apps[app.0].credit_profiled(gb);
     }
 
-    /// Marks `node`'s shard dirty.
+    /// Marks `node`'s shard dirty and files the node as touched: its
+    /// executor set, or what they demand, changed.
     fn invalidate(&mut self, node: NodeId) {
         self.rate_cache.mark_dirty(node.index());
+        self.cluster.touch(node);
+    }
+
+    /// Moves the nodes whose reservations, executor set or online state
+    /// changed since the last call into `out` (cleared first), each once.
+    /// Every such change passes [`Cluster::node_mut`] or
+    /// [`ClusterEngine::invalidate`], which file the node. A placement view
+    /// kept across events re-reads only these nodes: nothing else in a
+    /// node's free memory, executor count, CPU load or online flag can
+    /// have moved. [`ClusterEngine::advance`] files nothing; it ramps
+    /// footprints and progress, which none of those read.
+    pub fn take_touched_nodes(&mut self, out: &mut Vec<NodeId>) {
+        self.cluster.take_touched(out);
     }
 
     /// Spawns an executor for `app` on `node`:
@@ -526,6 +545,9 @@ impl ClusterEngine {
     pub fn hot_nodes_into(&mut self, out: &mut Vec<NodeId>) {
         self.refresh_rates();
         out.clear();
+        if self.rate_cache.hot_count == 0 {
+            return;
+        }
         out.extend(
             self.rate_cache
                 .shards
@@ -649,12 +671,12 @@ impl ClusterEngine {
             exec_rates,
             shards,
             dirty_stack,
+            hot_count,
             is_dirty,
             tree,
             node_demands,
             multipliers,
             member_pos,
-            ..
         } = &mut self.rate_cache;
 
         while let Some(n) = dirty_stack.pop() {
@@ -690,7 +712,15 @@ impl ClusterEngine {
                     best = Some(cand);
                 }
             }
-            shard.hot = final_total > ram;
+            let hot = final_total > ram;
+            if hot != shard.hot {
+                if hot {
+                    *hot_count += 1;
+                } else {
+                    *hot_count -= 1;
+                }
+                shard.hot = hot;
+            }
             shard.key = best.map(|(dt, id)| ShardKey {
                 t: elapsed + dt,
                 elapsed,
@@ -699,6 +729,11 @@ impl ClusterEngine {
             });
             tree.update(n, shard.key);
         }
+        debug_assert_eq!(
+            *hot_count,
+            shards.iter().filter(|s| s.hot).count(),
+            "the hot-shard count drifted from the flags"
+        );
     }
 
     /// Effective rates under the current placement served from the
@@ -818,6 +853,7 @@ impl ClusterEngine {
             exec_rates,
             shards,
             dirty_stack,
+            hot_count,
             is_dirty,
             ..
         } = &mut self.rate_cache;
@@ -833,6 +869,9 @@ impl ClusterEngine {
             }
         }
         self.elapsed += dt;
+        if *hot_count == 0 {
+            return;
+        }
         for (n, shard) in shards.iter().enumerate() {
             if shard.hot && !is_dirty[n] {
                 is_dirty[n] = true;

@@ -154,6 +154,10 @@ pub struct ResourceMonitor {
     config: MonitorConfig,
     windows: Vec<NodeWindow>,
     last_observation: Option<f64>,
+    /// Observations that passed the reporting-period throttle. Only these
+    /// change a window, so a reader caching windowed values re-reads them
+    /// when the count moves.
+    observations: u64,
     /// Per-node dropout deadline: the node's daemon posts nothing until
     /// this simulated time (fault injection; 0 = reporting normally).
     dropped_until: Vec<f64>,
@@ -167,6 +171,7 @@ impl ResourceMonitor {
             config,
             windows: vec![NodeWindow::default(); nodes],
             last_observation: None,
+            observations: 0,
             dropped_until: vec![0.0; nodes],
         }
     }
@@ -188,6 +193,7 @@ impl ResourceMonitor {
             }
         }
         self.last_observation = Some(now_secs);
+        self.observations += 1;
         let window_secs = self.config.window_secs;
         for (i, window) in self.windows.iter_mut().enumerate() {
             window.evict(now_secs, window_secs);
@@ -205,6 +211,13 @@ impl ResourceMonitor {
             };
             window.push(report, window_secs);
         }
+    }
+
+    /// How many observations have passed the reporting-period throttle.
+    /// The windowed views change only when this count does.
+    #[must_use]
+    pub fn observations(&self) -> u64 {
+        self.observations
     }
 
     /// Silences a node's daemon until `until_secs` (fault injection: the
@@ -311,11 +324,14 @@ mod tests {
     fn reporting_period_throttles_observations() {
         let (engine, node) = engine_with_load();
         let mut monitor = ResourceMonitor::new(1, MonitorConfig::default());
+        assert_eq!(monitor.observations(), 0);
         monitor.observe(&engine, 0.0);
         monitor.observe(&engine, 5.0); // within the 30 s period: ignored
         assert_eq!(monitor.reports_in_window(node), 1);
+        assert_eq!(monitor.observations(), 1, "a throttled call is not counted");
         monitor.observe(&engine, 31.0);
         assert_eq!(monitor.reports_in_window(node), 2);
+        assert_eq!(monitor.observations(), 2);
     }
 
     #[test]

@@ -114,7 +114,14 @@ impl InterferenceModel {
         // Exponential collapse: thrashing to disk is catastrophic, not
         // merely proportional — a 15 % RAM overflow costs ~6x, which is
         // what makes precise memory prediction worth having (§1).
-        let paging_factor = (-self.paging_gamma * overflow / ram_gb.max(1e-9)).exp();
+        // With no overflow and a finite γ the exponent is ±0, and
+        // `exp(±0)` is exactly 1: skip the call (every cool node, every
+        // refresh).
+        let paging_factor = if overflow == 0.0 && self.paging_gamma.is_finite() {
+            1.0
+        } else {
+            (-self.paging_gamma * overflow / ram_gb.max(1e-9)).exp()
+        };
 
         out.extend(demands.iter().map(|d| {
             let oversub = if total_cpu > 1.0 {
@@ -176,6 +183,49 @@ mod tests {
         let paging = m.rate_multipliers(&[d(0.3, 70.4)], 64.0)[0];
         assert_eq!(fits, 1.0);
         assert!(paging < 0.5, "paging rate {paging}");
+    }
+
+    #[test]
+    fn skipped_exp_matches_the_call_bit_for_bit() {
+        // The pre-skip arithmetic, `exp` always called.
+        let reference = |m: &InterferenceModel, ds: &[ExecutorDemand], ram: f64| -> Vec<u64> {
+            let total_cpu: f64 = ds.iter().map(|d| d.cpu_util).sum();
+            let total_mem: f64 = ds.iter().map(|d| d.actual_gb).sum();
+            let paging = (-m.paging_gamma * (total_mem - ram).max(0.0) / ram.max(1e-9)).exp();
+            ds.iter()
+                .map(|d| {
+                    let oversub = if total_cpu > 1.0 {
+                        1.0 / total_cpu
+                    } else {
+                        1.0
+                    };
+                    let other = (total_cpu - d.cpu_util).max(0.0);
+                    let interference = 1.0 / (1.0 + m.cpu_interference_beta * other);
+                    (oversub * interference * paging).to_bits()
+                })
+                .collect()
+        };
+        for gamma in [12.0, 0.0, -0.0, -3.0, f64::INFINITY, f64::NAN] {
+            let m = InterferenceModel {
+                paging_gamma: gamma,
+                ..InterferenceModel::default()
+            };
+            for ram in [64.0, 0.0, f64::NAN, f64::INFINITY] {
+                for ds in [
+                    vec![d(0.3, 20.0)],
+                    vec![d(0.6, 40.0), d(0.7, 40.0)],
+                    vec![d(0.3, f64::NAN)],
+                    vec![d(0.3, -0.0)],
+                ] {
+                    let got: Vec<u64> = m
+                        .rate_multipliers(&ds, ram)
+                        .iter()
+                        .map(|r| r.to_bits())
+                        .collect();
+                    assert_eq!(got, reference(&m, &ds, ram), "γ {gamma} ram {ram} {ds:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! The sharded rate cache keeps, per node, the key of the executor that
 //! finishes first on that node. The global next completion is then the
 //! winner of a knockout tournament over those per-node keys: a flat binary
-//! tree of `2·P` slots where updating one node's key replays only its
+//! tree of `2·P` slots where updating one node's key replays at most its
 //! `log₂ P` matches, so placement mutations that touch a handful of nodes
-//! maintain the global minimum in O(dirty · log P) instead of O(E).
+//! maintain the global minimum in O(dirty · log P) instead of O(E). The
+//! replay stops early at the first match still won by the same other slot
+//! (see [`TourneyTree`]).
 //!
 //! # Key semantics and the oracle-pinning discipline
 //!
@@ -70,16 +72,27 @@ impl ShardKey {
 
 /// A flat winner tree over `count` slots holding optional [`ShardKey`]s.
 ///
-/// Slot `i`'s leaf lives at `base + i`; internal node `k` holds the winner
-/// of its two children (`None` loses to everything). `nodes[1]` is the
-/// champion.
+/// The keys live in their own per-slot array. Slot `i`'s leaf sits at
+/// `base + i`, and internal node `k` holds the *slot index* of the winner
+/// of its two children ([`VACANT`] when both are empty; an empty slot
+/// loses to everything). `winners[1]` is the champion.
+///
+/// A match's outcome depends only on the two winners' slots and keys. So
+/// when an update leaves some match won by the same slot as before, and
+/// that slot is not the updated one, every match above it replays to the
+/// same result too, and [`TourneyTree::update`] stops there.
 #[derive(Debug)]
 pub(crate) struct TourneyTree {
     /// Leaf base: the smallest power of two ≥ `count` (≥ 1).
     base: usize,
-    /// `2·base` slots; index 0 unused.
-    nodes: Vec<Option<(ShardKey, usize)>>,
+    /// Each slot's key; `None` for a vacant slot.
+    keys: Vec<Option<ShardKey>>,
+    /// `2·base` entries of winning slot indices; index 0 unused.
+    winners: Vec<usize>,
 }
+
+/// The winner entry of a match between two vacant slots.
+const VACANT: usize = usize::MAX;
 
 impl TourneyTree {
     /// An empty tree with `count` slots, all vacant.
@@ -87,47 +100,58 @@ impl TourneyTree {
         let base = count.max(1).next_power_of_two();
         TourneyTree {
             base,
-            nodes: vec![None; 2 * base],
+            keys: vec![None; base],
+            winners: vec![VACANT; 2 * base],
         }
     }
 
     /// Sets slot `slot`'s key (or vacates it with `None`) and replays its
-    /// `log₂ base` matches up to the root.
+    /// matches toward the root, stopping at the first one still won by
+    /// the same other slot.
     pub fn update(&mut self, slot: usize, key: Option<ShardKey>) {
         debug_assert!(
             slot < self.base,
             "slot {slot} outside tree of {}",
             self.base
         );
+        self.keys[slot] = key;
         let mut i = self.base + slot;
-        self.nodes[i] = key.map(|k| (k, slot));
+        self.winners[i] = if key.is_some() { slot } else { VACANT };
         while i > 1 {
             i /= 2;
-            self.nodes[i] = Self::winner_of(self.nodes[2 * i], self.nodes[2 * i + 1]);
+            let won = self.winner_of(self.winners[2 * i], self.winners[2 * i + 1]);
+            if won == self.winners[i] && won != slot {
+                break;
+            }
+            self.winners[i] = won;
         }
     }
 
     /// The champion: the winning key and its slot, if any slot is filled.
     pub fn winner(&self) -> Option<(ShardKey, usize)> {
-        self.nodes[1]
+        let slot = self.winners[1];
+        self.key(slot).map(|&k| (k, slot))
     }
 
-    fn winner_of(
-        a: Option<(ShardKey, usize)>,
-        b: Option<(ShardKey, usize)>,
-    ) -> Option<(ShardKey, usize)> {
-        match (a, b) {
+    /// The key of `slot`, `None` for [`VACANT`] or an empty slot.
+    fn key(&self, slot: usize) -> Option<&ShardKey> {
+        self.keys.get(slot).and_then(Option::as_ref)
+    }
+
+    /// The slot winning a match between slots `a` and `b`.
+    fn winner_of(&self, a: usize, b: usize) -> usize {
+        match (self.key(a), self.key(b)) {
+            // Keys carry unique executor ids, so `beats` is a strict
+            // total order here — ties cannot occur.
             (Some(x), Some(y)) => {
-                // Keys carry unique executor ids, so `beats` is a strict
-                // total order here — ties cannot occur.
-                if x.0.beats(&y.0) {
-                    Some(x)
+                if x.beats(y) {
+                    a
                 } else {
-                    Some(y)
+                    b
                 }
             }
-            (Some(x), None) => Some(x),
-            (None, y) => y,
+            (Some(_), None) => a,
+            (None, _) => b,
         }
     }
 }
@@ -215,5 +239,41 @@ mod tests {
         assert_eq!(tree.winner().map(|(_, s)| s), Some(0));
         tree.update(0, None);
         assert_eq!(tree.winner(), None);
+    }
+    proptest::proptest! {
+        /// Through random updates and vacancies, the early-exit tree's
+        /// champion is the brute-force `beats` minimum over the filled
+        /// slots. Keys share refresh instants and absolute times often, so
+        /// every branch of `beats` is taken.
+        #[test]
+        fn early_exit_winner_is_the_brute_force_minimum(
+            count in 1usize..12,
+            ops in proptest::collection::vec(
+                (0usize..12, 0u8..6, 0u8..4, 0u8..4),
+                1..80,
+            ),
+        ) {
+            let mut tree = TourneyTree::new(count);
+            let mut slots: Vec<Option<ShardKey>> = vec![None; count];
+            for (n, &(slot, vacate, t, e)) in ops.iter().enumerate() {
+                let slot = slot % count;
+                let key = (vacate != 0).then(|| {
+                    let (t, elapsed) = (f64::from(t) * 10.0, f64::from(e));
+                    // Ids stay unique across live keys: the op index.
+                    key(t, elapsed, t - elapsed, n)
+                });
+                tree.update(slot, key);
+                slots[slot] = key;
+                let brute = slots
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(s, k)| k.map(|k| (k, s)))
+                    .reduce(|best, c| if c.0.beats(&best.0) { c } else { best });
+                proptest::prop_assert_eq!(
+                    tree.winner().map(|(k, s)| (k.id, s)),
+                    brute.map(|(k, s)| (k.id, s))
+                );
+            }
+        }
     }
 }
