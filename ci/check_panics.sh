@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Panic-freedom gate for the crash-consistency-critical paths: the journal
-# layer, the campaign harness, checkpoint codecs, the bench emission
+# Panic-freedom gate for the crash-consistency-critical paths: the wire
+# codec and atomic writes, the campaign harness, the bench emission
 # helpers, the hot-path cache modules (sharded engine rate cache +
 # tournament tree, monitor window memoization), the mlkit compute
 # kernels, the ML campaign drivers, the open-system layer (arrival plans +
@@ -18,8 +18,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 GATED_FILES=(
-  crates/simkit/src/journal.rs
-  crates/colocate/src/checkpoint.rs
+  crates/simkit/src/wire.rs
   crates/colocate/src/harness.rs
   crates/bench/src/fsutil.rs
   crates/bench/src/report.rs

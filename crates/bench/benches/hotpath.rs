@@ -330,9 +330,7 @@ fn main() {
     }
     if let Some(path) = record_out {
         let json = medians_json(&cases, fig06_secs_env());
-        if let Err(e) =
-            bench_suite::fsutil::atomic_write(std::path::Path::new(&path), json.as_bytes())
-        {
+        if let Err(e) = simkit::wire::atomic_write(std::path::Path::new(&path), json.as_bytes()) {
             eprintln!("hotpath: cannot write {path}: {e}");
         } else {
             println!("hotpath medians written to {path}");

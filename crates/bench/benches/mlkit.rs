@@ -323,9 +323,7 @@ fn main() {
     }
     if let Some(path) = record_out {
         let json = medians_json(&cases);
-        if let Err(e) =
-            bench_suite::fsutil::atomic_write(std::path::Path::new(&path), json.as_bytes())
-        {
+        if let Err(e) = simkit::wire::atomic_write(std::path::Path::new(&path), json.as_bytes()) {
             eprintln!("mlkit bench: cannot write {path}: {e}");
         } else {
             println!("mlkit medians written to {path}");

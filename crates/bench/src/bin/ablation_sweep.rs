@@ -11,7 +11,7 @@
 //! Spark-Perf/Spark-Bench benchmarks; runtime ablations report normalized
 //! STP and OOM kills on an L8 (23-application) scenario.
 
-use colocate::harness::{evaluate_scenario_multi_checkpointed, run_policy, RunConfig};
+use colocate::harness::{evaluate_scenario_multi, run_policy, RunConfig};
 use colocate::profiling::ProfilingConfig;
 use colocate::scheduler::PolicyKind;
 use colocate::training::{family_expert_id, train_system, TrainingConfig};
@@ -43,22 +43,8 @@ fn selector_accuracy(catalog: &Catalog, config: &TrainingConfig, seed: u64) -> f
 fn scenario_stp(config: &RunConfig, seed: u64) -> (f64, usize) {
     let catalog = bench_suite::catalog();
     let scenario = MixScenario::TABLE3[7]; // L8: 23 apps
-                                           // Ablation campaigns differ only in their RunConfig, so key each
-                                           // journal by the config signature (plus seed) to keep them apart.
-    let ckpt = bench_suite::checkpoint_for(&format!(
-        "ablation_{seed}_{:016x}",
-        colocate::checkpoint::config_signature(config)
-    ));
-    let stats = evaluate_scenario_multi_checkpointed(
-        &[PolicyKind::Moe],
-        scenario,
-        catalog,
-        config,
-        3,
-        seed,
-        ckpt.as_ref(),
-    )
-    .expect("campaign");
+    let stats = evaluate_scenario_multi(&[PolicyKind::Moe], scenario, catalog, config, 3, seed)
+        .expect("campaign");
     // OOM kills from one representative mix.
     let mut rng = SimRng::seed_from(seed);
     let mix = scenario.random_mix(catalog, &mut rng);
@@ -145,15 +131,13 @@ fn main() {
     for nodes in [10usize, 20, 40, 80] {
         let mut config = RunConfig::default();
         config.scheduler.cluster = sparklite::cluster::ClusterSpec::small(nodes);
-        let ckpt = bench_suite::checkpoint_for(&format!("ablation_cluster_{nodes}"));
-        let stats = evaluate_scenario_multi_checkpointed(
+        let stats = evaluate_scenario_multi(
             &[PolicyKind::OnlineSearch, PolicyKind::Moe],
             MixScenario::TABLE3[5], // L6: 13 apps
             catalog,
             &config,
             3,
             106,
-            ckpt.as_ref(),
         )
         .expect("campaign");
         let online = stats.per_policy[0].stp_mean;

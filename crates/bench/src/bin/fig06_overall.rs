@@ -7,7 +7,7 @@
 //! toward the paper's ~100.
 
 use bench_suite::csv::{csv_dir, num, CsvTable};
-use colocate::harness::evaluate_scenario_multi_checkpointed;
+use colocate::harness::evaluate_scenario_multi;
 use colocate::scheduler::PolicyKind;
 use simkit::stats::summary::geometric_mean;
 use workloads::MixScenario;
@@ -30,19 +30,8 @@ fn main() {
     );
     let mut all_stats = Vec::new();
     for scenario in MixScenario::TABLE3 {
-        // With SPARK_MOE_CHECKPOINT_DIR set, each scenario sweep journals
-        // its per-mix folds and resumes after an interruption.
-        let ckpt = bench_suite::checkpoint_for(&format!("fig06_{}", scenario.name()));
-        let stats = evaluate_scenario_multi_checkpointed(
-            &policies,
-            scenario,
-            catalog,
-            &config,
-            mixes,
-            42,
-            ckpt.as_ref(),
-        )
-        .expect("scenario campaign");
+        let stats = evaluate_scenario_multi(&policies, scenario, catalog, &config, mixes, 42)
+            .expect("scenario campaign");
         print!("{:<5}", scenario.name());
         for s in &stats.per_policy {
             print!(

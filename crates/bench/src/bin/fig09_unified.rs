@@ -4,7 +4,7 @@
 //! the best single model, with our approach ahead of all of them.
 
 use bench_suite::csv::{csv_dir, num, CsvTable};
-use colocate::harness::evaluate_scenario_multi_checkpointed;
+use colocate::harness::evaluate_scenario_multi;
 use colocate::scheduler::PolicyKind;
 use simkit::stats::summary::geometric_mean;
 use workloads::MixScenario;
@@ -30,17 +30,8 @@ fn main() {
     println!();
     let mut all = Vec::new();
     for scenario in MixScenario::TABLE3 {
-        let ckpt = bench_suite::checkpoint_for(&format!("fig09_{}", scenario.name()));
-        let stats = evaluate_scenario_multi_checkpointed(
-            &policies,
-            scenario,
-            catalog,
-            &config,
-            mixes,
-            91,
-            ckpt.as_ref(),
-        )
-        .expect("campaign");
+        let stats = evaluate_scenario_multi(&policies, scenario, catalog, &config, mixes, 91)
+            .expect("campaign");
         print!("{:<5}", scenario.name());
         for s in &stats.per_policy {
             print!(" {:>8.2}", s.stp_mean);

@@ -3,7 +3,7 @@
 //! better ANTT for our approach — the search overhead dominates and grows
 //! with cluster size.
 
-use colocate::harness::evaluate_scenario_multi_checkpointed;
+use colocate::harness::evaluate_scenario_multi;
 use colocate::scheduler::PolicyKind;
 use simkit::stats::summary::geometric_mean;
 use workloads::MixScenario;
@@ -21,17 +21,8 @@ fn main() {
     );
     let mut all = Vec::new();
     for scenario in MixScenario::TABLE3 {
-        let ckpt = bench_suite::checkpoint_for(&format!("fig10_{}", scenario.name()));
-        let stats = evaluate_scenario_multi_checkpointed(
-            &policies,
-            scenario,
-            catalog,
-            &config,
-            mixes,
-            10,
-            ckpt.as_ref(),
-        )
-        .expect("campaign");
+        let stats = evaluate_scenario_multi(&policies, scenario, catalog, &config, mixes, 10)
+            .expect("campaign");
         println!(
             "{:<5} {:>14.2} {:>14.2}   {:>13.1}% {:>13.1}%",
             stats.scenario.name(),

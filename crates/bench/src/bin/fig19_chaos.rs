@@ -10,7 +10,7 @@
 //! for bit. Set `SPARK_MOE_MIXES` to raise the per-intensity mix count.
 
 use bench_suite::csv::{csv_dir, num, CsvTable};
-use colocate::harness::{evaluate_chaos_checkpointed, ChaosEntry, ChaosSpec, ChaosStats};
+use colocate::harness::{evaluate_chaos, ChaosEntry, ChaosSpec, ChaosStats};
 use colocate::scheduler::{PolicyKind, ResilienceConfig};
 use workloads::MixScenario;
 
@@ -57,20 +57,8 @@ fn main() {
     let mut all_stats: Vec<ChaosStats> = Vec::new();
     for intensity in INTENSITIES {
         let chaos = ChaosSpec::at_intensity(intensity);
-        // One journal per intensity: an interrupted sweep resumes
-        // mid-campaign when SPARK_MOE_CHECKPOINT_DIR is set.
-        let ckpt = bench_suite::checkpoint_for(&format!("fig19_i{:02}", (intensity * 10.0) as u32));
-        let stats = evaluate_chaos_checkpointed(
-            &entries,
-            scenario,
-            catalog,
-            &config,
-            mixes,
-            42,
-            &chaos,
-            ckpt.as_ref(),
-        )
-        .expect("chaos campaign");
+        let stats = evaluate_chaos(&entries, scenario, catalog, &config, mixes, 42, &chaos)
+            .expect("chaos campaign");
         all_stats.push(stats);
     }
 
@@ -173,7 +161,7 @@ fn main() {
         }
         // Machine-readable record, written atomically (old file intact if
         // the process dies mid-emission). Deterministic byte-for-byte:
-        // the kill-resume acceptance test diffs this artifact.
+        // the pinned-figure check diffs this artifact.
         let json = bench_suite::report::chaos_stats_json(&all_stats);
         if let Ok(path) =
             bench_suite::fsutil::atomic_write_in(&dir, "BENCH_fig19_chaos.json", &json)

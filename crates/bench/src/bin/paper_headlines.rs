@@ -3,7 +3,7 @@
 //! `SPARK_MOE_CSV_DIR` is set.
 
 use bench_suite::csv::{csv_dir, num, CsvTable};
-use colocate::harness::evaluate_scenario_multi_checkpointed;
+use colocate::harness::evaluate_scenario_multi;
 use colocate::scheduler::PolicyKind;
 use simkit::stats::summary::geometric_mean;
 use workloads::MixScenario;
@@ -29,17 +29,8 @@ fn main() {
     let mut antt: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
     let mut table = CsvTable::new(["scenario", "policy", "stp_mean", "antt_reduction_pct"]);
     for scenario in MixScenario::TABLE3 {
-        let ckpt = bench_suite::checkpoint_for(&format!("headlines_{}", scenario.name()));
-        let stats = evaluate_scenario_multi_checkpointed(
-            &policies,
-            scenario,
-            catalog,
-            &config,
-            mixes,
-            61,
-            ckpt.as_ref(),
-        )
-        .expect("campaign");
+        let stats = evaluate_scenario_multi(&policies, scenario, catalog, &config, mixes, 61)
+            .expect("campaign");
         for (pi, s) in stats.per_policy.iter().enumerate() {
             stp[pi].push(s.stp_mean);
             antt[pi].push(s.antt_mean);

@@ -75,7 +75,7 @@ impl CsvTable {
     }
 
     /// Writes the table as `<dir>/<name>.csv` via an atomic
-    /// temp-file-then-rename ([`crate::fsutil::atomic_write`]), so a kill
+    /// temp-file-then-rename ([`crate::fsutil::atomic_write_in`]), so a kill
     /// mid-write never leaves a truncated series behind.
     ///
     /// # Errors

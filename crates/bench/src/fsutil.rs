@@ -1,34 +1,25 @@
 //! Crash-consistent result-file I/O.
 //!
 //! Every `results/` artifact a binary emits — CSV series, JSON records —
-//! goes through [`atomic_write`]: a plain `std::fs::write` truncates the
-//! destination before writing, so a kill (or full disk) mid-emission
-//! destroys the previous good copy. The helper delegates to
-//! [`simkit::journal::atomic_write`] (temp file in the target directory,
+//! goes through [`atomic_write_in`]: a plain `std::fs::write` truncates
+//! the destination before writing, so a kill (or full disk) mid-emission
+//! destroys the previous good copy. The helper uses
+//! [`simkit::wire::atomic_write`] (temp file in the target directory,
 //! fsync, atomic rename, parent-directory fsync), so readers only ever
 //! observe the old content or the complete new content.
 
 use std::path::{Path, PathBuf};
 
-/// Atomically replaces `path` with `contents`, creating parent
-/// directories as needed.
+/// Atomically writes `<dir>/<name>`, creating `dir` as needed, and
+/// returns the path.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors; on failure the previous file (if any)
 /// is left untouched.
-pub fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
-    simkit::journal::atomic_write(path, contents)
-}
-
-/// Atomically writes `<dir>/<name>` and returns the path.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
 pub fn atomic_write_in(dir: &Path, name: &str, contents: &str) -> std::io::Result<PathBuf> {
     let path = dir.join(name);
-    atomic_write(&path, contents.as_bytes())?;
+    simkit::wire::atomic_write(&path, contents.as_bytes())?;
     Ok(path)
 }
 
@@ -43,7 +34,7 @@ mod tests {
             .join("nested");
         let path = atomic_write_in(&dir, "out.json", "{\"v\":1}").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"v\":1}");
-        atomic_write(&path, b"{\"v\":2}").unwrap();
+        atomic_write_in(&dir, "out.json", "{\"v\":2}").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"v\":2}");
         let _ = std::fs::remove_dir_all(dir.parent().unwrap());
     }

@@ -46,9 +46,7 @@ pub mod mlcamp;
 pub mod report;
 pub mod serving;
 
-use colocate::checkpoint::CheckpointConfig;
 use colocate::harness::RunConfig;
-use std::path::PathBuf;
 use std::sync::OnceLock;
 use workloads::Catalog;
 
@@ -95,28 +93,6 @@ pub fn mixes_per_scenario() -> usize {
 #[must_use]
 pub fn paper_run_config() -> RunConfig {
     RunConfig::default()
-}
-
-/// The checkpoint directory from `SPARK_MOE_CHECKPOINT_DIR`, if set.
-///
-/// When configured, campaign binaries journal every committed per-mix
-/// fold there and resume interrupted sweeps — see
-/// [`colocate::checkpoint`] and the README's "Resuming an interrupted
-/// sweep".
-#[must_use]
-pub fn checkpoint_dir() -> Option<PathBuf> {
-    std::env::var_os("SPARK_MOE_CHECKPOINT_DIR").map(PathBuf::from)
-}
-
-/// A [`CheckpointConfig`] journaling campaign `name` under
-/// `SPARK_MOE_CHECKPOINT_DIR`, or `None` when checkpointing is disabled.
-///
-/// `name` must be unique per campaign within a binary (one campaign, one
-/// journal file): the fig binaries use e.g. `fig06_L3` for the Fig. 6
-/// scenario-L3 sweep.
-#[must_use]
-pub fn checkpoint_for(name: &str) -> Option<CheckpointConfig> {
-    checkpoint_dir().map(|dir| CheckpointConfig::new(dir.join(format!("{name}.journal"))))
 }
 
 /// Prints a horizontal rule sized for the standard table width.

@@ -1,8 +1,7 @@
 //! Deterministic JSON emission for machine-readable campaign records.
 //!
-//! The `BENCH_*.json` artifacts must be byte-stable: the kill–resume
-//! acceptance test asserts an interrupted-and-resumed campaign produces
-//! the *identical* file an uninterrupted one does. These emitters
+//! The `BENCH_*.json` artifacts must be byte-stable: CI diffs them across
+//! worker counts and against the committed goldens in `ci/pinned/`. These emitters
 //! therefore avoid anything nondeterministic — no hash-map iteration, no
 //! timestamps — and format floats with Rust's shortest-round-trip `{:?}`,
 //! which is a pure function of the `f64` bits.

@@ -3,16 +3,15 @@
 //! * [`isolated_times`] — per-task `C_iso`: each application alone on the
 //!   cluster with all memory (the denominator of every metric, §5.3);
 //! * [`run_policy`] — one mix under one policy, with normalised metrics;
-//! * [`evaluate_scenario`] (§5.2 CI-stopped mixes, Fig. 6),
+//! * [`evaluate_scenario`] (§5.2 CI-stopped mixes),
 //!   [`evaluate_scenario_multi`] (policies on shared mixes, Figs. 6/9/10),
 //!   [`evaluate_chaos`] (entries on shared fault plans, Fig. 19) and
 //!   [`crate::service::evaluate_openloop`] (open-loop replications,
 //!   Fig. 21) — thin adapters over one private fold, `fold_campaign`:
-//!   serial draws, batched fan-out, index-ordered fold, optional journal;
+//!   serial draws, batched fan-out, index-ordered fold;
 //! * [`bin_trace`] — converts event-sampled utilisation traces into the
 //!   time-binned per-node matrix of Fig. 7.
 
-use crate::checkpoint::{self, CheckpointConfig};
 use crate::metrics::{normalize, NormalizedMetrics};
 use crate::scheduler::{
     run_schedule, run_schedule_custom, run_schedule_with_faults, FaultStats, PolicyKind,
@@ -21,7 +20,6 @@ use crate::scheduler::{
 use crate::training::{train_system, TrainedSystem, TrainingConfig};
 use crate::ColocateError;
 use simkit::faults::{FaultPlan, FaultPlanConfig};
-use simkit::journal::Journal;
 use simkit::par;
 use simkit::stats::Welford;
 use simkit::SimRng;
@@ -287,17 +285,6 @@ pub fn trained_systems_for(
         .collect())
 }
 
-/// The journal side of a checkpointed campaign: the file, the header
-/// binding that ties it to one campaign definition, and the codec of one
-/// fold record, `width` policies or entries wide.
-pub(crate) struct CampaignJournal<'a, R> {
-    ckpt: &'a CheckpointConfig,
-    binding: Vec<u8>,
-    width: usize,
-    encode: fn(&R) -> Vec<u8>,
-    decode: fn(&[u8], usize) -> Result<R, ColocateError>,
-}
-
 /// The one campaign loop behind every `evaluate_*` entry point.
 ///
 /// Draws up to `items` inputs serially in index order (`draw` is the one
@@ -309,23 +296,16 @@ pub(crate) struct CampaignJournal<'a, R> {
 /// stop discards at most one batch of speculative runs and the folded
 /// sequence is identical for every worker count.
 ///
-/// With a journal, the file is opened and validated against the binding
-/// first, and its records go through the same `fold`, in the same order
-/// and under the same stop, before anything is dispatched. Each new result
-/// is appended *before* it is folded, so a kill between append and fold
-/// costs one recomputed run, never a double-counted one.
-///
 /// Returns the number of items folded.
 ///
 /// # Errors
 ///
 /// [`ColocateError::Config`] when `items` is zero; otherwise propagates
-/// per-item failures and journal I/O/validation failures.
+/// per-item failures.
 pub(crate) fn fold_campaign<I: Sync, R: Send>(
     items: usize,
     upfront: usize,
     workers: usize,
-    journal: Option<CampaignJournal<'_, R>>,
     mut draw: impl FnMut() -> I,
     run: impl Fn(usize, &I) -> Result<R, ColocateError> + Sync,
     mut fold: impl FnMut(usize, R) -> bool,
@@ -336,50 +316,23 @@ pub(crate) fn fold_campaign<I: Sync, R: Send>(
         ));
     }
     let mut count = 0; // results folded
-    let mut done = false; // `fold` asked to stop
-    let mut log = None;
-    if let Some(spec) = journal {
-        let recovered = Journal::open(&spec.ckpt.path, &spec.binding, spec.ckpt.flush_every)?;
-        for payload in &recovered.records {
-            if done || count == items {
-                break;
-            }
-            done = fold(count, (spec.decode)(payload, spec.width)?);
-            count += 1;
-            // The journaled result consumed this draw of the item stream.
-            let _ = draw();
-        }
-        let mut j = recovered.journal;
-        j.set_kill_point(spec.ckpt.kill_point);
-        log = Some((j, spec.encode));
-    }
-
-    let mut dispatched = count; // items handed to the pool (>= count)
-    while !done && dispatched < items {
-        let batch = if dispatched < upfront {
-            upfront - dispatched
+    while count < items {
+        let batch = if count < upfront {
+            upfront - count
         } else {
             workers
         }
-        .min(items - dispatched);
+        .min(items - count);
         let inputs: Vec<I> = (0..batch).map(|_| draw()).collect();
-        let first = dispatched;
+        let first = count;
         let results = par::par_map_indexed(&inputs, workers, |i, input| run(first + i, input));
-        dispatched += batch;
         for result in results {
-            let result = result?;
-            if let Some((j, encode)) = log.as_mut() {
-                j.append(&encode(&result))?;
-            }
-            done = fold(count, result);
+            let stop = fold(count, result?);
             count += 1;
-            if done {
-                break;
+            if stop {
+                return Ok(count);
             }
         }
-    }
-    if let Some((j, _)) = log.as_mut() {
-        j.sync()?;
     }
     Ok(count)
 }
@@ -449,11 +402,11 @@ pub struct ScenarioStats {
 /// replay is seeded by `base_seed + index` and results are folded through
 /// the [`Welford`] accumulators strictly in index order, with the §5.2
 /// stopping rule checked after every fold — exactly the serial semantics.
-/// Parallelism is purely speculative: the harness dispatches `min_mixes`
-/// replays up front, then one batch of `workers` at a time, and discards
-/// any speculative results past the convergence point. The returned
-/// [`ScenarioStats`] are therefore bit-for-bit identical for every worker
-/// count, including 1.
+/// Parallelism is purely speculative: the harness dispatches
+/// `max(min_mixes, 2)` replays up front, then one batch of `workers` at
+/// a time, and discards any speculative results past the convergence
+/// point. The returned [`ScenarioStats`] are therefore bit-for-bit
+/// identical for every worker count, including 1.
 ///
 /// # Errors
 ///
@@ -468,37 +421,6 @@ pub fn evaluate_scenario(
     max_mixes: usize,
     base_seed: u64,
 ) -> Result<ScenarioStats, ColocateError> {
-    evaluate_scenario_checkpointed(
-        policy, scenario, catalog, config, min_mixes, max_mixes, base_seed, None,
-    )
-}
-
-/// [`evaluate_scenario`] with opt-in crash-safe checkpointing.
-///
-/// With `ckpt` set, every fold is appended to the journal at `ckpt.path`
-/// before it is folded. A restart validates the journal against this
-/// campaign's definition (seed, policy, scenario, mix bounds, catalog and
-/// config signatures — but *not* the worker count), drops a torn tail and
-/// replays the surviving folds under the same §5.2 stop before anything
-/// new is dispatched, so a resumed campaign is bit-for-bit identical to an
-/// uninterrupted one under any `SPARK_MOE_THREADS`.
-///
-/// # Errors
-///
-/// [`ColocateError::Config`] when `max_mixes` is zero; propagates per-mix
-/// failures and journal I/O/validation failures
-/// ([`ColocateError::Checkpoint`]).
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_scenario_checkpointed(
-    policy: PolicyKind,
-    scenario: MixScenario,
-    catalog: &Catalog,
-    config: &RunConfig,
-    min_mixes: usize,
-    max_mixes: usize,
-    base_seed: u64,
-    ckpt: Option<&CheckpointConfig>,
-) -> Result<ScenarioStats, ColocateError> {
     let mut acc = Outcomes::new();
     let mut mix_rng = SimRng::seed_from(base_seed);
     let mixes = fold_campaign(
@@ -506,23 +428,14 @@ pub fn evaluate_scenario_checkpointed(
         // The stopping rule cannot fire before min_mixes (or two samples).
         min_mixes.max(2),
         config.effective_workers(),
-        ckpt.map(|c| CampaignJournal {
-            ckpt: c,
-            binding: checkpoint::scenario_binding(
-                policy, scenario, catalog, config, min_mixes, max_mixes, base_seed,
-            ),
-            width: 1,
-            encode: |pairs: &Vec<(f64, f64)>| checkpoint::encode_folds(pairs),
-            decode: checkpoint::decode_folds,
-        }),
         || scenario.random_mix(catalog, &mut mix_rng),
         |i, mix| {
             let outcome = run_policy(policy, catalog, mix, config, base_seed + i as u64)?;
             let n = outcome.normalized;
-            Ok(vec![(n.normalized_stp, n.antt_reduction_pct)])
+            Ok((n.normalized_stp, n.antt_reduction_pct))
         },
-        |i, pairs| {
-            acc.push(pairs[0]);
+        |i, pair| {
+            acc.push(pair);
             i + 1 >= min_mixes && acc.stp.ci_converged(0.05)
         },
     )?;
@@ -563,31 +476,6 @@ pub fn evaluate_scenario_multi(
     mixes: usize,
     base_seed: u64,
 ) -> Result<MultiPolicyStats, ColocateError> {
-    evaluate_scenario_multi_checkpointed(
-        policies, scenario, catalog, config, mixes, base_seed, None,
-    )
-}
-
-/// [`evaluate_scenario_multi`] with opt-in crash-safe checkpointing.
-///
-/// With `ckpt` set, each mix's per-policy fold is journaled in mix-index
-/// order and mixes run one batch of `workers` at a time, so a kill loses
-/// at most the in-flight batch; a resume replays the journal and computes
-/// only the remaining mixes, bit-for-bit identical at any worker count.
-///
-/// # Errors
-///
-/// [`ColocateError::Config`] when `mixes` is zero; propagates per-mix
-/// failures and journal I/O/validation failures.
-pub fn evaluate_scenario_multi_checkpointed(
-    policies: &[PolicyKind],
-    scenario: MixScenario,
-    catalog: &Catalog,
-    config: &RunConfig,
-    mixes: usize,
-    base_seed: u64,
-    ckpt: Option<&CheckpointConfig>,
-) -> Result<MultiPolicyStats, ColocateError> {
     // Train once per campaign; predictive policies share one bit-identical
     // system (and thereby one campaign-wide prediction table).
     let systems = trained_systems_for(policies, catalog, config, base_seed)?;
@@ -596,19 +484,8 @@ pub fn evaluate_scenario_multi_checkpointed(
     let mut mix_rng = SimRng::seed_from(base_seed);
     fold_campaign(
         mixes,
-        // Journaled runs commit one worker-batch at a time, so a kill
-        // loses at most the in-flight batch; unjournaled runs fan out once.
-        if ckpt.is_some() { 0 } else { mixes },
+        mixes,
         config.effective_workers(),
-        ckpt.map(|c| CampaignJournal {
-            ckpt: c,
-            binding: checkpoint::multi_binding(
-                policies, scenario, catalog, config, mixes, base_seed,
-            ),
-            width: policies.len(),
-            encode: |pairs: &Vec<(f64, f64)>| checkpoint::encode_folds(pairs),
-            decode: checkpoint::decode_folds,
-        }),
         || scenario.random_mix(catalog, &mut mix_rng),
         |i, mix| {
             let seed = base_seed + i as u64;
@@ -793,33 +670,6 @@ pub fn evaluate_chaos(
     base_seed: u64,
     chaos: &ChaosSpec,
 ) -> Result<ChaosStats, ColocateError> {
-    evaluate_chaos_checkpointed(
-        entries, scenario, catalog, config, mixes, base_seed, chaos, None,
-    )
-}
-
-/// [`evaluate_chaos`] with opt-in crash-safe checkpointing.
-///
-/// Works like [`evaluate_scenario_multi_checkpointed`], journaling each
-/// mix's per-entry STP, ANTT, OOM kills and fault counters. Fault plans
-/// are regenerated from `(seed, spec)`, so even a campaign killed mid
-/// plan resumes to bit-for-bit identical [`ChaosStats`].
-///
-/// # Errors
-///
-/// [`ColocateError::Config`] when `mixes` is zero; propagates training,
-/// per-mix scheduler and journal failures.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_chaos_checkpointed(
-    entries: &[ChaosEntry],
-    scenario: MixScenario,
-    catalog: &Catalog,
-    config: &RunConfig,
-    mixes: usize,
-    base_seed: u64,
-    chaos: &ChaosSpec,
-    ckpt: Option<&CheckpointConfig>,
-) -> Result<ChaosStats, ColocateError> {
     let policies: Vec<PolicyKind> = entries.iter().map(|e| e.policy).collect();
     let systems = trained_systems_for(&policies, catalog, config, base_seed)?;
     // Per-entry scheduler configs differ only in their resilience block.
@@ -836,17 +686,8 @@ pub fn evaluate_chaos_checkpointed(
     let mut mix_rng = SimRng::seed_from(base_seed);
     fold_campaign(
         mixes,
-        if ckpt.is_some() { 0 } else { mixes },
+        mixes,
         config.effective_workers(),
-        ckpt.map(|c| CampaignJournal {
-            ckpt: c,
-            binding: checkpoint::chaos_binding(
-                entries, scenario, catalog, config, mixes, base_seed, chaos,
-            ),
-            width: entries.len(),
-            encode: |folds: &Vec<checkpoint::ChaosFold>| checkpoint::encode_chaos_folds(folds),
-            decode: checkpoint::decode_chaos_folds,
-        }),
         || scenario.random_mix(catalog, &mut mix_rng),
         |i, mix| {
             let seed = base_seed + i as u64;
@@ -873,7 +714,7 @@ pub fn evaluate_chaos_checkpointed(
                 })
                 .collect()
         },
-        |_, per_entry: Vec<checkpoint::ChaosFold>| {
+        |_, per_entry: Vec<(f64, f64, usize, FaultStats)>| {
             for ((outcomes, ooms, faults), (stp, antt, kills, f)) in acc.iter_mut().zip(per_entry) {
                 outcomes.push((stp, antt));
                 ooms.push(kills as f64);
@@ -1104,42 +945,27 @@ mod tests {
         assert_config_error(evaluate_openloop(&[entry], &catalog, &cfg, &spec, 1));
     }
 
-    /// A journaled campaign that converges before `max_mixes` journals
-    /// exactly the folds it kept: the speculative replays dispatched past
-    /// the stop are discarded before they reach the journal.
+    /// A campaign that converges before `max_mixes` folds exactly the
+    /// mixes up to the stop: the speculative replays dispatched past it
+    /// are discarded, at any worker count.
     #[test]
-    fn early_stop_journals_only_folded_mixes() {
+    fn early_stop_discards_speculative_mixes() {
         let catalog = Catalog::paper();
-        let cfg = RunConfig {
-            workers: Some(4),
-            ..small_run_config()
-        };
-        // Converges after five folds: the second batch (mixes 2..6) ran
-        // one replay past the stop.
+        // Converges after five folds: at four workers the second batch
+        // (mixes 2..6) ran one replay past the stop.
         let sc = MixScenario { label: 1, apps: 3 };
-        let (min_mixes, max_mixes, seed) = (2, 12, 3);
-        let dir = std::env::temp_dir().join(format!("harness_early_stop_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let ckpt = CheckpointConfig::new(dir.join("campaign.journal"));
-        let oracle = PolicyKind::Oracle;
-        let stats = evaluate_scenario_checkpointed(
-            oracle,
-            sc,
-            &catalog,
-            &cfg,
-            min_mixes,
-            max_mixes,
-            seed,
-            Some(&ckpt),
-        )
-        .unwrap();
-        assert_eq!(stats.mixes, 5, "campaign must converge early");
-        let binding =
-            checkpoint::scenario_binding(oracle, sc, &catalog, &cfg, min_mixes, max_mixes, seed);
-        let recovered = Journal::open(&ckpt.path, &binding, 1).unwrap();
-        assert_eq!(recovered.records.len(), stats.mixes);
-        let _ = std::fs::remove_dir_all(&dir);
+        for workers in [1, 4] {
+            let cfg = RunConfig {
+                workers: Some(workers),
+                ..small_run_config()
+            };
+            let stats =
+                evaluate_scenario(PolicyKind::Oracle, sc, &catalog, &cfg, 2, 12, 3).unwrap();
+            assert_eq!(
+                stats.mixes, 5,
+                "campaign must converge early at {workers} workers"
+            );
+        }
     }
 
     #[test]

@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod checkpoint;
 pub mod harness;
 pub mod interference;
 pub mod invariants;
@@ -79,8 +78,6 @@ pub enum ColocateError {
     Ml(mlkit::MlError),
     /// Invalid experiment configuration.
     Config(String),
-    /// Checkpoint journal persistence failed (or a kill point fired).
-    Checkpoint(simkit::journal::JournalError),
 }
 
 impl fmt::Display for ColocateError {
@@ -90,7 +87,6 @@ impl fmt::Display for ColocateError {
             ColocateError::Predictor(e) => write!(f, "predictor error: {e}"),
             ColocateError::Ml(e) => write!(f, "ml error: {e}"),
             ColocateError::Config(msg) => write!(f, "configuration error: {msg}"),
-            ColocateError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
         }
     }
 }
@@ -102,7 +98,6 @@ impl std::error::Error for ColocateError {
             ColocateError::Predictor(e) => Some(e),
             ColocateError::Ml(e) => Some(e),
             ColocateError::Config(_) => None,
-            ColocateError::Checkpoint(e) => Some(e),
         }
     }
 }
@@ -122,11 +117,5 @@ impl From<moe_core::MoeError> for ColocateError {
 impl From<mlkit::MlError> for ColocateError {
     fn from(e: mlkit::MlError) -> Self {
         ColocateError::Ml(e)
-    }
-}
-
-impl From<simkit::journal::JournalError> for ColocateError {
-    fn from(e: simkit::journal::JournalError) -> Self {
-        ColocateError::Checkpoint(e)
     }
 }

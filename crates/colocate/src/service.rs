@@ -1304,7 +1304,7 @@ impl OpenLoopEntryStats {
 /// resilience config never changes what lands on it. Job slowdowns are
 /// turnaround (finish − arrival) over the job's fault-free isolated time
 /// (memoized in a [`BaselineCache`]). Replications run through the
-/// harness's campaign fold without a journal: one fan-out across
+/// harness's campaign fold in one fan-out across
 /// [`RunConfig::effective_workers`] threads, results folded in index
 /// order, so the returned stats are bit-for-bit identical for every
 /// worker count.
@@ -1348,7 +1348,6 @@ pub fn evaluate_openloop(
         spec.replications,
         spec.replications,
         config.effective_workers(),
-        None,
         || (),
         |i, ()| {
             let seed = base_seed + i as u64;

@@ -12,7 +12,7 @@
 //! # Determinism
 //!
 //! Every `f64` crosses the artifact boundary as its raw IEEE-754 bits via
-//! [`simkit::journal::wire`], so save → load round-trips are bit-exact.
+//! [`simkit::wire`], so save → load round-trips are bit-exact.
 //! The batched inference path reuses the exact kernels of the scalar path
 //! (see `ExpertSelector::select_batch`), so a predictor reassembled from
 //! an artifact and queried in batches produces the same selection bits as
@@ -27,7 +27,7 @@ use moe_core::expert::CurveExpert;
 use moe_core::predictor::PredictorConfig;
 use moe_core::selector::SelectorConfig;
 use moe_core::{ExpertRegistry, ExpertSelector, MoeError, MoePredictor};
-use simkit::journal::{atomic_write, fnv64, wire, JournalError};
+use simkit::wire::{self, atomic_write, fnv64, WireError};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -85,12 +85,9 @@ impl From<mlkit::MlError> for ServingError {
     }
 }
 
-impl From<JournalError> for ServingError {
-    fn from(e: JournalError) -> Self {
-        match e {
-            JournalError::Io(io) => ServingError::Io(io),
-            other => ServingError::Corrupt(other.to_string()),
-        }
+impl From<WireError> for ServingError {
+    fn from(e: WireError) -> Self {
+        ServingError::Corrupt(e.to_string())
     }
 }
 
@@ -165,7 +162,7 @@ fn read_len(
     Ok(n)
 }
 
-fn read_f64s(reader: &mut wire::Reader<'_>, n: usize) -> Result<Vec<f64>, JournalError> {
+fn read_f64s(reader: &mut wire::Reader<'_>, n: usize) -> Result<Vec<f64>, WireError> {
     (0..n).map(|_| reader.f64()).collect()
 }
 
@@ -555,11 +552,26 @@ mod tests {
                 }),
             }
         }
-        // Truncation and extension are rejected too.
-        assert!(ModelArtifact::decode(&bytes[..bytes.len() - 1]).is_err());
+        // Extension is rejected too (truncation: every_strict_prefix_is_corrupt).
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(ModelArtifact::decode(&extended).is_err());
+    }
+
+    #[test]
+    fn every_strict_prefix_is_corrupt() {
+        let system = trained();
+        let artifact =
+            ModelArtifact::from_predictor(&system.predictor, &system.fitted_curves).unwrap();
+        let bytes = artifact.encode();
+        for len in 0..bytes.len() {
+            let decoded = ModelArtifact::decode(&bytes[..len]);
+            assert!(
+                matches!(decoded, Err(ServingError::Corrupt(_))),
+                "prefix of {len} of {} bytes: {decoded:?}",
+                bytes.len()
+            );
+        }
     }
 
     #[test]

@@ -24,11 +24,9 @@
 //!   delta-debugging [`chaoskit::shrink`]ing that reduces an
 //!   invariant-violating episode to a minimal reproducer replayable from a
 //!   single `(seed, episode)` pair,
-//! * a crash-safe persistence layer ([`journal`]): append-only, checksummed
-//!   record logs with atomic header creation, torn-tail recovery and
-//!   deterministic kill-point injection, used by the campaign harness to
-//!   checkpoint completed replay folds so interrupted sweeps resume
-//!   bit-for-bit, and
+//! * a small byte codec ([`wire`]): raw-bits little-endian encoding, an
+//!   FNV-1a checksum and atomic file replacement, used for model
+//!   artifacts and result files, and
 //! * online statistics ([`stats`]) — Welford moments, histograms,
 //!   percentiles, confidence intervals and time-weighted gauges — used by the
 //!   experiment harness to decide when the 95 % confidence half-width has
@@ -72,12 +70,12 @@
 pub mod arrivals;
 pub mod chaoskit;
 pub mod faults;
-pub mod journal;
 pub mod par;
 pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
+pub mod wire;
 
 pub use arrivals::{
     ArrivalCursor, ArrivalError, ArrivalEvent, ArrivalPlan, ArrivalPlanConfig, ArrivalProcess,
