@@ -25,8 +25,8 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$root"
 
 # CI-sized campaigns: two mixes per scenario, a small open-loop storm,
-# eight chaos-search episodes and a capped serving firehose (timing stays
-# off, so fig22 and fig23 records carry no wall-clock fields).
+# eight chaos-search episodes and a capped serving firehose. No binary
+# here measures a wall clock, so no record carries a host-dependent field.
 export SPARK_MOE_MIXES=2
 export SPARK_MOE_OPENLOOP_JOBS=6
 export SPARK_MOE_OPENLOOP_REPS=2

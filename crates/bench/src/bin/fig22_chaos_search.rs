@@ -6,24 +6,21 @@
 //! violation down to a minimal reproducer that replays from a single
 //! `(seed, episode)` pair.
 //!
-//! The default record (`results/BENCH_chaossearch.json`) is a pure
-//! function of `(base seed, episode budget, shrink budget)`: episodes fan
-//! out across worker threads but fold in episode order, and wall-clock
-//! timing is reported only on explicit request — so the CI bit-identity
-//! gate can `cmp` the artifact across `SPARK_MOE_THREADS` values, like
-//! every other `BENCH_*.json`.
+//! The record (`results/BENCH_chaossearch.json`) is a pure function of
+//! `(base seed, episode budget, shrink budget)`: episodes fan out across
+//! worker threads but fold in episode order, and no wall clock is
+//! measured — so the CI bit-identity gate can `cmp` the artifact across
+//! `SPARK_MOE_THREADS` values, like every other `BENCH_*.json`.
 //!
 //! Env knobs: `SPARK_MOE_CHAOS_EPISODES` (episode budget, default 64),
 //! `SPARK_MOE_CHAOS_SEED` (base seed, default 42),
 //! `SPARK_MOE_CHAOS_SHRINK` (checker budget per shrink, default 200),
-//! `SPARK_MOE_CHAOS_TIMING=1` (opt-in episodes/sec measurement; makes the
-//! record wall-clock-dependent), `SPARK_MOE_THREADS` (worker pool).
+//! `SPARK_MOE_THREADS` (worker pool).
 
 use bench_suite::csv::{csv_dir, CsvTable};
 use bench_suite::report::chaossearch_json;
 use colocate::harness::RunConfig;
 use colocate::invariants::{chaos_search, preset_label, SearchConfig};
-use std::time::Instant;
 
 fn main() {
     let catalog = bench_suite::catalog();
@@ -34,7 +31,6 @@ fn main() {
         workers: RunConfig::default().effective_workers(),
         ..SearchConfig::default()
     };
-    let timing = std::env::var("SPARK_MOE_CHAOS_TIMING").is_ok_and(|v| v == "1");
 
     // Worker count deliberately left out of the banner: the bit-identity
     // CI gate cmps this stdout across SPARK_MOE_THREADS values.
@@ -43,23 +39,13 @@ fn main() {
         config.episodes, config.base_seed, config.shrink_budget
     );
 
-    let started = Instant::now();
     let report = chaos_search(catalog, &config);
-    let elapsed = started.elapsed().as_secs_f64();
-    let episodes_per_sec = if timing && elapsed > 0.0 {
-        Some(report.episodes as f64 / elapsed)
-    } else {
-        None
-    };
 
     println!(
         "\nchecked {} episodes: {} violation(s) found",
         report.episodes,
         report.violations.len()
     );
-    if let Some(eps) = episodes_per_sec {
-        println!("throughput: {eps:.1} episodes/s ({elapsed:.2} s wall clock)");
-    }
 
     if report.violations.is_empty() {
         println!("invariant battery: CLEAN over the swept budget");
@@ -114,7 +100,7 @@ fn main() {
         if let Ok(path) = table.write_to(&dir, "fig22_chaos_search") {
             println!("\nCSV series written to {}", path.display());
         }
-        let json = chaossearch_json(&report, episodes_per_sec);
+        let json = chaossearch_json(&report);
         if let Ok(path) =
             bench_suite::fsutil::atomic_write_in(&dir, "BENCH_chaossearch.json", &json)
         {

@@ -27,6 +27,7 @@
 //! | `fig19_chaos` | Fig. 19 (extension) — STP/ANTT vs fault intensity, self-healing MoE vs plain/Pairwise/Oracle |
 //! | `fig21_openloop` | Fig. 21 (extension) — open-system tail slowdown/OOMs under overload, admission-controlled vs uncontrolled |
 //! | `fig22_chaos_search` | Fig. 22 (extension) — seeded chaos search over the fault × arrival × preset space with invariant battery and reproducer shrinking |
+//! | `fig23_serving` | Fig. 23 (extension) — model artifact round trip and batched == scalar selection check over a seeded serving firehose |
 //! | `ablation_sweep` | design-choice ablations (KNN k, PCs, calibration sizes, margins, CPU guard, monitor window, cluster scaling) |
 //! | `paper_headlines` | the §6.1 highlights block, measured in one run |
 //! | `catalog_dump` | the 44-benchmark ground-truth catalog |

@@ -205,25 +205,19 @@ pub fn openloop_stats_json(all: &[(f64, OpenLoopStats)]) -> String {
 }
 
 /// Renders a chaos-search campaign as a JSON document — the
-/// `BENCH_chaossearch.json` record.
-///
-/// `episodes_per_sec` is `None` unless wall-clock timing was explicitly
-/// requested (`SPARK_MOE_CHAOS_TIMING=1`): the default record must stay a
-/// pure function of the search inputs so worker-count bit-identity holds
-/// on the artifact itself. Every violation entry embeds its delta-debugged
-/// minimal reproducer verbatim ([`Episode::to_json`](simkit::chaoskit::Episode::to_json)),
-/// so a record is also a replay kit.
+/// `BENCH_chaossearch.json` record, a pure function of the search inputs.
+/// Every violation entry embeds its delta-debugged minimal reproducer
+/// verbatim ([`Episode::to_json`](simkit::chaoskit::Episode::to_json)), so
+/// a record is also a replay kit.
 #[must_use]
-pub fn chaossearch_json(report: &SearchReport, episodes_per_sec: Option<f64>) -> String {
+pub fn chaossearch_json(report: &SearchReport) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"episodes\":{},\"base_seed\":{},\"violations_found\":{},\"episodes_per_sec\":{},\
-         \"violations\":[",
+        "{{\"episodes\":{},\"base_seed\":{},\"violations_found\":{},\"violations\":[",
         report.episodes,
         report.base_seed,
         report.violations.len(),
-        episodes_per_sec.map_or_else(|| "null".to_string(), json_num),
     );
     for (i, v) in report.violations.iter().enumerate() {
         if i > 0 {
@@ -272,19 +266,15 @@ mod tests {
     }
 
     #[test]
-    fn chaossearch_record_is_stable_and_omits_timing_by_default() {
+    fn chaossearch_record_is_stable() {
         let report = SearchReport {
             episodes: 8,
             base_seed: 42,
             violations: Vec::new(),
         };
-        let json = chaossearch_json(&report, None);
         assert_eq!(
-            json,
-            "{\"episodes\":8,\"base_seed\":42,\"violations_found\":0,\
-             \"episodes_per_sec\":null,\"violations\":[]}\n"
+            chaossearch_json(&report),
+            "{\"episodes\":8,\"base_seed\":42,\"violations_found\":0,\"violations\":[]}\n"
         );
-        let timed = chaossearch_json(&report, Some(12.5));
-        assert!(timed.contains("\"episodes_per_sec\":12.5"));
     }
 }

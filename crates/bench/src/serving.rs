@@ -1,29 +1,23 @@
-//! Serving firehose: shared machinery for the `fig23_serving` driver and
-//! the `serving` Criterion bench.
+//! Serving firehose: shared machinery for the `fig23_serving` driver.
 //!
 //! The firehose streams seeded synthetic feature observations (the same
 //! `workloads::signatures` generator the campaigns profile with) through
 //! a predictor in two shapes — the scalar per-request `select` loop and
-//! the whole-matrix `select_batch` path — and measures predictions/sec
-//! plus per-request latency percentiles for each.
+//! the whole-matrix `select_batch` path — and checks that they agree.
 //!
 //! Determinism: the request stream is a pure function of `(catalog,
 //! seed, n)`, and the batched selections are compared bit-for-bit against
-//! the scalar oracle on every run. Wall-clock numbers are collected only
-//! when the caller asks (`SPARK_MOE_SERVING_TIMING=1` in the driver), so
-//! the default stdout and JSON record stay byte-stable across hosts and
-//! thread counts.
+//! the scalar oracle on every run. The driver measures no wall clock, so
+//! its stdout and JSON record are byte-stable across hosts and thread
+//! counts; perfbench's `serving-firehose` workload times this path.
 
-use colocate::metrics::try_percentile;
 use moe_core::features::FeatureVector;
 use moe_core::{MoeError, MoePredictor, Selection};
 use simkit::SimRng;
-use std::fmt::Write as _;
-use std::time::Instant;
 use workloads::catalog::Catalog;
 use workloads::signatures;
 
-/// Batch sizes the firehose sweeps (1 isolates the batching overhead).
+/// Batch sizes the firehose sweeps (1 is the degenerate one-row batch).
 pub const BATCH_SIZES: [usize; 4] = [1, 16, 256, 4096];
 
 /// Generation chunk: large enough to amortize, small enough to keep the
@@ -64,44 +58,8 @@ impl<'a> Firehose<'a> {
     }
 }
 
-/// Throughput and latency of one firehose pass (timing fields are `None`
-/// when the pass ran without wall-clock measurement).
-#[derive(Debug, Clone)]
-pub struct ModeStats {
-    /// `"scalar"` or `"batched"`.
-    pub mode: &'static str,
-    /// Requests per dispatch (1 for the scalar loop).
-    pub batch: usize,
-    /// Predictions per second over the timed inference sections.
-    pub preds_per_sec: Option<f64>,
-    /// Median per-request latency, microseconds.
-    pub p50_us: Option<f64>,
-    /// 95th-percentile per-request latency, microseconds.
-    pub p95_us: Option<f64>,
-    /// 99th-percentile per-request latency, microseconds.
-    pub p99_us: Option<f64>,
-}
-
-fn stats_from(
-    mode: &'static str,
-    batch: usize,
-    n: usize,
-    timed_secs: f64,
-    latencies_us: &[f64],
-) -> ModeStats {
-    let timed = !latencies_us.is_empty() && timed_secs > 0.0;
-    ModeStats {
-        mode,
-        batch,
-        preds_per_sec: timed.then(|| n as f64 / timed_secs),
-        p50_us: try_percentile(latencies_us, 50.0),
-        p95_us: try_percentile(latencies_us, 95.0),
-        p99_us: try_percentile(latencies_us, 99.0),
-    }
-}
-
 /// Runs the scalar per-request loop over the firehose, returning its
-/// selections (the bitwise oracle for the batched passes) and its stats.
+/// selections: the bitwise oracle for the batched passes.
 ///
 /// # Errors
 ///
@@ -111,45 +69,24 @@ pub fn run_scalar(
     catalog: &Catalog,
     seed: u64,
     n: usize,
-    timing: bool,
-) -> Result<(Vec<Selection>, ModeStats), MoeError> {
+) -> Result<Vec<Selection>, MoeError> {
     let mut stream = Firehose::new(catalog, seed, n);
     let mut selections = Vec::with_capacity(n);
-    let mut latencies_us = if timing {
-        Vec::with_capacity(n)
-    } else {
-        Vec::new()
-    };
-    let mut timed_secs = 0.0f64;
     loop {
         let chunk = stream.next_chunk(GEN_CHUNK);
         if chunk.is_empty() {
             break;
         }
-        if timing {
-            for f in &chunk {
-                let t0 = Instant::now();
-                let sel = predictor.select(f)?;
-                let dt = t0.elapsed().as_secs_f64();
-                timed_secs += dt;
-                latencies_us.push(dt * 1e6);
-                selections.push(sel);
-            }
-        } else {
-            for f in &chunk {
-                selections.push(predictor.select(f)?);
-            }
+        for f in &chunk {
+            selections.push(predictor.select(f)?);
         }
     }
-    let stats = stats_from("scalar", 1, n, timed_secs, &latencies_us);
-    Ok((selections, stats))
+    Ok(selections)
 }
 
 /// Runs the batched path at one batch size, checking every selection
-/// bit-for-bit against the scalar oracle. Per-request latency is the
-/// whole dispatch's wall time (a request waits for its batch).
-///
-/// Returns the stats and whether every selection matched the oracle.
+/// bit-for-bit against the scalar oracle. Returns whether every selection
+/// matched.
 ///
 /// # Errors
 ///
@@ -160,40 +97,20 @@ pub fn run_batched(
     seed: u64,
     n: usize,
     batch: usize,
-    timing: bool,
     oracle: &[Selection],
-) -> Result<(ModeStats, bool), MoeError> {
+) -> Result<bool, MoeError> {
     let mut stream = Firehose::new(catalog, seed, n);
-    let mut latencies_us = if timing {
-        Vec::with_capacity(n)
-    } else {
-        Vec::new()
-    };
-    let mut timed_secs = 0.0f64;
     let mut identical = true;
     let mut done = 0usize;
     // Generate in the same `GEN_CHUNK` blocks the scalar loop uses and
-    // carve dispatches out of each block, so stream generation has an
-    // identical allocation and cache footprint at every batch size — the
-    // only variable across modes is the dispatch width under test.
+    // carve dispatches out of each block.
     loop {
         let chunk = stream.next_chunk(GEN_CHUNK);
         if chunk.is_empty() {
             break;
         }
         for dispatch in chunk.chunks(batch.max(1)) {
-            let selections = if timing {
-                let t0 = Instant::now();
-                let selections = predictor.select_batch(dispatch)?;
-                let dt = t0.elapsed().as_secs_f64();
-                timed_secs += dt;
-                for _ in 0..dispatch.len() {
-                    latencies_us.push(dt * 1e6);
-                }
-                selections
-            } else {
-                predictor.select_batch(dispatch)?
-            };
+            let selections = predictor.select_batch(dispatch)?;
             for (i, sel) in selections.iter().enumerate() {
                 let Some(reference) = oracle.get(done + i) else {
                     identical = false;
@@ -212,49 +129,19 @@ pub fn run_batched(
     if done != oracle.len() {
         identical = false;
     }
-    let stats = stats_from("batched", batch, n, timed_secs, &latencies_us);
-    Ok((stats, identical))
+    Ok(identical)
 }
 
-fn push_mode(out: &mut String, s: &ModeStats) {
-    let num = |v: Option<f64>| crate::report::json_num(v.unwrap_or(f64::NAN));
-    let _ = write!(
-        out,
-        "{{\"mode\":{},\"batch\":{},\"preds_per_sec\":{},\"p50_us\":{},\"p95_us\":{},\
-         \"p99_us\":{}}}",
-        crate::report::json_str(s.mode),
-        s.batch,
-        num(s.preds_per_sec),
-        num(s.p50_us),
-        num(s.p95_us),
-        num(s.p99_us),
-    );
-}
-
-/// Renders the `BENCH_serving.json` record: request count, the bitwise
-/// equivalence verdict, artifact size, and one row per mode.
+/// Renders the `BENCH_serving.json` record: request count, seed, artifact
+/// size, the bitwise equivalence verdict and the batch sizes it covers.
 #[must_use]
-pub fn serving_json(
-    requests: usize,
-    seed: u64,
-    artifact_bytes: usize,
-    identical: bool,
-    modes: &[ModeStats],
-) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
+pub fn serving_json(requests: usize, seed: u64, artifact_bytes: usize, identical: bool) -> String {
+    let sizes: Vec<String> = BATCH_SIZES.iter().map(usize::to_string).collect();
+    format!(
         "{{\"requests\":{requests},\"seed\":{seed},\"artifact_bytes\":{artifact_bytes},\
-         \"batched_equals_scalar\":{identical},\"modes\":["
-    );
-    for (i, s) in modes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_mode(&mut out, s);
-    }
-    out.push_str("]}\n");
-    out
+         \"batched_equals_scalar\":{identical},\"batch_sizes\":[{}]}}\n",
+        sizes.join(",")
+    )
 }
 
 #[cfg(test)]
@@ -278,21 +165,11 @@ mod tests {
     }
 
     #[test]
-    fn serving_json_is_stable_without_timing() {
-        let modes = [ModeStats {
-            mode: "scalar",
-            batch: 1,
-            preds_per_sec: None,
-            p50_us: None,
-            p95_us: None,
-            p99_us: None,
-        }];
-        let json = serving_json(4, 7, 100, true, &modes);
+    fn serving_json_is_stable() {
         assert_eq!(
-            json,
+            serving_json(4, 7, 100, true),
             "{\"requests\":4,\"seed\":7,\"artifact_bytes\":100,\
-             \"batched_equals_scalar\":true,\"modes\":[{\"mode\":\"scalar\",\"batch\":1,\
-             \"preds_per_sec\":null,\"p50_us\":null,\"p95_us\":null,\"p99_us\":null}]}\n"
+             \"batched_equals_scalar\":true,\"batch_sizes\":[1,16,256,4096]}\n"
         );
     }
 }

@@ -62,8 +62,8 @@ fn search_reports_are_worker_count_bit_identical() {
     let parallel = chaos_search(&catalog, &small_search(4));
     assert_eq!(serial, parallel);
     assert_eq!(
-        chaossearch_json(&serial, None),
-        chaossearch_json(&parallel, None),
+        chaossearch_json(&serial),
+        chaossearch_json(&parallel),
         "BENCH_chaossearch.json must not depend on the worker count"
     );
 }
@@ -73,8 +73,8 @@ fn search_reports_are_worker_count_bit_identical() {
 #[test]
 fn search_replays_bit_identically_from_the_seed() {
     let catalog = Catalog::paper();
-    let a = chaossearch_json(&chaos_search(&catalog, &small_search(2)), None);
-    let b = chaossearch_json(&chaos_search(&catalog, &small_search(2)), None);
+    let a = chaossearch_json(&chaos_search(&catalog, &small_search(2)));
+    let b = chaossearch_json(&chaos_search(&catalog, &small_search(2)));
     assert_eq!(a, b);
 }
 
