@@ -6,7 +6,7 @@
 //! timestamps — and format floats with Rust's shortest-round-trip `{:?}`,
 //! which is a pure function of the `f64` bits.
 
-use colocate::harness::{ChaosStats, MultiPolicyStats, ScenarioStats};
+use colocate::harness::ChaosStats;
 use colocate::invariants::{preset_label, SearchReport};
 use colocate::service::OpenLoopStats;
 use std::fmt::Write as _;
@@ -40,52 +40,6 @@ pub fn json_str(s: &str) -> String {
         }
     }
     out.push('"');
-    out
-}
-
-fn push_scenario(out: &mut String, label: &str, s: &ScenarioStats) {
-    let _ = write!(
-        out,
-        "{{\"label\":{},\"scenario\":{},\"mixes\":{},\"stp_mean\":{},\"stp_min\":{},\
-         \"stp_max\":{},\"antt_mean\":{},\"antt_min\":{},\"antt_max\":{}}}",
-        json_str(label),
-        json_str(&s.scenario.name()),
-        s.mixes,
-        json_num(s.stp_mean),
-        json_num(s.stp_min_max.0),
-        json_num(s.stp_min_max.1),
-        json_num(s.antt_mean),
-        json_num(s.antt_min_max.0),
-        json_num(s.antt_min_max.1),
-    );
-}
-
-/// Renders one [`ScenarioStats`] as a JSON object.
-#[must_use]
-pub fn scenario_stats_json(label: &str, stats: &ScenarioStats) -> String {
-    let mut out = String::new();
-    push_scenario(&mut out, label, stats);
-    out.push('\n');
-    out
-}
-
-/// Renders a multi-policy campaign (`policy labels` parallel to
-/// `stats.per_policy`) as a JSON document.
-#[must_use]
-pub fn multi_stats_json(labels: &[&str], stats: &MultiPolicyStats) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"scenario\":{},\"per_policy\":[",
-        json_str(&stats.scenario.name())
-    );
-    for (i, (label, s)) in labels.iter().zip(&stats.per_policy).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_scenario(&mut out, label, s);
-    }
-    out.push_str("]}\n");
     out
 }
 

@@ -619,23 +619,9 @@ pub(crate) fn apply_fault(
             let Some(id) = engine.cluster().node_ids_iter().nth(node) else {
                 return Ok(());
             };
-            let lost = engine.fail_node(id)?;
+            lose_node(engine, apps, config, t, id, resil)?;
             resil.stats.node_crashes += 1;
             restore_at[node] = restore_at[node].max(t + outage_secs);
-            let mut owners: Vec<AppId> = Vec::new();
-            for (owner, slice) in lost {
-                resil.stats.slices_requeued_gb += slice;
-                if !owners.contains(&owner) {
-                    owners.push(owner);
-                }
-            }
-            if config.resilience.enabled {
-                for owner in owners {
-                    if let Some(app) = apps.get_mut(owner.index()) {
-                        schedule_retry(app, t, &config.resilience, resil, false);
-                    }
-                }
-            }
         }
         FaultKind::ExecutorCrash { node } => {
             let Some(id) = engine.cluster().node_ids_iter().nth(node) else {
@@ -702,11 +688,40 @@ pub(crate) fn apply_fault(
     Ok(())
 }
 
+/// Fails `node` at `t`: its executors are lost and their slices go back
+/// to the owners' unassigned input. With resilience enabled each owner, in
+/// first-seen order, gets one backed-off retry that never demotes it
+/// (losing a node is the environment's fault, not the application's).
+fn lose_node(
+    engine: &mut ClusterEngine,
+    apps: &mut [AppRt],
+    config: &SchedulerConfig,
+    t: f64,
+    node: NodeId,
+    resil: &mut ResilState,
+) -> Result<(), ColocateError> {
+    let lost = engine.fail_node(node)?;
+    let mut owners: Vec<AppId> = Vec::new();
+    for (owner, slice) in lost {
+        resil.stats.slices_requeued_gb += slice;
+        if !owners.contains(&owner) {
+            owners.push(owner);
+        }
+    }
+    if config.resilience.enabled {
+        for owner in owners {
+            if let Some(app) = apps.get_mut(owner.index()) {
+                schedule_retry(app, t, &config.resilience, resil, false);
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Fails every node whose spot-revocation deadline has elapsed: running
 /// executors are lost (work conservation credits their slices back to the
 /// owners), the node goes offline for the drawn outage, and — with
-/// resilience enabled — the victims get backed-off retries that never
-/// demote them (losing a node is the environment's fault, not theirs).
+/// resilience enabled — the victims get backed-off retries ([`lose_node`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn process_revocations(
     engine: &mut ClusterEngine,
@@ -724,21 +739,7 @@ pub(crate) fn process_revocations(
             continue;
         }
         if engine.node_online(node_ids[i]) {
-            let lost = engine.fail_node(node_ids[i])?;
-            let mut owners: Vec<AppId> = Vec::new();
-            for (owner, slice) in lost {
-                resil.stats.slices_requeued_gb += slice;
-                if !owners.contains(&owner) {
-                    owners.push(owner);
-                }
-            }
-            if config.resilience.enabled {
-                for owner in owners {
-                    if let Some(app) = apps.get_mut(owner.index()) {
-                        schedule_retry(app, t, &config.resilience, resil, false);
-                    }
-                }
-            }
+            lose_node(engine, apps, config, t, node_ids[i], resil)?;
         }
         restore_at[i] = restore_at[i].max(t + revoke_outage[i]);
         revoke_at[i] = 0.0;

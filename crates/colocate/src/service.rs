@@ -49,7 +49,7 @@ use crate::ColocateError;
 use simkit::arrivals::{ArrivalPlan, ArrivalPlanConfig, ArrivalProcess};
 use simkit::faults::FaultPlan;
 use simkit::stats::TimeWeighted;
-use simkit::{SimRng, SimTime};
+use simkit::SimRng;
 use sparklite::engine::ClusterEngine;
 use sparklite::NodeId;
 use std::collections::{HashMap, VecDeque};
@@ -508,11 +508,27 @@ pub(crate) struct LoopRun {
     pub(crate) engine: ClusterEngine,
 }
 
+/// Fails naming the first of `fields` whose value is NaN, infinite or
+/// fails `ok`, which `what` puts in words.
+fn check_fields(
+    what: &str,
+    ok: impl Fn(f64) -> bool,
+    fields: &[(&str, f64)],
+) -> Result<(), ColocateError> {
+    match fields.iter().find(|&&(_, v)| !v.is_finite() || !ok(v)) {
+        Some((name, value)) => Err(ColocateError::Config(format!(
+            "{name} must be finite and {what}, got {value}"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Rejects a scheduler config the loop cannot run faithfully: a cluster
 /// without nodes or usable RAM, or a bound that is NaN, infinite or out of
 /// range. A NaN cap or margin would silently disable its guard, a zero
-/// executor cap would let the forced placement ignore it, and a bad
-/// startup latency would panic in the engine.
+/// executor cap would let the forced placement ignore it, a bad startup
+/// latency would panic in the engine, and a margin cap below 1 would panic
+/// the resilience controller's clamp.
 fn validate_scheduler(sched: &SchedulerConfig) -> Result<(), ColocateError> {
     if sched.cluster.nodes == 0 {
         return Err(ColocateError::Config(
@@ -524,32 +540,61 @@ fn validate_scheduler(sched: &SchedulerConfig) -> Result<(), ColocateError> {
             "max_execs_per_node must be at least 1".into(),
         ));
     }
-    let positive = [
-        ("node RAM (GB)", sched.cluster.node.ram_gb),
-        ("cpu_cap", sched.cpu_cap),
-        ("reserve_margin", sched.reserve_margin),
-        ("conservative_margin", sched.conservative_margin),
-    ];
-    for (name, value) in positive {
-        if !value.is_finite() || value <= 0.0 {
-            return Err(ColocateError::Config(format!(
-                "{name} must be finite and positive, got {value}"
-            )));
-        }
-    }
-    let non_negative = [
-        ("executor_startup_secs", sched.executor_startup_secs),
-        ("min_slice_gb", sched.min_slice_gb),
-        ("partition_gb", sched.partition_gb),
-    ];
-    for (name, value) in non_negative {
-        if !value.is_finite() || value < 0.0 {
-            return Err(ColocateError::Config(format!(
-                "{name} must be finite and non-negative, got {value}"
-            )));
-        }
-    }
-    Ok(())
+    let r = &sched.resilience;
+    check_fields(
+        "positive",
+        |v| v > 0.0,
+        &[
+            ("node RAM (GB)", sched.cluster.node.ram_gb),
+            ("cpu_cap", sched.cpu_cap),
+            ("reserve_margin", sched.reserve_margin),
+            ("conservative_margin", sched.conservative_margin),
+        ],
+    )?;
+    check_fields(
+        "non-negative",
+        |v| v >= 0.0,
+        &[
+            ("executor_startup_secs", sched.executor_startup_secs),
+            ("min_slice_gb", sched.min_slice_gb),
+            ("partition_gb", sched.partition_gb),
+            ("resilience.backoff_base_secs", r.backoff_base_secs),
+            ("resilience.backoff_cap_secs", r.backoff_cap_secs),
+        ],
+    )?;
+    check_fields(
+        "in [0, 1]",
+        |v| (0.0..=1.0).contains(&v),
+        &[
+            ("resilience.margin_alpha", r.margin_alpha),
+            ("resilience.backoff_jitter", r.backoff_jitter),
+        ],
+    )?;
+    check_fields(
+        "at least 1",
+        |v| v >= 1.0,
+        &[("resilience.margin_cap", r.margin_cap)],
+    )
+}
+
+/// Rejects an admission config whose comparisons would go silently false:
+/// a NaN headroom fraction turns off both the headroom gate and the
+/// overbook audit, and a NaN breaker window or cooldown never trips or
+/// never recovers.
+fn validate_admission(admission: &AdmissionConfig) -> Result<(), ColocateError> {
+    check_fields(
+        "positive",
+        |v| v > 0.0,
+        &[("admission.headroom_frac", admission.headroom_frac)],
+    )?;
+    check_fields(
+        "non-negative",
+        |v| v >= 0.0,
+        &[
+            ("breaker.window_secs", admission.breaker.window_secs),
+            ("breaker.cooldown_secs", admission.breaker.cooldown_secs),
+        ],
+    )
 }
 
 /// Iteration guard of the event loop: a run still going after this many
@@ -575,6 +620,7 @@ pub(crate) fn run_loop(
     let sched = &config.scheduler;
     let admission = config.admission;
     validate_scheduler(sched)?;
+    validate_admission(&admission)?;
 
     let mut rng = SimRng::seed_from(seed);
     let predictor = build_predictor(policy, catalog, system, &mut rng)?;
@@ -742,7 +788,7 @@ pub(crate) fn run_loop(
     let mut deferrals = 0usize;
     let mut shed_jobs = 0usize;
     let mut abstain_placements = 0usize;
-    let mut depth_avg = TimeWeighted::new(SimTime::ZERO);
+    let mut depth_avg = TimeWeighted::new(0.0);
     let mut max_queue_depth = 0usize;
     // The jobs still in play — arrived, not shed, not finished — by plan
     // index in ascending order. Every per-job pass below walks this list
@@ -954,7 +1000,7 @@ pub(crate) fn run_loop(
 
         let depth = queued_count(&live, &jobs);
         max_queue_depth = max_queue_depth.max(depth);
-        depth_avg.set(SimTime::from_secs(t), depth as f64);
+        depth_avg.set(t, depth as f64);
         if record_trace {
             trace.push((
                 t,
@@ -1110,7 +1156,7 @@ pub(crate) fn run_loop(
         breaker_trips: breaker.trips(),
         max_queue_depth,
         mean_queue_depth: if makespan > 0.0 {
-            depth_avg.time_average(SimTime::from_secs(makespan))
+            depth_avg.time_average(makespan)
         } else {
             0.0
         },
@@ -1531,6 +1577,54 @@ mod tests {
             }
         }
         assert_rejected(bad);
+    }
+
+    #[test]
+    fn out_of_range_resilience_bounds_are_rejected() {
+        let non_finite = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        type Setter = fn(&mut ResilienceConfig, f64);
+        let setters: [(Setter, &[f64]); 5] = [
+            // Below 1 would panic `f64::clamp(1.0, margin_cap)`.
+            (|r, v| r.margin_cap = v, &[0.5, 0.0, -1.0]),
+            (|r, v| r.margin_alpha = v, &[-0.1, 1.5]),
+            (|r, v| r.backoff_jitter = v, &[-0.1, 1.5]),
+            (|r, v| r.backoff_base_secs = v, &[-1.0]),
+            (|r, v| r.backoff_cap_secs = v, &[-1.0]),
+        ];
+        let mut bad = Vec::new();
+        for (set, out_of_range) in setters {
+            for &value in non_finite.iter().chain(out_of_range) {
+                let mut sched = small_sched();
+                sched.resilience = ResilienceConfig::self_healing();
+                set(&mut sched.resilience, value);
+                bad.push(sched);
+            }
+        }
+        assert_rejected(bad);
+    }
+
+    #[test]
+    fn nan_headroom_and_breaker_times_are_rejected() {
+        let catalog = Catalog::paper();
+        let jobs = jobs_of(&catalog, &["HB.Sort", "BDB.Grep"]);
+        let plan = ArrivalPlan::batch(&[(0, 0), (0, 1)]);
+        let non_finite = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        type Setter = fn(&mut AdmissionConfig, f64);
+        let setters: [(Setter, &[f64]); 3] = [
+            // A NaN fraction would turn off the headroom gate and the audit.
+            (|a, v| a.headroom_frac = v, &[0.0, -0.0, -0.5]),
+            (|a, v| a.breaker.window_secs = v, &[-1.0]),
+            (|a, v| a.breaker.cooldown_secs = v, &[-1.0]),
+        ];
+        for (set, out_of_range) in setters {
+            for &value in non_finite.iter().chain(out_of_range) {
+                let mut config = service_config(small_sched(), jobs.clone());
+                config.admission = AdmissionConfig::controlled();
+                set(&mut config.admission, value);
+                let run = run_service(PolicyKind::Oracle, &catalog, &plan, None, &config, 1, None);
+                assert!(matches!(run, Err(ColocateError::Config(_))), "{config:?}");
+            }
+        }
     }
 
     #[test]

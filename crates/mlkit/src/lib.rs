@@ -14,9 +14,7 @@
 //!   and [`mlp::Mlp`] (serving as both "MLP" and "ANN");
 //! * regression — [`regression`] fits the paper's three memory-function
 //!   families (Table 1) by least squares and solves their coefficients
-//!   exactly from two calibration points (§4.1 "Model Calibration");
-//! * evaluation — [`dataset::Dataset`] splits, k-fold and leave-one-out
-//!   cross-validation, accuracy and confusion matrices ([`eval`]).
+//!   exactly from two calibration points (§4.1 "Model Calibration").
 //!
 //! All classifiers implement the common [`Classifier`] trait so the
 //! benchmark harness can sweep them uniformly (Table 5).
@@ -36,8 +34,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod dataset;
-pub mod eval;
 pub mod forest;
 pub mod kernels;
 pub mod kmeans;

@@ -1,6 +1,5 @@
 //! Property-based tests for mlkit invariants.
 
-use mlkit::eval::{accuracy, r_squared};
 use mlkit::knn::KnnClassifier;
 use mlkit::pca::Pca;
 use mlkit::regression::{evaluate, fit_family, solve_two_point, CurveFamily, FittedCurve};
@@ -118,20 +117,5 @@ proptest! {
         for (&x, &y) in xs.iter().zip(ys.iter()) {
             prop_assert!((fit.eval(x) - y).abs() < 1e-2 * (1.0 + y.abs()));
         }
-    }
-
-    /// Accuracy is always within [0, 1] and equals 1 against itself.
-    #[test]
-    fn accuracy_bounds(labels in proptest::collection::vec(0usize..5, 1..100)) {
-        prop_assert_eq!(accuracy(&labels, &labels), 1.0);
-        let zeros = vec![0usize; labels.len()];
-        let a = accuracy(&zeros, &labels);
-        prop_assert!((0.0..=1.0).contains(&a));
-    }
-
-    /// R² of a perfect prediction is 1.
-    #[test]
-    fn r_squared_perfect(ys in proptest::collection::vec(-1e3f64..1e3, 2..50)) {
-        prop_assert!((r_squared(&ys, &ys) - 1.0).abs() < 1e-9);
     }
 }

@@ -1,11 +1,10 @@
 //! # simkit — deterministic discrete-event simulation substrate
 //!
 //! `simkit` is the substrate beneath the Spark-co-location reproduction: the
-//! clock, randomness, pre-drawn schedules and statistics that the
-//! discrete-event simulation (DES) in `sparklite` and `colocate` is built
-//! from:
+//! randomness, pre-drawn schedules and statistics that the discrete-event
+//! simulation (DES) in `sparklite` and `colocate` is built from. Simulated
+//! time is plain `f64` seconds throughout.
 //!
-//! * a virtual clock measured in seconds ([`SimTime`] / [`SimDuration`]),
 //! * a seedable random-number layer ([`rng::SimRng`]) with the distributions
 //!   the workload models need (uniform, normal, log-normal, exponential),
 //! * capacity-checked [`resource::ResourcePool`]s for modeling RAM, swap and
@@ -28,7 +27,7 @@
 //!   FNV-1a checksum and atomic file replacement, used for model
 //!   artifacts and result files, and
 //! * online statistics ([`stats`]) — Welford moments, histograms,
-//!   percentiles, confidence intervals and time-weighted gauges — used by the
+//!   confidence intervals and time-weighted gauges — used by the
 //!   experiment harness to decide when the 95 % confidence half-width has
 //!   shrunk below 5 % of the mean (the paper's stopping rule, §5.2).
 //!
@@ -45,16 +44,16 @@
 //! ## Example
 //!
 //! ```
-//! use simkit::{SimDuration, SimRng, SimTime};
+//! use simkit::SimRng;
 //!
 //! // A next-event loop in miniature: the clock jumps from one pre-drawn
 //! // arrival to the next, and a seed replays the same schedule.
 //! let draw = |seed| {
 //!     let mut rng = SimRng::seed_from(seed);
-//!     let mut now = SimTime::ZERO;
+//!     let mut now = 0.0;
 //!     (0..4)
 //!         .map(|_| {
-//!             now += SimDuration::from_secs(rng.exponential(0.5));
+//!             now += rng.exponential(0.5);
 //!             now
 //!         })
 //!         .collect::<Vec<_>>()
@@ -74,7 +73,6 @@ pub mod par;
 pub mod resource;
 pub mod rng;
 pub mod stats;
-pub mod time;
 pub mod wire;
 
 pub use arrivals::{
@@ -84,4 +82,3 @@ pub use chaoskit::{Episode, EpisodeSpace, ShrinkResult, Violation};
 pub use faults::{FaultCursor, FaultEvent, FaultKind, FaultPlan, FaultPlanConfig};
 pub use resource::{ResourceError, ResourcePool};
 pub use rng::SimRng;
-pub use time::{SimDuration, SimTime};

@@ -69,7 +69,6 @@ impl std::error::Error for ResourceError {}
 pub struct ResourcePool {
     capacity: f64,
     in_use: f64,
-    peak: f64,
 }
 
 impl ResourcePool {
@@ -87,7 +86,6 @@ impl ResourcePool {
         ResourcePool {
             capacity,
             in_use: 0.0,
-            peak: 0.0,
         }
     }
 
@@ -109,29 +107,6 @@ impl ResourcePool {
         (self.capacity - self.in_use).max(0.0)
     }
 
-    /// Highest usage observed since construction (or the last
-    /// [`ResourcePool::reset_peak`]).
-    #[must_use]
-    pub fn peak(&self) -> f64 {
-        self.peak
-    }
-
-    /// Utilisation in `[0, 1]`; zero-capacity pools report 0.
-    #[must_use]
-    pub fn utilization(&self) -> f64 {
-        if self.capacity == 0.0 {
-            0.0
-        } else {
-            self.in_use / self.capacity
-        }
-    }
-
-    /// Returns `true` if `amount` could be reserved right now.
-    #[must_use]
-    pub fn can_reserve(&self, amount: f64) -> bool {
-        amount.is_finite() && amount >= 0.0 && self.in_use + amount <= self.capacity + EPS
-    }
-
     /// Reserves `amount` from the pool.
     ///
     /// # Errors
@@ -150,7 +125,6 @@ impl ResourcePool {
             });
         }
         self.in_use = (self.in_use + amount).min(self.capacity);
-        self.peak = self.peak.max(self.in_use);
         Ok(())
     }
 
@@ -173,31 +147,6 @@ impl ResourcePool {
         }
         self.in_use = (self.in_use - amount).max(0.0);
         Ok(())
-    }
-
-    /// Adjusts an existing reservation from `old` to `new` atomically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the errors of [`ResourcePool::reserve`] /
-    /// [`ResourcePool::release`]; on error the pool is unchanged.
-    pub fn resize(&mut self, old: f64, new: f64) -> Result<(), ResourceError> {
-        if !old.is_finite() || old < 0.0 {
-            return Err(ResourceError::InvalidAmount(old));
-        }
-        if !new.is_finite() || new < 0.0 {
-            return Err(ResourceError::InvalidAmount(new));
-        }
-        if new >= old {
-            self.reserve(new - old)
-        } else {
-            self.release(old - new)
-        }
-    }
-
-    /// Forgets the recorded peak.
-    pub fn reset_peak(&mut self) {
-        self.peak = self.in_use;
     }
 }
 
@@ -253,41 +202,6 @@ mod tests {
             p.release(f64::INFINITY),
             Err(ResourceError::InvalidAmount(_))
         ));
-    }
-
-    #[test]
-    fn peak_tracks_high_water_mark() {
-        let mut p = ResourcePool::new(100.0);
-        p.reserve(70.0).unwrap();
-        p.release(50.0).unwrap();
-        p.reserve(10.0).unwrap();
-        assert_eq!(p.peak(), 70.0);
-        p.reset_peak();
-        assert_eq!(p.peak(), 30.0);
-    }
-
-    #[test]
-    fn resize_grows_and_shrinks() {
-        let mut p = ResourcePool::new(100.0);
-        p.reserve(20.0).unwrap();
-        p.resize(20.0, 50.0).unwrap();
-        assert_eq!(p.in_use(), 50.0);
-        p.resize(50.0, 5.0).unwrap();
-        assert_eq!(p.in_use(), 5.0);
-        assert!(p.resize(5.0, 1000.0).is_err());
-        assert_eq!(p.in_use(), 5.0, "failed resize leaves pool unchanged");
-    }
-
-    #[test]
-    fn utilization_and_can_reserve() {
-        let mut p = ResourcePool::new(16.0);
-        assert_eq!(p.utilization(), 0.0);
-        p.reserve(8.0).unwrap();
-        assert_eq!(p.utilization(), 0.5);
-        assert!(p.can_reserve(8.0));
-        assert!(!p.can_reserve(8.1));
-        let zero = ResourcePool::new(0.0);
-        assert_eq!(zero.utilization(), 0.0);
     }
 
     #[test]

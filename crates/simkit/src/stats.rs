@@ -1,13 +1,13 @@
 //! Online statistics for simulation output analysis.
 //!
-//! Provides [`Welford`] (numerically stable running moments),
-//! [`Histogram`] (fixed-width bins, used for the paper's Fig. 13 CPU-load
-//! distribution), [`summary`] helpers (geometric mean, percentiles,
-//! confidence intervals — the harness stops replaying a mix when the 95 %
-//! half-width falls below 5 % of the mean, §5.2 of the paper), and
-//! [`TimeWeighted`] gauges for utilisation-over-time traces (Fig. 7).
+//! Provides [`Welford`] (numerically stable running moments and the 95 %
+//! confidence half-width — the harness stops replaying a mix when it falls
+//! below 5 % of the mean, §5.2 of the paper), [`Histogram`] (fixed-width
+//! bins, used for the paper's Fig. 13 CPU-load distribution), the
+//! [`summary::geometric_mean`] the paper reports across configurations,
+//! and [`TimeWeighted`] gauges for time-averaged signals such as queue
+//! depth.
 
-use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Numerically stable running mean/variance (Welford's algorithm).
@@ -128,26 +128,6 @@ impl Welford {
         let m = self.mean().abs();
         m > 0.0 && self.ci95_half_width() <= rel_tol * m
     }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// A fixed-width-bin histogram over `[lo, hi)` with overflow/underflow bins.
@@ -242,22 +222,22 @@ impl Histogram {
 }
 
 /// A time-weighted gauge: tracks the integral of a piecewise-constant signal
-/// (e.g. per-node CPU utilisation) so its time average can be reported.
+/// (e.g. a queue's depth) so its time average can be reported. Instants are
+/// simulated seconds.
 ///
 /// # Examples
 ///
 /// ```
 /// use simkit::stats::TimeWeighted;
-/// use simkit::SimTime;
-/// let mut g = TimeWeighted::new(SimTime::ZERO);
-/// g.set(SimTime::from_secs(0.0), 0.2);
-/// g.set(SimTime::from_secs(10.0), 0.8);
-/// assert_eq!(g.time_average(SimTime::from_secs(20.0)), 0.5);
+/// let mut g = TimeWeighted::new(0.0);
+/// g.set(0.0, 0.2);
+/// g.set(10.0, 0.8);
+/// assert_eq!(g.time_average(20.0), 0.5);
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TimeWeighted {
-    started: SimTime,
-    last_change: SimTime,
+    started: f64,
+    last_change: f64,
     current: f64,
     integral: f64,
 }
@@ -265,7 +245,7 @@ pub struct TimeWeighted {
 impl TimeWeighted {
     /// Creates a gauge that starts at zero at instant `start`.
     #[must_use]
-    pub fn new(start: SimTime) -> Self {
+    pub fn new(start: f64) -> Self {
         TimeWeighted {
             started: start,
             last_change: start,
@@ -279,9 +259,8 @@ impl TimeWeighted {
     /// # Panics
     ///
     /// Panics if `now` precedes the previous change (time must be monotone).
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        let dt = now.duration_since(self.last_change).as_secs();
-        self.integral += self.current * dt;
+    pub fn set(&mut self, now: f64, value: f64) {
+        self.integral += self.current * span(now, self.last_change);
         self.current = value;
         self.last_change = now;
     }
@@ -294,14 +273,25 @@ impl TimeWeighted {
 
     /// Time average of the gauge from its start until `now`.
     #[must_use]
-    pub fn time_average(&self, now: SimTime) -> f64 {
-        let total = now.duration_since(self.started).as_secs();
+    pub fn time_average(&self, now: f64) -> f64 {
+        let total = span(now, self.started);
         if total == 0.0 {
             return self.current;
         }
-        let pending = self.current * now.duration_since(self.last_change).as_secs();
+        let pending = self.current * span(now, self.last_change);
         (self.integral + pending) / total
     }
+}
+
+/// Seconds from `earlier` to `now`; panics unless that is a finite,
+/// non-negative span.
+fn span(now: f64, earlier: f64) -> f64 {
+    let dt = now - earlier;
+    assert!(
+        dt.is_finite() && dt >= 0.0,
+        "time must be monotone: {now} s is before {earlier} s"
+    );
+    dt
 }
 
 /// Free-standing summaries over slices of observations.
@@ -323,48 +313,6 @@ pub mod summary {
             })
             .sum();
         (log_sum / xs.len() as f64).exp()
-    }
-
-    /// Arithmetic mean; 0 for an empty slice.
-    #[must_use]
-    pub fn mean(xs: &[f64]) -> f64 {
-        if xs.is_empty() {
-            0.0
-        } else {
-            xs.iter().sum::<f64>() / xs.len() as f64
-        }
-    }
-
-    /// Linear-interpolated percentile, `p` in `[0, 100]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` is empty or `p` is out of range.
-    #[must_use]
-    pub fn percentile(xs: &[f64], p: f64) -> f64 {
-        assert!(!xs.is_empty(), "percentile of an empty slice");
-        assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
-        let mut sorted = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN data"));
-        let rank = p / 100.0 * (sorted.len() - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        if lo == hi {
-            sorted[lo]
-        } else {
-            let frac = rank - lo as f64;
-            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-        }
-    }
-
-    /// Median (the 50th percentile).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` is empty.
-    #[must_use]
-    pub fn median(xs: &[f64]) -> f64 {
-        percentile(xs, 50.0)
     }
 }
 
@@ -396,27 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn welford_merge_equals_bulk() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 50.0).collect();
-        let mut whole = Welford::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.sample_variance() - whole.sample_variance()).abs() < 1e-9);
-    }
-
-    #[test]
     fn ci_converges_for_tight_data() {
         let mut w = Welford::new();
         for i in 0..50 {
@@ -444,18 +371,26 @@ mod tests {
 
     #[test]
     fn time_weighted_average() {
-        let mut g = TimeWeighted::new(SimTime::ZERO);
-        g.set(SimTime::ZERO, 1.0);
-        g.set(SimTime::from_secs(4.0), 0.0);
+        let mut g = TimeWeighted::new(0.0);
+        g.set(0.0, 1.0);
+        g.set(4.0, 0.0);
         // 4 s at 1.0 then 4 s at 0.0.
-        assert_eq!(g.time_average(SimTime::from_secs(8.0)), 0.5);
+        assert_eq!(g.time_average(8.0), 0.5);
         assert_eq!(g.current(), 0.0);
     }
 
     #[test]
     fn time_weighted_at_start_reports_current() {
-        let g = TimeWeighted::new(SimTime::from_secs(5.0));
-        assert_eq!(g.time_average(SimTime::from_secs(5.0)), 0.0);
+        let g = TimeWeighted::new(5.0);
+        assert_eq!(g.time_average(5.0), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "monotone")]
+    fn time_weighted_rejects_a_set_before_the_last_change() {
+        let mut g = TimeWeighted::new(0.0);
+        g.set(4.0, 1.0);
+        g.set(3.0, 0.0);
     }
 
     #[test]
@@ -468,19 +403,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn geometric_mean_rejects_nonpositive() {
         let _ = summary::geometric_mean(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let xs = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(summary::percentile(&xs, 0.0), 10.0);
-        assert_eq!(summary::percentile(&xs, 100.0), 40.0);
-        assert_eq!(summary::median(&xs), 25.0);
-        assert_eq!(summary::percentile(&xs, 50.0), 25.0);
-    }
-
-    #[test]
-    fn mean_of_empty_is_zero() {
-        assert_eq!(summary::mean(&[]), 0.0);
     }
 }

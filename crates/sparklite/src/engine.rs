@@ -228,12 +228,6 @@ impl ClusterEngine {
         &self.cluster
     }
 
-    /// The interference model in use.
-    #[must_use]
-    pub fn interference_model(&self) -> InterferenceModel {
-        self.model
-    }
-
     /// Submits an application; it starts with its whole input unassigned.
     pub fn submit(&mut self, spec: AppSpec) -> AppId {
         self.apps.push(AppState::new(spec));
@@ -249,12 +243,6 @@ impl ClusterEngine {
     #[must_use]
     pub fn app(&self, id: AppId) -> &AppState {
         &self.apps[id.0]
-    }
-
-    /// Number of submitted applications.
-    #[must_use]
-    pub fn app_count(&self) -> usize {
-        self.apps.len()
     }
 
     /// Iterates over `(id, state)` for all submitted applications.
@@ -335,14 +323,6 @@ impl ClusterEngine {
     #[must_use]
     pub fn live_executors(&self) -> usize {
         self.executors.len()
-    }
-
-    /// A noisy footprint measurement for a profiling run on `slice_gb` of
-    /// `app`'s input — what `vmstat` would report for the executor (§4.1).
-    pub fn measure_footprint(&mut self, app: AppId, slice_gb: f64) -> f64 {
-        let spec = self.apps[app.0].spec();
-        let noise = self.rng.relative_noise(spec.footprint_noise_sd);
-        spec.true_footprint_gb(slice_gb) * noise
     }
 
     /// Credits profiling work toward an application's output (§2.3: "no
@@ -1216,21 +1196,6 @@ mod tests {
         eng.credit_profiled(app, 1.5);
         assert_eq!(eng.app(app).processed_gb(), 1.5);
         assert_eq!(eng.app(app).unassigned_gb(), 8.5);
-    }
-
-    #[test]
-    fn measure_footprint_is_noisy_but_unbiased() {
-        let mut eng = engine(1);
-        let mut noisy = linear_app("a", 10.0, 0.3);
-        noisy.footprint_noise_sd = 0.05;
-        let app = eng.submit(noisy);
-        let n = 500;
-        let mean: f64 = (0..n)
-            .map(|_| eng.measure_footprint(app, 10.0))
-            .sum::<f64>()
-            / n as f64;
-        // truth = 0.5·10 + 1 = 6 GB.
-        assert!((mean - 6.0).abs() < 0.1, "mean = {mean}");
     }
 
     #[test]

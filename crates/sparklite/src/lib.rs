@@ -67,7 +67,6 @@ pub mod engine;
 pub mod executor;
 pub mod monitor;
 pub mod perf;
-pub mod stages;
 mod tourney;
 
 pub use app::{AppId, AppSpec};

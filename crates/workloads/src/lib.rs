@@ -37,7 +37,6 @@ pub mod inputs;
 pub mod mixes;
 pub mod parsec;
 pub mod signatures;
-pub mod staging;
 
 pub use catalog::{Benchmark, Catalog, Suite};
 pub use mixes::{InputSize, MixEntry, MixScenario};
