@@ -14,8 +14,8 @@
 
 use crate::metrics::{normalize, NormalizedMetrics};
 use crate::scheduler::{
-    run_schedule, run_schedule_custom, run_schedule_with_faults, FaultStats, PolicyKind,
-    ResilienceConfig, ScheduleOutcome, SchedulerConfig,
+    isolated_makespan, run_schedule, run_schedule_with_faults, FaultStats, PolicyKind,
+    ResilienceConfig, ScheduleOutcome, SchedulerConfig, UtilTrace,
 };
 use crate::training::{train_system, TrainedSystem, TrainingConfig};
 use crate::ColocateError;
@@ -80,11 +80,7 @@ pub fn isolated_times_custom(
     seed: u64,
 ) -> Result<Vec<f64>, ColocateError> {
     jobs.iter()
-        .map(|&job| {
-            let solo =
-                run_schedule_custom(PolicyKind::Isolated, catalog, &[job], None, config, seed)?;
-            Ok(solo.makespan_secs)
-        })
+        .map(|&job| isolated_makespan(catalog, job, config, seed))
         .collect()
 }
 
@@ -157,12 +153,12 @@ impl BaselineCache {
             return Ok(secs);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let solo = run_schedule_custom(PolicyKind::Isolated, catalog, &[job], None, config, seed)?;
+        let secs = isolated_makespan(catalog, job, config, seed)?;
         self.map
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, solo.makespan_secs);
-        Ok(solo.makespan_secs)
+            .insert(key, secs);
+        Ok(secs)
     }
 
     /// [`isolated_times`] through the cache: per-app `C_iso` for a mix.
@@ -751,27 +747,28 @@ pub fn evaluate_chaos(
 ///
 /// Panics if `bins == 0` or the trace is empty.
 #[must_use]
-pub fn bin_trace(trace: &[(f64, Vec<f64>)], makespan_secs: f64, bins: usize) -> Vec<Vec<f64>> {
+pub fn bin_trace(trace: &UtilTrace, makespan_secs: f64, bins: usize) -> Vec<Vec<f64>> {
     assert!(bins > 0, "need at least one bin");
     assert!(!trace.is_empty(), "empty trace");
-    let nodes = trace[0].1.len();
+    let nodes = trace.nodes();
     let bin_width = makespan_secs / bins as f64;
     let mut sums = vec![vec![0.0f64; nodes]; bins];
     let mut weights = vec![0.0f64; bins];
 
-    for (i, (t0, loads)) in trace.iter().enumerate() {
-        let t1 = trace
-            .get(i + 1)
-            .map_or(makespan_secs, |(t, _)| *t)
+    let mut samples = trace.iter().peekable();
+    while let Some((t0, loads)) = samples.next() {
+        let t1 = samples
+            .peek()
+            .map_or(makespan_secs, |&(t, _)| t)
             .min(makespan_secs);
-        if t1 <= *t0 {
+        if t1 <= t0 {
             continue;
         }
         // Spread this piecewise-constant segment across bins. Guard the
         // advance against floating-point boundary collisions: when t sits
         // exactly on a bin edge, `(bin + 1) * width` can round to t and
         // stall the loop.
-        let mut t = *t0;
+        let mut t = t0;
         while t < t1 {
             let bin = ((t / bin_width) as usize).min(bins - 1);
             let mut bin_end = ((bin + 1) as f64 * bin_width).min(t1);
@@ -988,10 +985,18 @@ mod tests {
         assert_eq!(sum, scaled(2));
     }
 
+    fn one_node_trace(samples: &[(f64, f64)]) -> UtilTrace {
+        let mut trace = UtilTrace::new(1);
+        for &(t, load) in samples {
+            trace.push(t, std::iter::once(load));
+        }
+        trace
+    }
+
     #[test]
     fn trace_binning_is_time_weighted() {
         // One node: load 1.0 for 10 s then 0.0 for 10 s.
-        let trace = vec![(0.0, vec![1.0]), (10.0, vec![0.0])];
+        let trace = one_node_trace(&[(0.0, 1.0), (10.0, 0.0)]);
         let bins = bin_trace(&trace, 20.0, 2);
         assert!((bins[0][0] - 1.0).abs() < 1e-9);
         assert!(bins[1][0].abs() < 1e-9);
@@ -1003,7 +1008,7 @@ mod tests {
     fn trace_binning_survives_boundary_aligned_events() {
         // Events exactly on bin boundaries must not stall the binning
         // loop (a floating-point edge found by Fig. 7's Pairwise trace).
-        let trace = vec![(0.0, vec![1.0]), (10.0, vec![0.5]), (20.0, vec![0.25])];
+        let trace = one_node_trace(&[(0.0, 1.0), (10.0, 0.5), (20.0, 0.25)]);
         let bins = bin_trace(&trace, 30.0, 3);
         assert!((bins[0][0] - 1.0).abs() < 1e-9);
         assert!((bins[1][0] - 0.5).abs() < 1e-9);

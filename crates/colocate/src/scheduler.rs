@@ -331,9 +331,72 @@ pub struct ScheduleOutcome {
     pub oom_kills: usize,
     /// Utilisation trace: `(time, per-node CPU load)` samples at every
     /// scheduling event.
-    pub trace: Vec<(f64, Vec<f64>)>,
+    pub trace: UtilTrace,
     /// Delivered faults and the self-healing layer's responses.
     pub faults: FaultStats,
+}
+
+/// A utilisation trace: one `(time, per-node CPU load)` sample per
+/// scheduling instant, stored flat — the time, then the node loads, with
+/// stride `nodes + 1` — so recording a sample allocates nothing except
+/// once per [`TRACE_BLOCK_SAMPLES`] samples. Fixed-size blocks rather than
+/// one doubling buffer keep the peak footprint at the samples' own size:
+/// a grown copy never sits beside the old one.
+#[derive(Debug, Clone, Default)]
+pub struct UtilTrace {
+    nodes: usize,
+    blocks: Vec<Vec<f64>>,
+}
+
+/// Samples per [`UtilTrace`] storage block.
+const TRACE_BLOCK_SAMPLES: usize = 256;
+
+impl UtilTrace {
+    /// An empty trace over `nodes` nodes.
+    pub(crate) fn new(nodes: usize) -> Self {
+        UtilTrace {
+            nodes,
+            blocks: Vec::new(),
+        }
+    }
+
+    /// Appends the sample at time `t`; `loads` yields one load per node.
+    pub(crate) fn push(&mut self, t: f64, loads: impl Iterator<Item = f64>) {
+        let block_len = TRACE_BLOCK_SAMPLES * (self.nodes + 1);
+        if self.blocks.last().is_none_or(|b| b.len() >= block_len) {
+            self.blocks.push(Vec::with_capacity(block_len));
+        }
+        if let Some(block) = self.blocks.last_mut() {
+            block.push(t);
+            block.extend(loads);
+            debug_assert_eq!(block.len() % (self.nodes + 1), 0);
+        }
+    }
+
+    /// Number of samples.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.blocks.iter().map(Vec::len).sum::<usize>() / (self.nodes + 1)
+    }
+
+    /// Whether no sample was recorded.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.blocks.is_empty()
+    }
+
+    /// Number of nodes each sample covers.
+    pub(crate) fn nodes(&self) -> usize {
+        self.nodes
+    }
+
+    /// The samples in time order, as `(time, per-node loads)`.
+    pub fn iter(&self) -> impl Iterator<Item = (f64, &[f64])> + '_ {
+        self.blocks
+            .iter()
+            .flat_map(move |block| block.chunks_exact(self.nodes + 1))
+            .map(|sample| (sample[0], &sample[1..]))
+    }
 }
 
 pub(crate) struct AppRt {
@@ -478,7 +541,28 @@ pub fn run_schedule_custom(
     config: &SchedulerConfig,
     seed: u64,
 ) -> Result<ScheduleOutcome, ColocateError> {
-    run_batch(policy, catalog, mix, system, config, seed, None)
+    run_batch(policy, catalog, mix, system, config, seed, None, true)
+}
+
+/// Makespan of `job` run alone under [`PolicyKind::Isolated`] — the
+/// isolated baseline `C_iso` — without recording a utilisation trace.
+pub(crate) fn isolated_makespan(
+    catalog: &Catalog,
+    job: (usize, f64),
+    config: &SchedulerConfig,
+    seed: u64,
+) -> Result<f64, ColocateError> {
+    let solo = run_batch(
+        PolicyKind::Isolated,
+        catalog,
+        &[job],
+        None,
+        config,
+        seed,
+        None,
+        false,
+    )?;
+    Ok(solo.makespan_secs)
 }
 
 /// Like [`run_schedule_custom`], but replaying a pre-drawn [`FaultPlan`]
@@ -508,12 +592,13 @@ pub fn run_schedule_with_faults(
     seed: u64,
     plan: &FaultPlan,
 ) -> Result<ScheduleOutcome, ColocateError> {
-    run_batch(policy, catalog, mix, system, config, seed, Some(plan))
+    run_batch(policy, catalog, mix, system, config, seed, Some(plan), true)
 }
 
 /// The closed system: the whole mix arrives at `t = 0` as a batch plan
 /// and runs through the service's event loop with admission off,
-/// recording the utilisation trace.
+/// recording the utilisation trace if `record_trace`.
+#[allow(clippy::too_many_arguments)]
 fn batch_loop(
     policy: PolicyKind,
     catalog: &Catalog,
@@ -522,6 +607,7 @@ fn batch_loop(
     config: &SchedulerConfig,
     seed: u64,
     faults: Option<&FaultPlan>,
+    record_trace: bool,
 ) -> Result<LoopRun, ColocateError> {
     if mix.is_empty() {
         return Err(ColocateError::Config("empty application mix".into()));
@@ -533,11 +619,21 @@ fn batch_loop(
         tenant_weights: Vec::new(),
         job_classes: mix.to_vec(),
     };
-    run_loop(policy, catalog, &plan, system, &service, seed, faults, true)
+    run_loop(
+        policy,
+        catalog,
+        &plan,
+        system,
+        &service,
+        seed,
+        faults,
+        record_trace,
+    )
 }
 
 /// [`batch_loop`], with the per-job dispatcher state the loop leaves
 /// behind projected into the schedule outcome, utilisation trace included.
+#[allow(clippy::too_many_arguments)]
 fn run_batch(
     policy: PolicyKind,
     catalog: &Catalog,
@@ -546,8 +642,18 @@ fn run_batch(
     config: &SchedulerConfig,
     seed: u64,
     faults: Option<&FaultPlan>,
+    record_trace: bool,
 ) -> Result<ScheduleOutcome, ColocateError> {
-    let run = batch_loop(policy, catalog, mix, system, config, seed, faults)?;
+    let run = batch_loop(
+        policy,
+        catalog,
+        mix,
+        system,
+        config,
+        seed,
+        faults,
+        record_trace,
+    )?;
     let per_app = run
         .apps
         .iter()
@@ -1597,6 +1703,24 @@ impl NextSeed for SimRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn util_trace_keeps_samples_in_order_across_blocks() {
+        let n = 2 * TRACE_BLOCK_SAMPLES + 3;
+        let mut trace = UtilTrace::new(3);
+        assert!(trace.is_empty());
+        for i in 0..n {
+            let x = i as f64;
+            trace.push(x, [x + 0.25, x + 0.5, x + 0.75].into_iter());
+        }
+        assert_eq!(trace.len(), n);
+        assert_eq!(trace.iter().count(), n);
+        for (i, (t, loads)) in trace.iter().enumerate() {
+            let x = i as f64;
+            assert_eq!(t, x);
+            assert_eq!(loads, &[x + 0.25, x + 0.5, x + 0.75]);
+        }
+    }
     use crate::training::train_system;
     use mlkit::regression::CurveFamily;
     use sparklite::perf::InterferenceModel;
@@ -2116,8 +2240,17 @@ mod tests {
             (PolicyKind::Moe, Some(&faults)),
         ];
         for (policy, faults) in runs {
-            let run =
-                batch_loop(policy, &catalog, &mix, Some(&system), &config, 7, faults).unwrap();
+            let run = batch_loop(
+                policy,
+                &catalog,
+                &mix,
+                Some(&system),
+                &config,
+                7,
+                faults,
+                true,
+            )
+            .unwrap();
             assert_eq!(run.apps.len(), mix.len());
             for app in &run.apps {
                 let (target, slice) = fair_share(&run.engine, app.engine_id, &config);

@@ -42,7 +42,7 @@ use crate::profiling::{profile_app, AppProfile, ProfilingCost};
 use crate::scheduler::{
     apply_fault, build_predictor, effective_margin, fair_share, force_place, note_completion,
     place, process_revocations, resolve_ooms, AppRt, FaultStats, NextSeed, PolicyKind, ResilState,
-    ResilienceConfig, SchedulerConfig,
+    ResilienceConfig, SchedulerConfig, UtilTrace,
 };
 use crate::training::TrainedSystem;
 use crate::ColocateError;
@@ -502,7 +502,7 @@ pub fn run_service(
 pub(crate) struct LoopRun {
     pub(crate) outcome: ServiceOutcome,
     pub(crate) apps: Vec<AppRt>,
-    pub(crate) trace: Vec<(f64, Vec<f64>)>,
+    pub(crate) trace: UtilTrace,
     /// The engine as the run left it, for tests that check end state.
     #[cfg(test)]
     pub(crate) engine: ClusterEngine,
@@ -528,7 +528,10 @@ fn check_fields(
 /// range. A NaN cap or margin would silently disable its guard, a zero
 /// executor cap would let the forced placement ignore it, a bad startup
 /// latency would panic in the engine, and a margin cap below 1 would panic
-/// the resilience controller's clamp.
+/// the resilience controller's clamp. A NaN quarantine never ends and a
+/// negative one ends before it starts; a NaN profiling noise makes every
+/// observed feature NaN; a NaN monitor period turns the throttle off, a NaN
+/// window never evicts and a negative one evicts every report on arrival.
 fn validate_scheduler(sched: &SchedulerConfig) -> Result<(), ColocateError> {
     if sched.cluster.nodes == 0 {
         return Err(ColocateError::Config(
@@ -541,6 +544,7 @@ fn validate_scheduler(sched: &SchedulerConfig) -> Result<(), ColocateError> {
         ));
     }
     let r = &sched.resilience;
+    let p = &sched.profiling;
     check_fields(
         "positive",
         |v| v > 0.0,
@@ -560,6 +564,27 @@ fn validate_scheduler(sched: &SchedulerConfig) -> Result<(), ColocateError> {
             ("partition_gb", sched.partition_gb),
             ("resilience.backoff_base_secs", r.backoff_base_secs),
             ("resilience.backoff_cap_secs", r.backoff_cap_secs),
+            ("resilience.quarantine_secs", r.quarantine_secs),
+            ("profiling.feature_sample_gb", p.feature_sample_gb),
+            ("profiling.feature_fixed_secs", p.feature_fixed_secs),
+            ("profiling.footprint_noise_sd", p.footprint_noise_sd),
+            ("profiling.feature_noise_sd", p.feature_noise_sd),
+            ("profiling.signature_jitter_sd", p.signature_jitter_sd),
+            ("monitor.window_secs", sched.monitor.window_secs),
+            (
+                "monitor.report_period_secs",
+                sched.monitor.report_period_secs,
+            ),
+            ("search_serial_frac", sched.search_serial_frac),
+            ("search_rate_penalty", sched.search_rate_penalty),
+        ],
+    )?;
+    check_fields(
+        "in (0, 1]",
+        |v| v > 0.0 && v <= 1.0,
+        &[
+            ("profiling.calib_fraction_1", p.calib_fraction_1),
+            ("profiling.calib_fraction_2", p.calib_fraction_2),
         ],
     )?;
     check_fields(
@@ -762,7 +787,7 @@ pub(crate) fn run_loop(
     let mut hot_nodes: Vec<NodeId> = Vec::new();
     // Placement scratch, hoisted out of the per-event placement calls.
     let mut place_scratch = crate::scheduler::PlaceScratch::default();
-    let mut trace: Vec<(f64, Vec<f64>)> = Vec::new();
+    let mut trace = UtilTrace::new(node_ids.len());
     let mut guard = 0usize;
 
     let mut fault_cursor = faults.map(FaultPlan::cursor);
@@ -1002,10 +1027,7 @@ pub(crate) fn run_loop(
         max_queue_depth = max_queue_depth.max(depth);
         depth_avg.set(t, depth as f64);
         if record_trace {
-            trace.push((
-                t,
-                node_ids.iter().map(|&n| engine.node_cpu_load(n)).collect(),
-            ));
+            trace.push(t, node_ids.iter().map(|&n| engine.node_cpu_load(n)));
         }
 
         // 7. Mark finishes again and terminate once the plan is drained
@@ -1561,13 +1583,30 @@ mod tests {
         }];
         let non_finite = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
         type Setter = fn(&mut SchedulerConfig, f64);
-        let setters: [(Setter, &[f64]); 6] = [
+        let setters: [(Setter, &[f64]); 17] = [
             (|s, v| s.cpu_cap = v, &[0.0, -0.0, -1.0]),
             (|s, v| s.reserve_margin = v, &[0.0, -0.0, -1.0]),
             (|s, v| s.conservative_margin = v, &[0.0, -0.0, -1.0]),
             (|s, v| s.executor_startup_secs = v, &[-1.0]),
             (|s, v| s.min_slice_gb = v, &[-1.0]),
             (|s, v| s.partition_gb = v, &[-1.0]),
+            (|s, v| s.search_serial_frac = v, &[-1.0]),
+            (|s, v| s.search_rate_penalty = v, &[-1.0]),
+            (|s, v| s.monitor.window_secs = v, &[-1.0]),
+            (|s, v| s.monitor.report_period_secs = v, &[-1.0]),
+            (|s, v| s.profiling.feature_sample_gb = v, &[-1.0]),
+            (|s, v| s.profiling.feature_fixed_secs = v, &[-1.0]),
+            (|s, v| s.profiling.footprint_noise_sd = v, &[-1.0]),
+            (|s, v| s.profiling.feature_noise_sd = v, &[-1.0]),
+            (|s, v| s.profiling.signature_jitter_sd = v, &[-1.0]),
+            (
+                |s, v| s.profiling.calib_fraction_1 = v,
+                &[0.0, -0.0, -0.5, 1.5],
+            ),
+            (
+                |s, v| s.profiling.calib_fraction_2 = v,
+                &[0.0, -0.0, -0.5, 1.5],
+            ),
         ];
         for (set, out_of_range) in setters {
             for &value in non_finite.iter().chain(out_of_range) {
@@ -1583,13 +1622,14 @@ mod tests {
     fn out_of_range_resilience_bounds_are_rejected() {
         let non_finite = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
         type Setter = fn(&mut ResilienceConfig, f64);
-        let setters: [(Setter, &[f64]); 5] = [
+        let setters: [(Setter, &[f64]); 6] = [
             // Below 1 would panic `f64::clamp(1.0, margin_cap)`.
             (|r, v| r.margin_cap = v, &[0.5, 0.0, -1.0]),
             (|r, v| r.margin_alpha = v, &[-0.1, 1.5]),
             (|r, v| r.backoff_jitter = v, &[-0.1, 1.5]),
             (|r, v| r.backoff_base_secs = v, &[-1.0]),
             (|r, v| r.backoff_cap_secs = v, &[-1.0]),
+            (|r, v| r.quarantine_secs = v, &[-1.0]),
         ];
         let mut bad = Vec::new();
         for (set, out_of_range) in setters {

@@ -43,18 +43,18 @@
 //!   strictly monotone (and exact per IEEE-754), ranking by squared
 //!   distance selects the same winners as ranking by distance.
 //!
-//! The naive counterparts ([`matmul_naive`], [`matvec_naive`],
-//! [`transpose_naive`]) stay here as documented oracles: slow, obviously
-//! correct reference implementations the property tests pin the
-//! optimized kernels against.
+//! The naive counterparts (`matmul_naive`, `matvec_naive`,
+//! `transpose_naive`) are test-only oracles: slow, obviously correct
+//! reference implementations the unit tests pin the optimized kernels
+//! against.
 
 /// Dense matrix product `out = a × b` with both operands in natural
 /// row-major layout (`a` is `m × k`, `b` is `k × n`); `out` is `m × n` and
 /// fully overwritten.
 ///
-/// Same `i-k-j` loop order as [`matmul_naive`] — every output element is a
-/// `k`-ascending multiply-add chain from `0.0`, so results are **bitwise
-/// identical** to the oracle. The difference is purely mechanical: each
+/// Same `i-k-j` loop order as the `matmul_naive` oracle — every output
+/// element is a `k`-ascending multiply-add chain from `0.0`, so results
+/// are **bitwise identical** to the oracle. The difference is purely mechanical: each
 /// `a[i][k]` is broadcast across an output-row slice zipped with a `b`-row
 /// slice, eliminating bounds checks and leaving `n` independent
 /// accumulator chains per inner loop for the compiler to vectorize.
@@ -644,7 +644,7 @@ const MATMUL_BLOCK_J: usize = 32;
 /// `a` is `m × k` row-major, `out` is `m × n` row-major and is fully
 /// overwritten. Each output element is the `k`-ascending dot product of an
 /// `a` row with a `bt` row, accumulated from `0.0` — bitwise the same
-/// reduction the naive `i-k-j` loop performs (see [`matmul_naive`]).
+/// reduction the naive `i-k-j` loop performs (see `matmul_naive`).
 ///
 /// # Panics
 ///
@@ -711,7 +711,8 @@ pub fn matmul_pretransposed(m: usize, k: usize, n: usize, a: &[f64], bt: &[f64],
 /// # Panics
 ///
 /// Panics if any slice length disagrees with the stated shape.
-pub fn matmul_naive(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+#[cfg(test)]
+pub(crate) fn matmul_naive(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
     assert_eq!(a.len(), m * k, "lhs shape mismatch");
     assert_eq!(b.len(), k * n, "rhs shape mismatch");
     assert_eq!(out.len(), m * n, "output shape mismatch");
@@ -751,7 +752,8 @@ pub fn matvec(rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
 /// # Panics
 ///
 /// Panics if any slice length disagrees with the stated shape.
-pub fn matvec_naive(rows: usize, cols: usize, a: &[f64], v: &[f64]) -> Vec<f64> {
+#[cfg(test)]
+pub(crate) fn matvec_naive(rows: usize, cols: usize, a: &[f64], v: &[f64]) -> Vec<f64> {
     assert_eq!(a.len(), rows * cols, "matrix shape mismatch");
     assert_eq!(v.len(), cols, "vector length mismatch");
     (0..rows)
@@ -812,7 +814,8 @@ pub fn transpose(rows: usize, cols: usize, a: &[f64], out: &mut [f64]) {
 /// # Panics
 ///
 /// Panics if the slice length disagrees with the stated shape.
-pub fn transpose_naive(rows: usize, cols: usize, a: &[f64]) -> Vec<f64> {
+#[cfg(test)]
+pub(crate) fn transpose_naive(rows: usize, cols: usize, a: &[f64]) -> Vec<f64> {
     assert_eq!(a.len(), rows * cols, "input shape mismatch");
     let mut out = vec![0.0; rows * cols];
     for r in 0..rows {

@@ -172,8 +172,8 @@ impl Matrix {
     }
 
     /// Matrix product `self × rhs`, computed by the vectorizable broadcast
-    /// kernel ([`kernels::matmul_dense`]). Bitwise identical to
-    /// [`Matrix::matmul_naive`].
+    /// kernel ([`kernels::matmul_dense`]). Bitwise identical to the
+    /// test-only `Matrix::matmul_naive` oracle.
     ///
     /// # Errors
     ///
@@ -205,7 +205,8 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`MlError::DimensionMismatch`] if the inner dimensions differ.
-    pub fn matmul_naive(&self, rhs: &Matrix) -> Result<Matrix, MlError> {
+    #[cfg(test)]
+    pub(crate) fn matmul_naive(&self, rhs: &Matrix) -> Result<Matrix, MlError> {
         if self.cols != rhs.rows {
             return Err(MlError::DimensionMismatch {
                 expected: self.cols,

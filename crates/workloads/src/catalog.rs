@@ -9,8 +9,10 @@
 //! three-cluster feature structure match the published shapes.
 
 use mlkit::regression::{CurveFamily, FittedCurve};
+use moe_core::features::RAW_FEATURE_COUNT;
 use serde::{Deserialize, Serialize};
 use sparklite::app::AppSpec;
+use std::sync::OnceLock;
 
 /// The benchmark suite a workload comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -47,6 +49,19 @@ pub struct Benchmark {
     cpu_util: f64,
     rate_gb_per_s: f64,
     index: usize,
+    latent_draws: LatentDraws,
+}
+
+/// The first [`RAW_FEATURE_COUNT`] standard-normal draws of a benchmark's
+/// signature stream, filled on first use by `signatures`. They are a
+/// function of the benchmark's index, so they take no part in equality.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LatentDraws(OnceLock<[f64; RAW_FEATURE_COUNT]>);
+
+impl PartialEq for LatentDraws {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl Benchmark {
@@ -96,6 +111,11 @@ impl Benchmark {
     #[must_use]
     pub fn index(&self) -> usize {
         self.index
+    }
+
+    /// The signature stream's cached unit deviates (see [`LatentDraws`]).
+    pub(crate) fn latent_draws(&self) -> &OnceLock<[f64; RAW_FEATURE_COUNT]> {
+        &self.latent_draws.0
     }
 
     /// Ground-truth footprint for an executor slice, GB.
@@ -217,6 +237,7 @@ impl Catalog {
                     cpu_util,
                     rate_gb_per_s: rate,
                     index,
+                    latent_draws: LatentDraws::default(),
                 },
             )
             .collect();

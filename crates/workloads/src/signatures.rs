@@ -121,11 +121,27 @@ pub fn feature_noise_weight(feature_index: usize) -> f64 {
 pub fn signature_for(bench: &Benchmark, jitter_sd: f64) -> FeatureVector {
     let center = family_center(bench.family());
     let scales = feature_scales();
-    // A per-benchmark stream decoupled from everything else.
-    let mut rng = SimRng::seed_from(SIG_SEED ^ (bench.index() as u64 + 1));
-    FeatureVector::from_fn(|d| {
-        center[d] + rng.normal(0.0, jitter_sd * feature_noise_weight(d) * scales[d])
+    let z = latent_deviates(bench);
+    FeatureVector::from_fn(|d| latent_coordinate(center[d], jitter_sd, d, scales[d], z[d]))
+}
+
+/// The unit deviates behind a benchmark's offset: the first
+/// [`RAW_FEATURE_COUNT`] standard normals of a per-benchmark stream that is
+/// decoupled from everything else. They are drawn once per catalog entry;
+/// the offset is rebuilt from them arithmetically.
+fn latent_deviates(bench: &Benchmark) -> &[f64; RAW_FEATURE_COUNT] {
+    bench.latent_draws().get_or_init(|| {
+        let mut rng = SimRng::seed_from(SIG_SEED ^ (bench.index() as u64 + 1));
+        std::array::from_fn(|_| rng.standard_normal())
     })
+}
+
+/// Feature `d` of a latent signature from its cached unit deviate `z`.
+/// This is `center + rng.normal(0.0, sd)` spelled out: `SimRng::normal`
+/// computes `mean + std_dev * z`, and keeping its `0.0 +` keeps every bit
+/// (a −0.0 product becomes +0.0) for any `jitter_sd`, NaN included.
+fn latent_coordinate(center: f64, jitter_sd: f64, d: usize, scale: f64, z: f64) -> f64 {
+    center + (0.0 + jitter_sd * feature_noise_weight(d) * scale * z)
 }
 
 /// One noisy profiling observation of a benchmark's signature.
@@ -135,6 +151,10 @@ pub fn signature_for(bench: &Benchmark, jitter_sd: f64) -> FeatureVector {
 /// real `vmstat`-style counters exhibit. After min-max scaling the bursts
 /// stretch the range and compress the bulk, which is why these features
 /// contribute little variance (Fig. 4a) and rank low (Table 2).
+///
+/// `rng` supplies only the noise; the latent signature comes from the
+/// benchmark's own stream, so `rng` sees the same draws whether or not
+/// that stream is cached.
 #[must_use]
 pub fn observe(
     bench: &Benchmark,
@@ -142,9 +162,11 @@ pub fn observe(
     jitter_sd: f64,
     noise_sd: f64,
 ) -> FeatureVector {
-    let latent = signature_for(bench, jitter_sd);
+    let center = family_center(bench.family());
     let scales = feature_scales();
+    let z = latent_deviates(bench);
     FeatureVector::from_fn(|d| {
+        let latent = latent_coordinate(center[d], jitter_sd, d, scales[d], z[d]);
         let weight = feature_noise_weight(d);
         let sd = noise_sd * weight * scales[d];
         let mut noise = rng.normal(0.0, sd);
@@ -152,7 +174,7 @@ pub fn observe(
             // A counter burst: several sigma, one-sided.
             noise += rng.uniform(4.0, 10.0) * sd;
         }
-        latent.as_slice()[d] + noise
+        latent + noise
     })
 }
 
@@ -164,11 +186,104 @@ pub fn observe_default(bench: &Benchmark, rng: &mut SimRng) -> FeatureVector {
 
 const SIG_SEED: u64 = 0x5169_5EED_F00D;
 
+/// Oracle for [`signature_for`]: redraws the benchmark's stream on every
+/// call instead of reading the cached deviates.
+#[cfg(test)]
+fn signature_for_uncached(bench: &Benchmark, jitter_sd: f64) -> FeatureVector {
+    let center = family_center(bench.family());
+    let scales = feature_scales();
+    let mut rng = SimRng::seed_from(SIG_SEED ^ (bench.index() as u64 + 1));
+    FeatureVector::from_fn(|d| {
+        center[d] + rng.normal(0.0, jitter_sd * feature_noise_weight(d) * scales[d])
+    })
+}
+
+/// Oracle for [`observe`]: builds the latent signature with
+/// [`signature_for_uncached`], then adds the noise.
+#[cfg(test)]
+fn observe_uncached(
+    bench: &Benchmark,
+    rng: &mut SimRng,
+    jitter_sd: f64,
+    noise_sd: f64,
+) -> FeatureVector {
+    let latent = signature_for_uncached(bench, jitter_sd);
+    let scales = feature_scales();
+    FeatureVector::from_fn(|d| {
+        let weight = feature_noise_weight(d);
+        let sd = noise_sd * weight * scales[d];
+        let mut noise = rng.normal(0.0, sd);
+        if weight > 1.0 && rng.chance(0.05) {
+            noise += rng.uniform(4.0, 10.0) * sd;
+        }
+        latent.as_slice()[d] + noise
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use mlkit::linalg::euclidean;
+
+    fn bits(v: &FeatureVector) -> Vec<u64> {
+        v.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    const JITTERS: [f64; 6] = [0.0, -0.0, DEFAULT_JITTER_SD, 1.0, 1e300, f64::NAN];
+
+    #[test]
+    fn cached_signatures_match_the_oracle_bit_for_bit() {
+        let c = Catalog::paper();
+        for b in c.all() {
+            for jitter in JITTERS {
+                // Twice: the first call fills the cache, the second reads it.
+                for _ in 0..2 {
+                    assert_eq!(
+                        bits(&signature_for(b, jitter)),
+                        bits(&signature_for_uncached(b, jitter)),
+                        "{} at jitter {jitter}",
+                        b.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_filled_cache_keeps_benchmarks_equal() {
+        let (filled, fresh) = (Catalog::paper(), Catalog::paper());
+        let _ = signature_for(&filled.all()[3], DEFAULT_JITTER_SD);
+        assert_eq!(filled.all(), fresh.all());
+    }
+
+    proptest::proptest! {
+        /// `observe` returns the oracle's vector and leaves the caller's
+        /// RNG exactly where the oracle leaves it.
+        #[test]
+        fn observe_matches_the_oracle(
+            seed in proptest::prelude::any::<u64>(),
+            bench_idx in 0usize..44,
+            jitter_idx in 0usize..JITTERS.len(),
+            noise_sd in 0.0f64..1.0,
+        ) {
+            let c = Catalog::paper();
+            let b = &c.all()[bench_idx];
+            let jitter = JITTERS[jitter_idx];
+            let (mut r1, mut r2) = (SimRng::seed_from(seed), SimRng::seed_from(seed));
+            for _ in 0..2 {
+                proptest::prop_assert_eq!(
+                    bits(&observe(b, &mut r1, jitter, noise_sd)),
+                    bits(&observe_uncached(b, &mut r2, jitter, noise_sd))
+                );
+            }
+            proptest::prop_assert_eq!(
+                r1.standard_normal().to_bits(),
+                r2.standard_normal().to_bits()
+            );
+            proptest::prop_assert_eq!(r1.unit().to_bits(), r2.unit().to_bits());
+        }
+    }
 
     #[test]
     fn signatures_are_deterministic() {
