@@ -25,8 +25,8 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$root"
 
 # CI-sized campaigns: two mixes per scenario, a small open-loop storm,
-# eight chaos-search episodes and a capped serving firehose. The last
-# five figures draw profiling observations and write only stdout. No binary
+# eight chaos-search episodes and a capped serving firehose. Every
+# binary of crates/bench is listed; most write only stdout. No binary
 # here measures a wall clock, so no record carries a host-dependent field.
 export SPARK_MOE_MIXES=2
 export SPARK_MOE_OPENLOOP_JOBS=6
@@ -37,7 +37,9 @@ export SPARK_MOE_SERVING_REQS=20000
 cargo build --release -q -p bench-suite
 for fig in fig06_overall fig07_utilization fig08_mix_outcome fig09_unified fig10_online \
   fig19_chaos fig21_openloop fig22_chaos_search tab05_classifiers fig17_accuracy fig23_serving \
-  tab02_features fig04_pca fig16_clusters fig18_curves ablation_sweep; do
+  tab02_features fig04_pca fig16_clusters fig18_curves ablation_sweep fig03_memfuncs \
+  fig11_overhead fig12_overhead_apps fig13_cpuload fig14_interference fig15_parsec \
+  paper_headlines convergence_check catalog_dump; do
   # Run from <outdir> with a relative CSV dir, so the paths the binaries
   # print do not depend on where <outdir> lives.
   (cd "$out" && SPARK_MOE_CSV_DIR="$fig" "$root/target/release/$fig") > "$out/$fig.txt"
