@@ -5,9 +5,9 @@
 # tournament tree, monitor window memoization), the mlkit compute
 # kernels, the ML campaign drivers, the open-system layer (arrival plans +
 # admission service), the chaos-search harness (episode generation +
-# shrinking, invariant battery, fig22 driver), the prediction
-# serving path (model artifacts, micro-batching, the firehose and its
-# fig23 driver), and the simkit::par fan-out must not contain
+# shrinking, invariant battery, fig22), the prediction serving path
+# (model artifacts, micro-batching, the firehose and fig23), the
+# `figures` driver, and the simkit::par fan-out must not contain
 # `unwrap()` / `expect(` outside test code.
 #
 # Intentional exceptions live in ci/panic_allowlist.txt as
@@ -20,7 +20,6 @@ cd "$(dirname "$0")/.."
 GATED_FILES=(
   crates/simkit/src/wire.rs
   crates/colocate/src/harness.rs
-  crates/bench/src/fsutil.rs
   crates/bench/src/report.rs
   crates/bench/src/csv.rs
   crates/bench/src/lib.rs
@@ -37,10 +36,11 @@ GATED_FILES=(
   crates/colocate/src/service.rs
   crates/simkit/src/chaoskit.rs
   crates/colocate/src/invariants.rs
-  crates/bench/src/bin/fig22_chaos_search.rs
+  crates/bench/src/figures/chaos_search.rs
   crates/colocate/src/serving.rs
-  crates/bench/src/serving.rs
-  crates/bench/src/bin/fig23_serving.rs
+  crates/bench/src/figures/serving.rs
+  crates/bench/src/figures/mod.rs
+  crates/bench/src/bin/figures.rs
   crates/simkit/src/par.rs
 )
 

@@ -3,7 +3,7 @@
 //! and selection are cheap next to profiling.
 //!
 //! Runs the 16-fold leave-one-out training campaign the fig16/17/18 and
-//! tab05 binaries run (`train_loocv_all` over the training set, default
+//! tab05 figures run (`train_loocv_all` over the training set, default
 //! `TrainingConfig`, seed `0xF1617`, 4 workers): one warm-up, then prints
 //! the median of nine samples and the host's available parallelism. It
 //! reads no environment variable and writes no file. A perfbench workload

@@ -1,11 +1,10 @@
 //! Minimal CSV writing for machine-readable experiment output.
 //!
-//! Every figure binary prints human-readable tables to stdout; with
-//! `SPARK_MOE_CSV_DIR=<dir>` set, campaign binaries additionally drop CSV
+//! Every figure prints human-readable tables to stdout; given a record
+//! directory (`figures --out`), campaign figures additionally drop CSV
 //! series there for plotting. Quoting follows RFC 4180 for the small
 //! subset needed (fields containing commas, quotes or newlines).
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// A CSV table under construction.
@@ -42,18 +41,6 @@ impl CsvTable {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders to CSV text.
     #[must_use]
     pub fn to_csv(&self) -> String {
@@ -74,30 +61,33 @@ impl CsvTable {
         out
     }
 
-    /// Writes the table as `<dir>/<name>.csv` via an atomic
-    /// temp-file-then-rename ([`crate::fsutil::atomic_write_in`]), so a kill
-    /// mid-write never leaves a truncated series behind.
+    /// Writes the table as the record `<dir>/<name>.csv`.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn write_to(&self, dir: &Path, name: &str) -> std::io::Result<PathBuf> {
-        crate::fsutil::atomic_write_in(dir, &format!("{name}.csv"), &self.to_csv())
+        write_record(dir, &format!("{name}.csv"), &self.to_csv())
     }
+}
+
+/// Writes the record `<dir>/<file>`, creating `dir` as needed, and returns
+/// its path. The write goes through [`simkit::wire::atomic_write`], so a
+/// kill or a full disk mid-write leaves the previous record intact.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn write_record(dir: &Path, file: &str, contents: &str) -> std::io::Result<PathBuf> {
+    let path = dir.join(file);
+    simkit::wire::atomic_write(&path, contents.as_bytes())?;
+    Ok(path)
 }
 
 /// Formats a float with enough digits for replotting.
 #[must_use]
 pub fn num(v: f64) -> String {
-    let mut s = String::new();
-    let _ = write!(s, "{v:.6}");
-    s
-}
-
-/// The CSV output directory from `SPARK_MOE_CSV_DIR`, if configured.
-#[must_use]
-pub fn csv_dir() -> Option<PathBuf> {
-    std::env::var_os("SPARK_MOE_CSV_DIR").map(PathBuf::from)
+    format!("{v:.6}")
 }
 
 fn escape(field: &str) -> String {
@@ -118,8 +108,6 @@ mod tests {
         t.push(["L1", "1.94"]);
         t.push(["L10", "13.46"]);
         assert_eq!(t.to_csv(), "scenario,stp\nL1,1.94\nL10,13.46\n");
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]
@@ -139,12 +127,19 @@ mod tests {
 
     #[test]
     fn writes_files() {
-        let dir = std::env::temp_dir().join("spark_moe_csv_test");
+        let dir = std::env::temp_dir()
+            .join(format!("spark_moe_csv_{}", std::process::id()))
+            .join("nested");
         let mut t = CsvTable::new(["x"]);
         t.push([num(1.5)]);
         let path = t.write_to(&dir, "probe").unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.contains("1.500000"));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "x\n1.500000\n");
+        t.push([num(2.0)]);
+        t.write_to(&dir, "probe").unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "x\n1.500000\n2.000000\n"
+        );
+        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
     }
 }

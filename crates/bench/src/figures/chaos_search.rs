@@ -6,40 +6,44 @@
 //! violation down to a minimal reproducer that replays from a single
 //! `(seed, episode)` pair.
 //!
-//! The record (`results/BENCH_chaossearch.json`) is a pure function of
-//! `(base seed, episode budget, shrink budget)`: episodes fan out across
-//! worker threads but fold in episode order, and no wall clock is
-//! measured — so the CI bit-identity gate can `cmp` the artifact across
+//! The `BENCH_chaossearch.json` record is a pure function of `(base seed,
+//! episode budget, shrink budget)`: episodes fan out across worker
+//! threads but fold in episode order, and no wall clock is measured — so
+//! the CI bit-identity gate can `cmp` the artifact across
 //! `SPARK_MOE_THREADS` values, like every other `BENCH_*.json`.
-//!
-//! Env knobs: `SPARK_MOE_CHAOS_EPISODES` (episode budget, default 64),
-//! `SPARK_MOE_CHAOS_SEED` (base seed, default 42),
-//! `SPARK_MOE_CHAOS_SHRINK` (checker budget per shrink, default 200),
-//! `SPARK_MOE_THREADS` (worker pool).
 
-use bench_suite::csv::{csv_dir, CsvTable};
-use bench_suite::report::chaossearch_json;
+use super::Size;
+use crate::csv::{write_record, CsvTable};
+use crate::mlcamp::CampaignError;
+use crate::report::chaossearch_json;
 use colocate::harness::RunConfig;
 use colocate::invariants::{chaos_search, preset_label, SearchConfig};
+use std::path::Path;
 
-fn main() {
-    let catalog = bench_suite::catalog();
+/// Base seed of the episode sweep.
+const SEED: u64 = 42;
+/// Checker budget per shrink.
+const SHRINK_BUDGET: usize = 200;
+
+/// Runs [`Size::chaos_episodes`] episodes and prints every violation with
+/// its shrunk reproducer.
+pub fn fig22_chaos_search(size: &Size, records: Option<&Path>) -> Result<(), CampaignError> {
     let config = SearchConfig {
-        episodes: bench_suite::env_count("SPARK_MOE_CHAOS_EPISODES", 64),
-        base_seed: bench_suite::env_seed("SPARK_MOE_CHAOS_SEED", 42),
-        shrink_budget: bench_suite::env_count("SPARK_MOE_CHAOS_SHRINK", 200),
+        episodes: size.chaos_episodes,
+        base_seed: SEED,
+        shrink_budget: SHRINK_BUDGET,
         workers: RunConfig::default().effective_workers(),
         ..SearchConfig::default()
     };
 
     // Worker count deliberately left out of the banner: the bit-identity
-    // CI gate cmps this stdout across SPARK_MOE_THREADS values.
+    // CI gate diffs this stdout across SPARK_MOE_THREADS values.
     println!(
         "Fig. 22: chaos search — {} episodes from seed {}, shrink budget {}",
         config.episodes, config.base_seed, config.shrink_budget
     );
 
-    let report = chaos_search(catalog, &config);
+    let report = chaos_search(crate::catalog(), &config);
 
     println!(
         "\nchecked {} episodes: {} violation(s) found",
@@ -72,18 +76,8 @@ fn main() {
         }
     }
 
-    if let Some(dir) = csv_dir() {
-        let mut table = CsvTable::new([
-            "episode_index",
-            "seed",
-            "preset",
-            "invariant",
-            "original_faults",
-            "shrunk_faults",
-            "original_arrivals",
-            "shrunk_arrivals",
-            "shrink_checks",
-        ]);
+    if let Some(dir) = records {
+        let mut table = CsvTable::new("episode_index,seed,preset,invariant,original_faults,shrunk_faults,original_arrivals,shrunk_arrivals,shrink_checks".split(','));
         for v in &report.violations {
             table.push([
                 v.index.to_string(),
@@ -97,15 +91,10 @@ fn main() {
                 v.shrink.checks.to_string(),
             ]);
         }
-        if let Ok(path) = table.write_to(&dir, "fig22_chaos_search") {
-            println!("\nCSV series written to {}", path.display());
-        }
-        let json = chaossearch_json(&report);
-        if let Ok(path) =
-            bench_suite::fsutil::atomic_write_in(&dir, "BENCH_chaossearch.json", &json)
-        {
-            println!("JSON record written to {}", path.display());
-        }
+        let path = table.write_to(dir, "fig22_chaos_search")?;
+        println!("\nCSV series written to {}", path.display());
+        let path = write_record(dir, "BENCH_chaossearch.json", &chaossearch_json(&report))?;
+        println!("JSON record written to {}", path.display());
     }
 
     // Headline: the acceptance bar is an all-clean sweep (every violation
@@ -118,4 +107,5 @@ fn main() {
             "NOT MET"
         }
     );
+    Ok(())
 }

@@ -1,11 +1,15 @@
 //! # bench-suite — regenerating every table and figure of the paper
 //!
-//! Each binary in `src/bin/` reproduces one table or figure of the
+//! The one binary, `figures`, reproduces the tables and figures of the
 //! Middleware '17 evaluation and prints the same rows/series the paper
 //! reports (see `DESIGN.md` §5 for the full index and `EXPERIMENTS.md` for
 //! paper-vs-measured numbers):
 //!
-//! | binary | reproduces |
+//! ```text
+//! figures <name…|all> [--size ci|paper] [--out DIR]
+//! ```
+//!
+//! | figure | reproduces |
 //! |---|---|
 //! | `tab02_features` | Table 2 + Fig. 4b — feature importance ranking |
 //! | `tab05_classifiers` | Table 5 — expert-selector accuracy per classifier |
@@ -33,67 +37,31 @@
 //! | `catalog_dump` | the 44-benchmark ground-truth catalog |
 //! | `convergence_check` | the §5.2 CI stopping rule in action |
 //!
-//! The campaign sizes honour the `SPARK_MOE_MIXES` environment variable
-//! (mixes per scenario, default 8) so CI can run quickly while a full
-//! reproduction can push toward the paper's ~100 mixes. Campaigns fan out
-//! across worker threads (see `simkit::par`); set `SPARK_MOE_THREADS` to
-//! pin the pool — results are bit-for-bit identical for every value.
+//! Campaign sizes come from [`figures::Size`]: `--size ci` is what
+//! `ci/pinned/` pins, `--size paper` (10 mixes per scenario) what
+//! `EXPERIMENTS.md` quotes. Campaigns fan out across worker threads (see
+//! `simkit::par`); set `SPARK_MOE_THREADS` to pin the pool — results are
+//! bit-for-bit identical for every value.
 
 #![warn(missing_docs)]
 
 pub mod csv;
-pub mod fsutil;
+pub mod figures;
 pub mod mlcamp;
 pub mod report;
-pub mod serving;
 
-use colocate::harness::RunConfig;
 use std::sync::OnceLock;
 use workloads::Catalog;
 
 /// The 44-benchmark ground-truth catalog, built once per process.
 ///
-/// Every figure binary needs the same immutable [`Catalog::paper`]; the
-/// construction involves per-benchmark latent signatures, so sharing one
-/// instance keeps binaries that evaluate many scenarios from rebuilding it
+/// Every figure needs the same immutable [`Catalog::paper`]; sharing one
+/// instance keeps figures that evaluate many scenarios from rebuilding it
 /// per campaign (and lets campaign worker threads borrow it `'static`).
 #[must_use]
 pub fn catalog() -> &'static Catalog {
     static CATALOG: OnceLock<Catalog> = OnceLock::new();
     CATALOG.get_or_init(Catalog::paper)
-}
-
-/// A positive count from environment variable `key`, or `default` when it
-/// is unset, unparsable or zero.
-#[must_use]
-pub fn env_count(key: &str, default: usize) -> usize {
-    env_parse(key).filter(|&n| n > 0).unwrap_or(default)
-}
-
-/// A seed from environment variable `key` (zero included), or `default`
-/// when it is unset or unparsable.
-#[must_use]
-pub fn env_seed(key: &str, default: u64) -> u64 {
-    env_parse(key).unwrap_or(default)
-}
-
-fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
-    std::env::var(key).ok().and_then(|v| v.parse().ok())
-}
-
-/// Number of random mixes per scenario, from `SPARK_MOE_MIXES` (default 8).
-#[must_use]
-pub fn mixes_per_scenario() -> usize {
-    env_count("SPARK_MOE_MIXES", 8)
-}
-
-/// The shared experiment configuration (paper cluster, default training).
-///
-/// Worker-thread count is left at `None`, deferring to the
-/// `SPARK_MOE_THREADS` override and then the host's parallelism.
-#[must_use]
-pub fn paper_run_config() -> RunConfig {
-    RunConfig::default()
 }
 
 /// Prints a horizontal rule sized for the standard table width.
@@ -110,11 +78,6 @@ pub fn whisker(min_max: (f64, f64)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mixes_default_is_positive() {
-        assert!(mixes_per_scenario() > 0);
-    }
 
     #[test]
     fn whisker_formats() {

@@ -1,6 +1,6 @@
-//! ML evaluation campaigns behind the figure binaries.
+//! ML evaluation campaigns behind the ML-pipeline figures.
 //!
-//! The five ML-pipeline binaries (`fig04_pca`, `fig16_clusters`,
+//! The five ML-pipeline figures (`fig04_pca`, `fig16_clusters`,
 //! `fig17_accuracy`, `fig18_curves`, `tab05_classifiers`) are thin shells
 //! over the report builders here, which return the full stdout text as a
 //! `String` and surface failures as errors instead of panicking.
@@ -68,25 +68,16 @@ fn hr(out: &mut String, width: usize) {
 // ---------------------------------------------------------------------------
 
 /// Builds the Fig. 17 report: predicted vs measured footprint per training
-/// benchmark (~280 GB inputs), leave-one-out.
+/// benchmark (~280 GB inputs), leave-one-out. Returns `(report,
+/// cache_hits, cache_misses)`, the counters summed over every fold's
+/// [`PredictionTable`](colocate::predictors::PredictionTable), so callers
+/// can surface memoization effectiveness without disturbing the pinned
+/// report.
 ///
 /// # Errors
 ///
 /// Propagates training and prediction failures.
-pub fn fig17_report(catalog: &Catalog, workers: usize) -> Result<String, CampaignError> {
-    fig17_report_with_cache(catalog, workers).map(|(report, _, _)| report)
-}
-
-/// [`fig17_report`] plus the campaign's selection-cache counters: returns
-/// `(report, cache_hits, cache_misses)` summed over every fold's
-/// [`PredictionTable`](colocate::predictors::PredictionTable). The report
-/// string is exactly [`fig17_report`]'s, so callers can surface
-/// memoization effectiveness without disturbing the pinned stdout.
-///
-/// # Errors
-///
-/// Propagates training and prediction failures.
-pub fn fig17_report_with_cache(
+pub fn fig17_report(
     catalog: &Catalog,
     workers: usize,
 ) -> Result<(String, u64, u64), CampaignError> {

@@ -1,4 +1,4 @@
-//! Campaign runners: everything the figure/table binaries need.
+//! Campaign runners: everything the tables and figures need.
 //!
 //! * [`isolated_times`] — per-task `C_iso`: each application alone on the
 //!   cluster with all memory (the denominator of every metric, §5.3);

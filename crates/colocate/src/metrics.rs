@@ -20,8 +20,8 @@ use serde::{Deserialize, Serialize};
 /// The ordering is `total_cmp`, so the function never panics: NaN samples
 /// sort to the top end instead of aborting the comparison (a schedule that
 /// produced one corrupt slowdown should not take the whole campaign down),
-/// and an empty slice yields NaN rather than indexing out of bounds. Bench
-/// binaries reporting tail metrics (p50/p95/p99 job slowdown) share this
+/// and an empty slice yields NaN rather than indexing out of bounds. Figures
+/// reporting tail metrics (p50/p95/p99 job slowdown) share this
 /// instead of each re-sorting slowdown vectors ad hoc.
 ///
 /// Callers that need to *distinguish* "no samples" from a genuinely-NaN

@@ -199,7 +199,7 @@ fn baseline_cache_matches_uncached_solo_runs() {
 
 #[test]
 fn env_thread_override_does_not_change_results() {
-    // The binaries pick up SPARK_MOE_THREADS via RunConfig::effective_workers;
+    // The figures pick up SPARK_MOE_THREADS via RunConfig::effective_workers;
     // forcing an oversubscribed pool through the env must be invisible in
     // the statistics.
     let catalog = Catalog::paper();
