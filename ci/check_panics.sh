@@ -6,9 +6,11 @@
 # kernels, the ML campaign drivers, the open-system layer (arrival plans +
 # admission service), the chaos-search harness (episode generation +
 # shrinking, invariant battery, fig22), the prediction serving path
-# (model artifacts, micro-batching, the firehose and fig23), the
-# `figures` driver, and the simkit::par fan-out must not contain
-# `unwrap()` / `expect(` outside test code.
+# (model artifacts, micro-batching, the firehose and fig23), the expert
+# selection stages every MoE prediction calls (selector, predictor,
+# calibration, registry, scaling, PCA), the `figures` driver, and the
+# simkit::par fan-out must not contain `unwrap()` / `expect(` outside
+# test code.
 #
 # Intentional exceptions live in ci/panic_allowlist.txt as
 # `<path>:<needle>` lines; a gated line is tolerated iff it contains the
@@ -42,6 +44,12 @@ GATED_FILES=(
   crates/bench/src/figures/mod.rs
   crates/bench/src/bin/figures.rs
   crates/simkit/src/par.rs
+  crates/core/src/selector.rs
+  crates/core/src/predictor.rs
+  crates/core/src/calibration.rs
+  crates/core/src/registry.rs
+  crates/mlkit/src/pca.rs
+  crates/mlkit/src/scaling.rs
 )
 
 ALLOWLIST=ci/panic_allowlist.txt

@@ -199,13 +199,9 @@ pub fn fig16_clusters(_size: &Size, _records: Option<&Path>) -> Result<(), Campa
 /// cross-validation. The paper reports errors under 5 % for most
 /// benchmarks, with HB.PageRank, BDB.PageRank and BDB.Sort
 /// over-provisioned by 8–12 %.
-///
-/// The selection-cache footer goes to stderr so the pinned stdout report
-/// stays byte identical across runs and worker counts.
 pub fn fig17_accuracy(_size: &Size, _records: Option<&Path>) -> Result<(), CampaignError> {
-    let (report, hits, misses) = mlcamp::fig17_report(crate::catalog(), available_workers())?;
+    let report = mlcamp::fig17_report(crate::catalog(), available_workers())?;
     print!("{report}");
-    eprintln!("selection cache: {misses} misses, {hits} hits across 16 LOOCV folds");
     Ok(())
 }
 

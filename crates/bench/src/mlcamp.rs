@@ -68,19 +68,12 @@ fn hr(out: &mut String, width: usize) {
 // ---------------------------------------------------------------------------
 
 /// Builds the Fig. 17 report: predicted vs measured footprint per training
-/// benchmark (~280 GB inputs), leave-one-out. Returns `(report,
-/// cache_hits, cache_misses)`, the counters summed over every fold's
-/// [`PredictionTable`](colocate::predictors::PredictionTable), so callers
-/// can surface memoization effectiveness without disturbing the pinned
-/// report.
+/// benchmark (~280 GB inputs), leave-one-out.
 ///
 /// # Errors
 ///
 /// Propagates training and prediction failures.
-pub fn fig17_report(
-    catalog: &Catalog,
-    workers: usize,
-) -> Result<(String, u64, u64), CampaignError> {
+pub fn fig17_report(catalog: &Catalog, workers: usize) -> Result<String, CampaignError> {
     const SEED: u64 = 0xF1617;
     const INPUT_GB: f64 = 280.0;
     let testbed = ClusterSpec::paper_cluster();
@@ -136,12 +129,7 @@ pub fn fig17_report(
         out,
         "mean |error| {mean:.1} % — {under5}/16 under 5 % (paper: ~5 % average, most under 5 %)"
     );
-    let hits = folds.iter().map(|(_, s)| s.selections.hits()).sum::<u64>();
-    let misses = folds
-        .iter()
-        .map(|(_, s)| s.selections.misses())
-        .sum::<u64>();
-    Ok((out, hits, misses))
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------

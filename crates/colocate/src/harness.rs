@@ -252,9 +252,9 @@ pub fn trained_system_for(
 /// Trains the offline systems for a whole policy roster, running the
 /// training pipeline at most **once**: every predictive policy trains from
 /// the same `seed ^ 0x7EA1` stream, so their systems are bit-identical and
-/// one pass can be cloned across the roster. The clones share one Arc'd
-/// [`PredictionTable`](crate::predictors::PredictionTable), so policies
-/// and mix replays of the campaign reuse each other's expert selections.
+/// one pass can be cloned across the roster. The clones share the
+/// system's lazily built Quasar estimator; expert selections are not
+/// shared or memoised, since each profiled application selects once.
 ///
 /// # Errors
 ///

@@ -101,7 +101,7 @@ pub trait MemoryPredictor: fmt::Debug {
     /// the per-profile scalar loop, so every predictor behaves exactly as
     /// before; the MoE overrides it with the whole-matrix serving path,
     /// which is bitwise identical to the scalar loop (see
-    /// [`PredictionTable::select_cached_batch`]).
+    /// [`MoePredictor::select_batch`]).
     ///
     /// # Errors
     ///
@@ -155,22 +155,27 @@ pub fn robust_calibrate(
 }
 
 // ---------------------------------------------------------------------------
-// Campaign-wide selection cache.
+// Selection memo (read by no prediction path).
 // ---------------------------------------------------------------------------
 
-/// A campaign-wide cache of expert selections.
+/// A memo of expert selections keyed by the exact bits of the features.
 ///
-/// Expert selection ([`MoePredictor::select`]) is a pure function of the
-/// trained selector and the exact bits of the query features, so its result
-/// can be memoised. A table is created once per [`TrainedSystem`] and shared
-/// by every clone of that system — across policies built from it and across
-/// mix replays — through an `Arc`, so the scaling + PCA + KNN pipeline runs
-/// at most once per distinct feature vector per campaign binding.
+/// No prediction path reads it. [`MoePolicy`] calls the selector directly:
+/// the paper selects once per application, from that application's
+/// profiling run, and two applications almost never share a feature
+/// vector, so on the prediction path the memo mostly held keys nobody
+/// read again (DESIGN.md §12, "Selections are not memoised", has the
+/// measurements).
+///
+/// The type stays for two readers only, and goes with them:
+/// - the benchmark workloads build one per [`TrainedSystem`] and report
+///   its `predictors.table.*` counters, so dropping it is a benchmark
+///   change;
+/// - tab05's pinned footer line replays one batch through
+///   [`PredictionTable::select_cached_batch`] and prints its counters.
 ///
 /// Keys are the `f64::to_bits` patterns of the raw features, which makes a
-/// hit bit-identical to re-running the selection; replay outputs therefore
-/// stay invariant to worker count and replay order. Errors are never
-/// cached.
+/// hit bit-identical to re-running the selection. Errors are never cached.
 #[derive(Debug, Default)]
 pub struct PredictionTable {
     entries: Mutex<HashMap<Vec<u64>, Selection>>,
@@ -185,45 +190,16 @@ impl PredictionTable {
         PredictionTable::default()
     }
 
-    /// Returns the cached selection for `features`, running
-    /// `predictor.select` and caching the result on a miss.
+    /// Resolves a whole slice of feature vectors, answering what it can
+    /// from the memo and running **one** [`MoePredictor::select_batch`]
+    /// call over the distinct unmemoised vectors.
     ///
-    /// # Errors
-    ///
-    /// Propagates [`MoePredictor::select`] failures (which are not cached).
-    pub fn select_cached(
-        &self,
-        predictor: &MoePredictor,
-        features: &FeatureVector,
-    ) -> Result<Selection, MoeError> {
-        let key: Vec<u64> = features.as_slice().iter().map(|v| v.to_bits()).collect();
-        {
-            let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(&hit) = entries.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit);
-            }
-        }
-        let selection = predictor.select(features)?;
-        self.entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, selection);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        Ok(selection)
-    }
-
-    /// The batched form of [`PredictionTable::select_cached`]: resolves a
-    /// whole slice of feature vectors, answering what it can from the
-    /// cache and running **one** [`MoePredictor::select_batch`] call over
-    /// the distinct uncached vectors.
-    ///
-    /// Results and the hit/miss counters are exactly what the equivalent
-    /// sequence of scalar `select_cached` calls produces: an in-batch
-    /// duplicate of a pending miss counts as a hit (the sequential caller
-    /// would have found the first occurrence already inserted), and each
-    /// distinct uncached vector counts as one miss. Selections are bitwise
-    /// identical because the batched selector pipeline is (see
+    /// The hit/miss counters are what a lookup of one vector at a time
+    /// would count: an in-batch duplicate of a pending miss counts as a
+    /// hit (the first occurrence would already have been inserted), and
+    /// each distinct unmemoised vector counts as one miss. Selections are
+    /// bitwise identical to [`MoePredictor::select`]'s because the batched
+    /// selector pipeline is (see
     /// [`ExpertSelector::select_batch`](moe_core::selector::ExpertSelector::select_batch)).
     ///
     /// # Errors
@@ -241,7 +217,7 @@ impl PredictionTable {
             .collect();
         // Per slot: Ok(cached selection) or Err(index into the pending
         // miss list). Built under one lock so the hit accounting matches
-        // the sequential scalar calls exactly.
+        // one-at-a-time lookups exactly.
         let mut slots: Vec<Result<Selection, usize>> = Vec::with_capacity(features.len());
         let mut unique: Vec<usize> = Vec::new();
         let mut pending: HashMap<&[u64], usize> = HashMap::new();
@@ -252,8 +228,8 @@ impl PredictionTable {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     slots.push(Ok(hit));
                 } else if let Some(&u) = pending.get(key.as_slice()) {
-                    // A sequential caller would have inserted the first
-                    // occurrence before looking this one up: a hit.
+                    // A one-at-a-time lookup would have inserted the first
+                    // occurrence before reaching this one: a hit.
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     slots.push(Err(u));
                 } else {
@@ -334,21 +310,14 @@ impl MoePolicy {
     pub fn system(&self) -> &TrainedSystem {
         &self.system
     }
-}
 
-impl MemoryPredictor for MoePolicy {
-    fn name(&self) -> &str {
-        "Our Approach"
-    }
-
-    fn predict(&self, profile: &AppProfile) -> Result<Prediction, ColocateError> {
-        // Selection is memoised campaign-wide: every clone of this system
-        // shares the table, so repeated queries for the same feature bits
-        // skip the scaling + PCA + KNN pipeline entirely.
-        let selection = self
-            .system
-            .selections
-            .select_cached(&self.system.predictor, &profile.features)?;
+    /// Step 2 of the paper's predictor: calibrates the selected expert on
+    /// the profile's two points.
+    fn calibrated(
+        &self,
+        profile: &AppProfile,
+        selection: Selection,
+    ) -> Result<Prediction, ColocateError> {
         let expert = self.system.predictor.registry().get(selection.expert)?;
         let model = robust_calibrate(expert, profile.calibration[0], profile.calibration[1])?;
         Ok(Prediction {
@@ -357,30 +326,29 @@ impl MemoryPredictor for MoePolicy {
             cpu_estimate: None,
         })
     }
+}
+
+impl MemoryPredictor for MoePolicy {
+    fn name(&self) -> &str {
+        "Our Approach"
+    }
+
+    fn predict(&self, profile: &AppProfile) -> Result<Prediction, ColocateError> {
+        let selection = self.system.predictor.select(&profile.features)?;
+        self.calibrated(profile, selection)
+    }
 
     fn predict_batch(&self, profiles: &[&AppProfile]) -> Result<Vec<Prediction>, ColocateError> {
-        // The serving path: one cached-batch selection over every profile
-        // (whole-matrix scaling + PCA + KNN for the uncached ones), then
-        // the same per-job calibration as the scalar path. Bitwise
-        // identical to calling `predict` once per profile, in order.
-        let features: Vec<&FeatureVector> = profiles.iter().map(|p| &p.features).collect();
-        let selections = self
-            .system
-            .selections
-            .select_cached_batch(&self.system.predictor, &features)?;
+        // The serving path: one whole-matrix selection (scaling + PCA +
+        // KNN) over every profile, then the same per-job calibration as
+        // the scalar path. Bitwise identical to calling `predict` once per
+        // profile, in order.
+        let features: Vec<FeatureVector> = profiles.iter().map(|p| p.features.clone()).collect();
+        let selections = self.system.predictor.select_batch(&features)?;
         profiles
             .iter()
             .zip(selections)
-            .map(|(profile, selection)| {
-                let expert = self.system.predictor.registry().get(selection.expert)?;
-                let model =
-                    robust_calibrate(expert, profile.calibration[0], profile.calibration[1])?;
-                Ok(Prediction {
-                    model: Box::new(model),
-                    low_confidence: selection.low_confidence,
-                    cpu_estimate: None,
-                })
-            })
+            .map(|(profile, selection)| self.calibrated(profile, selection))
             .collect()
     }
 }
@@ -869,37 +837,33 @@ mod tests {
     }
 
     #[test]
-    fn prediction_table_is_shared_across_clones_and_bit_identical() {
+    fn moe_predict_selects_directly_without_memoising() {
         let (catalog, system, mut rng) = setup();
         let profile = profile_of(&catalog, "SB.TriangleCount", 30.0, &mut rng);
-        // Direct selection, bypassing the table, as the reference bits.
         let direct = system.predictor.select(&profile.features).unwrap();
-        assert!(system.selections.is_empty());
+        let expert = system.predictor.registry().get(direct.expert).unwrap();
+        let reference =
+            robust_calibrate(expert, profile.calibration[0], profile.calibration[1]).unwrap();
 
-        // Two policies cloned from the same binding share one table.
+        // Two policies cloned from the same binding, each asked twice.
         let moe_a = MoePolicy::new(system.clone());
         let moe_b = MoePolicy::new(system.clone());
-        moe_a.predict(&profile).unwrap();
+        for moe in [&moe_a, &moe_b, &moe_a, &moe_b] {
+            let pred = moe.predict(&profile).unwrap();
+            assert_eq!(pred.low_confidence, direct.low_confidence);
+            for x in [0.5, 5.0, 30.0, 240.0] {
+                assert_eq!(
+                    pred.model.footprint_gb(x).to_bits(),
+                    reference.footprint_gb(x).to_bits(),
+                    "at x={x}"
+                );
+            }
+        }
+        assert!(system.selections.is_empty());
         assert_eq!(
             (system.selections.misses(), system.selections.hits()),
-            (1, 0)
+            (0, 0)
         );
-        moe_b.predict(&profile).unwrap();
-        assert_eq!(
-            (system.selections.misses(), system.selections.hits()),
-            (1, 1)
-        );
-        assert_eq!(system.selections.len(), 1);
-
-        // A cache hit returns the stored selection bit for bit.
-        let cached = system
-            .selections
-            .select_cached(&system.predictor, &profile.features)
-            .unwrap();
-        assert_eq!(cached.expert, direct.expert);
-        assert_eq!(cached.distance.to_bits(), direct.distance.to_bits());
-        assert_eq!(cached.low_confidence, direct.low_confidence);
-        assert_eq!(system.selections.hits(), 2);
     }
 
     #[test]
@@ -920,7 +884,7 @@ mod tests {
             .iter()
             .map(|n| profile_of(&catalog, n, 30.0, &mut rng_b))
             .collect();
-        // An exact in-batch duplicate of a pending miss: same feature bits.
+        // An exact in-batch duplicate: same feature bits as row 0.
         profiles_a.push(profiles_a[0].clone());
         profiles_b.push(profiles_b[0].clone());
 
@@ -931,39 +895,62 @@ mod tests {
             .map(|p| moe_a.predict(p).unwrap())
             .collect();
 
-        // Batched path on an independently trained (identical) system B.
+        // Batched path on an independently trained (identical) system B,
+        // twice: the second pass must not differ from the first.
         let moe_b = MoePolicy::new(system_b.clone());
         let refs: Vec<&AppProfile> = profiles_b.iter().collect();
-        let batched = moe_b.predict_batch(&refs).unwrap();
-
-        assert_eq!(batched.len(), scalar.len());
-        for (i, (s, b)) in scalar.iter().zip(batched.iter()).enumerate() {
-            assert_eq!(s.low_confidence, b.low_confidence, "row {i}");
-            for x in [0.5, 5.0, 30.0, 240.0] {
-                assert_eq!(
-                    s.model.footprint_gb(x).to_bits(),
-                    b.model.footprint_gb(x).to_bits(),
-                    "row {i} at x={x}"
-                );
+        for pass in 0..2 {
+            let batched = moe_b.predict_batch(&refs).unwrap();
+            assert_eq!(batched.len(), scalar.len());
+            for (i, (s, b)) in scalar.iter().zip(batched.iter()).enumerate() {
+                assert_eq!(s.low_confidence, b.low_confidence, "pass {pass} row {i}");
+                for x in [0.5, 5.0, 30.0, 240.0] {
+                    assert_eq!(
+                        s.model.footprint_gb(x).to_bits(),
+                        b.model.footprint_gb(x).to_bits(),
+                        "pass {pass} row {i} at x={x}"
+                    );
+                }
             }
         }
-        // Counter accounting matches the sequential calls: the duplicate
-        // TriangleCount profile is a hit in both worlds.
-        assert_eq!(
-            (system_a.selections.misses(), system_a.selections.hits()),
-            (system_b.selections.misses(), system_b.selections.hits()),
-        );
-        assert_eq!(system_b.selections.hits(), 1);
-        assert_eq!(system_b.selections.misses(), 4);
-
-        // A second batched pass is all hits and still bitwise stable.
-        let again = moe_b.predict_batch(&refs).unwrap();
-        assert_eq!(system_b.selections.hits(), 1 + refs.len() as u64);
-        for (s, b) in scalar.iter().zip(again.iter()) {
+        // Neither path goes through the selection memo.
+        for system in [&system_a, &system_b] {
+            assert!(system.selections.is_empty());
             assert_eq!(
-                s.model.footprint_gb(30.0).to_bits(),
-                b.model.footprint_gb(30.0).to_bits()
+                (system.selections.misses(), system.selections.hits()),
+                (0, 0)
             );
+        }
+    }
+
+    #[test]
+    fn select_cached_batch_counts_like_one_lookup_at_a_time() {
+        let (catalog, system, mut rng) = setup();
+        let table = PredictionTable::new();
+        let profiles: Vec<AppProfile> = ["SB.TriangleCount", "SB.Hive", "HB.PageRank"]
+            .iter()
+            .map(|n| profile_of(&catalog, n, 30.0, &mut rng))
+            .collect();
+        // Row 3 repeats row 0: a hit, since row 0 is inserted first.
+        let mut features: Vec<&FeatureVector> = profiles.iter().map(|p| &p.features).collect();
+        features.push(features[0]);
+
+        let first = table
+            .select_cached_batch(&system.predictor, &features)
+            .unwrap();
+        assert_eq!((table.misses(), table.hits(), table.len()), (3, 1, 3));
+        let replay = table
+            .select_cached_batch(&system.predictor, &features)
+            .unwrap();
+        assert_eq!((table.misses(), table.hits(), table.len()), (3, 5, 3));
+
+        for (i, f) in features.iter().enumerate() {
+            let direct = system.predictor.select(f).unwrap();
+            for got in [first[i], replay[i]] {
+                assert_eq!(got.expert, direct.expert, "row {i}");
+                assert_eq!(got.distance.to_bits(), direct.distance.to_bits(), "row {i}");
+                assert_eq!(got.low_confidence, direct.low_confidence, "row {i}");
+            }
         }
     }
 

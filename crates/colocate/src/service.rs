@@ -532,6 +532,8 @@ fn check_fields(
 /// negative one ends before it starts; a NaN profiling noise makes every
 /// observed feature NaN; a NaN monitor period turns the throttle off, a NaN
 /// window never evicts and a negative one evicts every report on arrival.
+/// A NaN dynamic-allocation fraction or slice makes `executors_for` grant
+/// every node.
 fn validate_scheduler(sched: &SchedulerConfig) -> Result<(), ColocateError> {
     if sched.cluster.nodes == 0 {
         return Err(ColocateError::Config(
@@ -553,6 +555,14 @@ fn validate_scheduler(sched: &SchedulerConfig) -> Result<(), ColocateError> {
             ("cpu_cap", sched.cpu_cap),
             ("reserve_margin", sched.reserve_margin),
             ("conservative_margin", sched.conservative_margin),
+            (
+                "dynalloc.preferred_slice_gb",
+                sched.dynalloc.preferred_slice_gb,
+            ),
+            (
+                "profiling.dynalloc.preferred_slice_gb",
+                p.dynalloc.preferred_slice_gb,
+            ),
         ],
     )?;
     check_fields(
@@ -585,6 +595,14 @@ fn validate_scheduler(sched: &SchedulerConfig) -> Result<(), ColocateError> {
         &[
             ("profiling.calib_fraction_1", p.calib_fraction_1),
             ("profiling.calib_fraction_2", p.calib_fraction_2),
+            (
+                "dynalloc.target_mem_fraction",
+                sched.dynalloc.target_mem_fraction,
+            ),
+            (
+                "profiling.dynalloc.target_mem_fraction",
+                p.dynalloc.target_mem_fraction,
+            ),
         ],
     )?;
     check_fields(
@@ -605,8 +623,28 @@ fn validate_scheduler(sched: &SchedulerConfig) -> Result<(), ColocateError> {
 /// Rejects an admission config whose comparisons would go silently false:
 /// a NaN headroom fraction turns off both the headroom gate and the
 /// overbook audit, and a NaN breaker window or cooldown never trips or
-/// never recovers.
+/// never recovers. Also rejects a queue that holds nothing, a shed
+/// watermark above the queue's capacity, and a breaker whose recover
+/// threshold is not strictly below its trip threshold.
 fn validate_admission(admission: &AdmissionConfig) -> Result<(), ColocateError> {
+    if admission.queue_capacity == 0 {
+        return Err(ColocateError::Config(
+            "admission.queue_capacity must be at least 1".into(),
+        ));
+    }
+    if admission.shed_watermark > admission.queue_capacity {
+        return Err(ColocateError::Config(format!(
+            "admission.shed_watermark ({}) must not exceed queue_capacity ({})",
+            admission.shed_watermark, admission.queue_capacity
+        )));
+    }
+    let breaker = &admission.breaker;
+    if breaker.recover_threshold >= breaker.trip_threshold {
+        return Err(ColocateError::Config(format!(
+            "breaker.recover_threshold ({}) must be below trip_threshold ({})",
+            breaker.recover_threshold, breaker.trip_threshold
+        )));
+    }
     check_fields(
         "positive",
         |v| v > 0.0,
@@ -1583,7 +1621,7 @@ mod tests {
         }];
         let non_finite = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
         type Setter = fn(&mut SchedulerConfig, f64);
-        let setters: [(Setter, &[f64]); 17] = [
+        let setters: [(Setter, &[f64]); 21] = [
             (|s, v| s.cpu_cap = v, &[0.0, -0.0, -1.0]),
             (|s, v| s.reserve_margin = v, &[0.0, -0.0, -1.0]),
             (|s, v| s.conservative_margin = v, &[0.0, -0.0, -1.0]),
@@ -1606,6 +1644,19 @@ mod tests {
             (
                 |s, v| s.profiling.calib_fraction_2 = v,
                 &[0.0, -0.0, -0.5, 1.5],
+            ),
+            (
+                |s, v| s.dynalloc.target_mem_fraction = v,
+                &[0.0, -0.0, -0.5, 1.5],
+            ),
+            (
+                |s, v| s.profiling.dynalloc.target_mem_fraction = v,
+                &[0.0, -0.0, -0.5, 1.5],
+            ),
+            (|s, v| s.dynalloc.preferred_slice_gb = v, &[0.0, -0.0, -1.0]),
+            (
+                |s, v| s.profiling.dynalloc.preferred_slice_gb = v,
+                &[0.0, -0.0, -1.0],
             ),
         ];
         for (set, out_of_range) in setters {
@@ -1661,6 +1712,31 @@ mod tests {
                 let mut config = service_config(small_sched(), jobs.clone());
                 config.admission = AdmissionConfig::controlled();
                 set(&mut config.admission, value);
+                let run = run_service(PolicyKind::Oracle, &catalog, &plan, None, &config, 1, None);
+                assert!(matches!(run, Err(ColocateError::Config(_))), "{config:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_queues_and_crossed_admission_thresholds_are_rejected() {
+        let catalog = Catalog::paper();
+        let jobs = jobs_of(&catalog, &["HB.Sort", "BDB.Grep"]);
+        let plan = ArrivalPlan::batch(&[(0, 0), (0, 1)]);
+        type Setter = fn(&mut AdmissionConfig);
+        let setters: [Setter; 5] = [
+            |a| a.queue_capacity = 0,
+            |a| a.shed_watermark = a.queue_capacity + 1,
+            // The breaker's hysteresis needs recovery strictly below the trip.
+            |a| a.breaker.recover_threshold = a.breaker.trip_threshold,
+            |a| a.breaker.recover_threshold = a.breaker.trip_threshold + 1,
+            |a| a.breaker.trip_threshold = 0,
+        ];
+        for base in [AdmissionConfig::default(), AdmissionConfig::controlled()] {
+            for set in setters {
+                let mut config = service_config(small_sched(), jobs.clone());
+                config.admission = base;
+                set(&mut config.admission);
                 let run = run_service(PolicyKind::Oracle, &catalog, &plan, None, &config, 1, None);
                 assert!(matches!(run, Err(ColocateError::Config(_))), "{config:?}");
             }
@@ -1833,7 +1909,7 @@ mod tests {
         // queued C while A still runs.
         let plan = trace(&[(0.0, 0, 0), (0.0, 0, 0), (10.0, 0, 0), (20.0, 0, 0)]);
         let config = ServiceConfig {
-            admission: one_at_a_time(1, 8),
+            admission: one_at_a_time(1, 1),
             ..service_config(small_sched(), vec![(sort, 30.0)])
         };
         let out = run_service(PolicyKind::Oracle, &catalog, &plan, None, &config, 2, None).unwrap();
@@ -1919,7 +1995,7 @@ mod tests {
         // it is not queued work, so it is not shed.
         let plan = trace(&[(0.0, 0, 0), (150.0, 0, 0), (250.0, 0, 1)]);
         let mut finishes = Vec::new();
-        for admission in [AdmissionConfig::default(), one_at_a_time(1, 4)] {
+        for admission in [AdmissionConfig::default(), one_at_a_time(1, 1)] {
             let config = ServiceConfig {
                 admission,
                 ..service_config(small_sched(), with_a_credit_finished_class(&catalog))

@@ -78,13 +78,15 @@ pub struct TrainedSystem {
     /// Measured average CPU utilisation of each program during offline
     /// profiling, parallel to `programs`.
     pub program_cpus: Vec<f64>,
-    /// Campaign-wide cache of expert selections. Shared (via `Arc`) by
-    /// every clone of this system, so policies and mix replays built from
-    /// the same binding reuse each other's KNN lookups.
+    /// A selection memo no prediction path reads:
+    /// [`MoePolicy`](crate::predictors::MoePolicy) calls the selector
+    /// directly. It stays empty unless a caller fills it through
+    /// [`PredictionTable::select_cached_batch`], as the benchmark workloads
+    /// and tab05's footer do; see [`PredictionTable`] for why it is kept.
     pub selections: Arc<PredictionTable>,
     /// The Quasar baseline's estimator over `programs`, built on first use
-    /// by [`TrainedSystem::quasar`] and shared (via `Arc`), like
-    /// `selections`, by every clone of this system.
+    /// by [`TrainedSystem::quasar`] and shared (via `Arc`) by every clone
+    /// of this system.
     quasar: Arc<OnceLock<Arc<QuasarPredictor>>>,
 }
 

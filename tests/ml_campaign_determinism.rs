@@ -16,8 +16,8 @@ use workloads::Catalog;
 #[test]
 fn fig17_report_is_byte_identical_across_worker_counts() {
     let catalog = Catalog::paper();
-    let (one, ..) = mlcamp::fig17_report(&catalog, 1).expect("fig17 at 1 worker");
-    let (four, ..) = mlcamp::fig17_report(&catalog, 4).expect("fig17 at 4 workers");
+    let one = mlcamp::fig17_report(&catalog, 1).expect("fig17 at 1 worker");
+    let four = mlcamp::fig17_report(&catalog, 4).expect("fig17 at 4 workers");
     assert_eq!(
         one, four,
         "fig17_accuracy stdout must not depend on workers"

@@ -1,9 +1,13 @@
 //! Integration tests for the offline-training → runtime-prediction
 //! pipeline across mlkit, moe-core, workloads and colocate.
 
+use colocate::harness::{trained_system_for, RunConfig};
 use colocate::predictors::{MemoryPredictor, MoePolicy, Oracle, QuasarPredictor};
 use colocate::profiling::{profile_app, ProfilingConfig};
+use colocate::scheduler::{run_schedule_custom, PolicyKind};
+use colocate::service::{run_service, AdmissionConfig, ServiceConfig};
 use colocate::training::{family_expert_id, train_loocv, train_system, TrainingConfig};
+use simkit::arrivals::ArrivalPlan;
 use simkit::SimRng;
 use workloads::{signatures, Catalog, Suite};
 
@@ -121,4 +125,53 @@ fn low_confidence_flag_fires_for_alien_applications() {
     let alien = moe_core::features::FeatureVector::from_fn(|i| if i % 2 == 0 { 1e6 } else { -1e6 });
     let sel = system.predictor.select(&alien).unwrap();
     assert!(sel.low_confidence, "distance {}", sel.distance);
+}
+
+#[test]
+fn moe_schedules_and_services_memoise_no_selections() {
+    // Each profiled application selects its expert once, so the MoE asks
+    // the selector directly: neither loop leaves anything in the system's
+    // selection memo.
+    let catalog = Catalog::paper();
+    let config = RunConfig::default();
+    let jobs: Vec<(usize, f64)> = ["HB.Sort", "SB.TriangleCount", "HB.PageRank", "HB.Sort"]
+        .iter()
+        .map(|n| (catalog.by_name(n).unwrap().index(), 30.0))
+        .collect();
+    let system = trained_system_for(PolicyKind::Moe, &catalog, &config, 6)
+        .unwrap()
+        .unwrap();
+
+    let closed = run_schedule_custom(
+        PolicyKind::Moe,
+        &catalog,
+        &jobs,
+        Some(&system),
+        &config.scheduler,
+        6,
+    )
+    .unwrap();
+    assert_eq!(closed.per_app.len(), jobs.len());
+
+    let plan = ArrivalPlan::batch(&(0..jobs.len()).map(|i| (0, i)).collect::<Vec<_>>());
+    let service = ServiceConfig {
+        scheduler: config.scheduler.clone(),
+        admission: AdmissionConfig::default(),
+        tenant_weights: Vec::new(),
+        job_classes: jobs.clone(),
+    };
+    let open = run_service(
+        PolicyKind::Moe,
+        &catalog,
+        &plan,
+        Some(&system),
+        &service,
+        6,
+        None,
+    )
+    .unwrap();
+    assert_eq!(open.jobs.len(), jobs.len());
+
+    let memo = &system.selections;
+    assert_eq!((memo.len(), memo.hits(), memo.misses()), (0, 0, 0));
 }
