@@ -1905,16 +1905,17 @@ mod tests {
     fn arrivals_beyond_the_queue_capacity_are_shed_on_the_spot() {
         let catalog = Catalog::paper();
         let sort = catalog.by_name("HB.Sort").unwrap().index();
-        // B lands on a full queue at t = 0; D lands at t = 20 behind the
-        // queued C while A still runs.
-        let plan = trace(&[(0.0, 0, 0), (0.0, 0, 0), (10.0, 0, 0), (20.0, 0, 0)]);
+        // While A runs, C (tag 40, another tenant) lands at t = 20 on a
+        // queue that B (tag 60) fills. The cap sheds the arrival C; the
+        // watermark pass alone would shed B, the largest tag.
+        let plan = trace(&[(0.0, 0, 0), (10.0, 0, 0), (20.0, 1, 1)]);
         let config = ServiceConfig {
             admission: one_at_a_time(1, 1),
-            ..service_config(small_sched(), vec![(sort, 30.0)])
+            ..service_config(small_sched(), vec![(sort, 30.0), (sort, 10.0)])
         };
         let out = run_service(PolicyKind::Oracle, &catalog, &plan, None, &config, 2, None).unwrap();
-        assert_eq!(shed_flags(&out), [false, true, false, true]);
-        assert_eq!(out.shed_jobs, 2);
+        assert_eq!(shed_flags(&out), [false, false, true]);
+        assert_eq!(out.shed_jobs, 1);
     }
 
     #[test]

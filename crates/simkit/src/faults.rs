@@ -192,10 +192,17 @@ impl FaultPlan {
         );
         assert!(config.horizon_secs > 0.0, "fault horizon must be positive");
         let mut rng = SimRng::seed_from(seed ^ 0xFA00_17ED_5EED_0000);
-        let mut events = Vec::new();
         if config.intensity == 0.0 || config.nodes == 0 {
-            return FaultPlan { events };
+            return FaultPlan::none();
         }
+        assert!(
+            (0.0..=1.0).contains(&config.noise_window_frac),
+            "noise window fraction must lie in [0, 1]"
+        );
+        assert!(
+            config.spot_rate >= 0.0 && config.spot_rate.is_finite(),
+            "spot rate must be a finite non-negative number"
+        );
         let scaled = |per_unit: f64, units: usize| -> usize {
             (config.intensity * per_unit * units as f64).round() as usize
         };
@@ -203,6 +210,10 @@ impl FaultPlan {
         let exec_crashes = scaled(0.75, config.nodes);
         let dropouts = scaled(0.75, config.nodes);
         let noises = scaled(1.0, config.apps).min(config.apps.saturating_mul(2));
+        let spots = scaled(config.spot_rate, config.nodes);
+        // Every count is known up front, so the plan is allocated once.
+        let mut events =
+            Vec::with_capacity(node_crashes + exec_crashes + dropouts + noises + spots);
 
         for _ in 0..node_crashes {
             events.push(FaultEvent {
@@ -230,34 +241,23 @@ impl FaultPlan {
                 },
             });
         }
-        assert!(
-            (0.0..=1.0).contains(&config.noise_window_frac),
-            "noise window fraction must lie in [0, 1]"
-        );
-        if config.apps > 0 {
-            for _ in 0..noises {
-                events.push(FaultEvent {
-                    // Closed systems keep the historical window (first tenth
-                    // of the horizon: a mis-calibrated model is wrong from
-                    // the start); open systems widen it so mispredictions
-                    // strike a loaded cluster, not an empty one.
-                    at_secs: rng.uniform(0.0, config.horizon_secs * config.noise_window_frac),
-                    kind: FaultKind::PredictionNoise {
-                        app: rng.uniform_usize(0, config.apps - 1),
-                        factor: rng.log_normal(0.0, config.noise_sd).clamp(0.2, 5.0),
-                    },
-                });
-            }
+        for _ in 0..noises {
+            events.push(FaultEvent {
+                // Closed systems keep the historical window (first tenth of
+                // the horizon: a mis-calibrated model is wrong from the
+                // start); open systems widen it so mispredictions strike a
+                // loaded cluster, not an empty one.
+                at_secs: rng.uniform(0.0, config.horizon_secs * config.noise_window_frac),
+                kind: FaultKind::PredictionNoise {
+                    app: rng.uniform_usize(0, config.apps - 1),
+                    factor: rng.log_normal(0.0, config.noise_sd).clamp(0.2, 5.0),
+                },
+            });
         }
         // Spot draws come LAST so that enabling them (spot_rate > 0) never
         // changes which values the draws above consume from the RNG stream:
         // a plan with spot_rate = 0 is bit-identical to one generated
         // before this fault kind existed.
-        assert!(
-            config.spot_rate >= 0.0 && config.spot_rate.is_finite(),
-            "spot rate must be a finite non-negative number"
-        );
-        let spots = scaled(config.spot_rate, config.nodes);
         for _ in 0..spots {
             events.push(FaultEvent {
                 // The *warning* lands inside the horizon; the revocation
