@@ -95,7 +95,6 @@ pub fn ablation_sweep(_size: &Size, _records: Option<&Path>) -> Result<(), Campa
         config.scheduler.profiling = ProfilingConfig {
             calib_fraction_1: f1,
             calib_fraction_2: f2,
-            ..ProfilingConfig::default()
         };
         let (stp, ooms) = scenario_stp(&config, 102)?;
         println!("  ({f1:.3}, {f2:.3}): STP {stp:.2}, OOMs {ooms}");
@@ -127,7 +126,6 @@ pub fn ablation_sweep(_size: &Size, _records: Option<&Path>) -> Result<(), Campa
         let mut config = RunConfig::default();
         config.scheduler.monitor = MonitorConfig {
             window_secs: window,
-            ..MonitorConfig::default()
         };
         let (stp, _) = scenario_stp(&config, 105)?;
         println!("  window {window:>4.0} s: STP {stp:.2}");

@@ -192,8 +192,6 @@ pub fn fig14_interference(_size: &Size, _records: Option<&Path>) -> Result<(), C
 /// measures less than 30 % slowdown, mostly under 20 %.
 pub fn fig15_parsec(_size: &Size, _records: Option<&Path>) -> Result<(), CampaignError> {
     let catalog = crate::catalog();
-    let config = RunConfig::default();
-    let system = moe_system(&config, 15)?;
 
     println!("Fig. 15: PARSEC slowdown (%) with one co-located Spark task");
     println!(
@@ -209,8 +207,6 @@ pub fn fig15_parsec(_size: &Size, _records: Option<&Path>) -> Result<(), Campaig
                 catalog,
                 parsec,
                 spark.index(),
-                &system,
-                &config.scheduler,
                 1500 + spark.index() as u64,
             )?);
         }

@@ -17,6 +17,7 @@ use crate::scheduler::{
     isolated_makespan, run_schedule, run_schedule_with_faults, FaultStats, PolicyKind,
     ResilienceConfig, ScheduleOutcome, SchedulerConfig, UtilTrace,
 };
+use crate::service::check_fields;
 use crate::training::{train_system, TrainedSystem, TrainingConfig};
 use crate::ColocateError;
 use simkit::faults::{FaultPlan, FaultPlanConfig};
@@ -567,6 +568,32 @@ impl ChaosSpec {
         }
     }
 
+    /// Rejects a spec whose fault plan would panic or draw NaN times and
+    /// durations: every field must be finite, the intensity and the noise
+    /// window in `[0, 1]`, the rest non-negative.
+    pub(crate) fn validate(&self) -> Result<(), ColocateError> {
+        check_fields(
+            "in [0, 1]",
+            |v| (0.0..=1.0).contains(&v),
+            &[
+                ("chaos.intensity", self.intensity),
+                ("chaos.noise_window_frac", self.noise_window_frac),
+            ],
+        )?;
+        check_fields(
+            "non-negative",
+            |v| v >= 0.0,
+            &[
+                ("chaos.mean_outage_secs", self.mean_outage_secs),
+                ("chaos.mean_dropout_secs", self.mean_dropout_secs),
+                ("chaos.noise_sd", self.noise_sd),
+                ("chaos.horizon_frac", self.horizon_frac),
+                ("chaos.spot_rate", self.spot_rate),
+                ("chaos.spot_warning_secs", self.spot_warning_secs),
+            ],
+        )
+    }
+
     /// The fault plan this spec draws from `seed ^ 0xC4A0_5EED` (a stream
     /// independent of the schedule seed) over `horizon_secs` on `nodes`
     /// nodes running `apps` applications.
@@ -655,8 +682,9 @@ pub struct ChaosStats {
 ///
 /// # Errors
 ///
-/// [`ColocateError::Config`] when `mixes` is zero; propagates training
-/// and per-mix scheduler failures.
+/// [`ColocateError::Config`] when `mixes` is zero or a `chaos` field is
+/// NaN, infinite or out of range; propagates training and per-mix
+/// scheduler failures.
 pub fn evaluate_chaos(
     entries: &[ChaosEntry],
     scenario: MixScenario,
@@ -666,6 +694,7 @@ pub fn evaluate_chaos(
     base_seed: u64,
     chaos: &ChaosSpec,
 ) -> Result<ChaosStats, ColocateError> {
+    chaos.validate()?;
     let policies: Vec<PolicyKind> = entries.iter().map(|e| e.policy).collect();
     let systems = trained_systems_for(&policies, catalog, config, base_seed)?;
     // Per-entry scheduler configs differ only in their resilience block.
@@ -940,6 +969,56 @@ mod tests {
             replications: 0,
         };
         assert_config_error(evaluate_openloop(&[entry], &catalog, &cfg, &spec, 1));
+    }
+
+    #[test]
+    fn nan_infinite_and_out_of_range_chaos_specs_are_rejected() {
+        let catalog = Catalog::paper();
+        let cfg = small_run_config();
+        let oracle = PolicyKind::Oracle;
+        let resilience = ResilienceConfig::default();
+        let entry = ChaosEntry {
+            label: "oracle",
+            policy: oracle,
+            resilience,
+        };
+        let open_entry = OpenLoopEntry {
+            label: "oracle",
+            policy: oracle,
+            admission: AdmissionConfig::default(),
+            resilience,
+        };
+        let non_finite = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        type Setter = fn(&mut ChaosSpec, f64);
+        let setters: [(Setter, &[f64]); 8] = [
+            (|c, v| c.intensity = v, &[-0.5, 1.5]),
+            (|c, v| c.noise_window_frac = v, &[-0.5, 1.5]),
+            (|c, v| c.mean_outage_secs = v, &[-1.0]),
+            (|c, v| c.mean_dropout_secs = v, &[-1.0]),
+            (|c, v| c.noise_sd = v, &[-1.0]),
+            (|c, v| c.horizon_frac = v, &[-1.0]),
+            (|c, v| c.spot_rate = v, &[-1.0]),
+            (|c, v| c.spot_warning_secs = v, &[-1.0]),
+        ];
+        let sc = MixScenario { label: 1, apps: 2 };
+        for (set, out_of_range) in setters {
+            for &value in non_finite.iter().chain(out_of_range) {
+                let mut chaos = ChaosSpec::at_intensity(0.5);
+                set(&mut chaos, value);
+                assert_config_error(evaluate_chaos(&[entry], sc, &catalog, &cfg, 1, 1, &chaos));
+                let spec = OpenLoopSpec {
+                    process: ArrivalProcess::Poisson { rate_per_sec: 0.01 },
+                    horizon_secs: 1_000.0,
+                    tenants: 1,
+                    tenant_weights: Vec::new(),
+                    job_classes: vec![(0, InputSize::Small.gb())],
+                    max_jobs: 4,
+                    chaos,
+                    replications: 1,
+                };
+                assert_config_error(evaluate_openloop(&[open_entry], &catalog, &cfg, &spec, 1));
+            }
+        }
     }
 
     /// A campaign that converges before `max_mixes` folds exactly the

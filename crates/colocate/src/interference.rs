@@ -8,11 +8,16 @@
 //! Fig. 15: the same experiment with a computation-intensive PARSEC
 //! benchmark as the co-location victim (< 30 % slowdown).
 
-use crate::scheduler::{run_schedule_custom, PolicyKind, SchedulerConfig};
+use crate::profiling::FOOTPRINT_NOISE_SD;
+use crate::scheduler::{
+    run_schedule_custom, PolicyKind, SchedulerConfig, EXECUTOR_STARTUP_SECS, MIN_SLICE_GB,
+};
 use crate::training::TrainedSystem;
 use crate::ColocateError;
+use sparklite::app::AppId;
 use sparklite::cluster::ClusterSpec;
 use sparklite::engine::ClusterEngine;
+use sparklite::perf::InterferenceModel;
 use workloads::catalog::Catalog;
 use workloads::parsec::ParsecBenchmark;
 
@@ -51,13 +56,14 @@ pub fn spark_pair_slowdown(
     // Paired run with the paper's explicit ordering: the target is
     // launched first and holds its memory; the competitor is then
     // co-located into the *spare* memory using the trained predictor.
-    let mut engine = ClusterEngine::with_seed(ClusterSpec::small(1), config.interference, seed);
-    engine.set_executor_startup_secs(config.executor_startup_secs);
+    let mut engine =
+        ClusterEngine::with_seed(ClusterSpec::small(1), InterferenceModel::default(), seed);
+    engine.set_executor_startup_secs(EXECUTOR_STARTUP_SECS);
     let node = engine.cluster().node_ids()[0];
 
     let target_bench = &catalog.all()[target];
-    let target_app = engine
-        .submit(target_bench.app_spec(INTERFERENCE_INPUT_GB, config.profiling.footprint_noise_sd));
+    let target_app =
+        engine.submit(target_bench.app_spec(INTERFERENCE_INPUT_GB, FOOTPRINT_NOISE_SD));
     // The target processes its input in waves sized to roughly 60 % of the
     // host's RAM — it was launched first and owns most of the memory.
     let ram = engine.cluster().node(node).spec().ram_gb;
@@ -87,18 +93,11 @@ pub fn spark_pair_slowdown(
         .predict(&profile)
         .map_err(|e| ColocateError::Config(format!("prediction failed: {e}")))?;
     let margin = config.reserve_margin.max(1.0);
-    let other_app = engine
-        .submit(other_bench.app_spec(INTERFERENCE_INPUT_GB, config.profiling.footprint_noise_sd));
+    let other_app = engine.submit(other_bench.app_spec(INTERFERENCE_INPUT_GB, FOOTPRINT_NOISE_SD));
 
-    let mut elapsed = 0.0;
-    loop {
+    let elapsed = run_until_finished(&mut engine, target_app, |engine| {
         // Keep the target's wave executor running until its input drains.
-        if engine
-            .node_executors(node)
-            .iter()
-            .filter(|&&e| engine.executor(e).map(|x| x.app()) == Ok(target_app))
-            .count()
-            == 0
+        if engine.app(target_app).live_executors() == 0
             && !engine.app(target_app).is_finished()
             && engine.app(target_app).unassigned_gb() > 0.0
         {
@@ -108,12 +107,7 @@ pub fn spark_pair_slowdown(
         }
         // Keep the competitor occupying the spare memory while the target
         // runs, respawning as its slices finish.
-        if engine
-            .node_executors(node)
-            .iter()
-            .filter(|&&e| engine.executor(e).map(|x| x.app()) == Ok(other_app))
-            .count()
-            == 0
+        if engine.app(other_app).live_executors() == 0
             && !engine.app(other_app).is_finished()
             && engine.app(other_app).unassigned_gb() > 0.0
         {
@@ -122,7 +116,7 @@ pub fn spark_pair_slowdown(
                 let slice = x
                     .min(engine.app(other_app).unassigned_gb())
                     .min(INTERFERENCE_INPUT_GB / 4.0);
-                if slice > config.min_slice_gb {
+                if slice > MIN_SLICE_GB {
                     let reserve = (prediction.model.footprint_gb(slice) * margin).min(free);
                     engine
                         .spawn_executor(other_app, node, slice, reserve)
@@ -130,6 +124,21 @@ pub fn spark_pair_slowdown(
                 }
             }
         }
+        Ok(())
+    })?;
+    Ok(((elapsed / solo.makespan_secs) - 1.0).max(0.0) * 100.0)
+}
+
+/// Steps `engine` from completion to completion, calling `top_up` before
+/// each step, until `target` finishes; returns the simulated time taken.
+fn run_until_finished(
+    engine: &mut ClusterEngine,
+    target: AppId,
+    mut top_up: impl FnMut(&mut ClusterEngine) -> Result<(), ColocateError>,
+) -> Result<f64, ColocateError> {
+    let mut elapsed = 0.0;
+    loop {
+        top_up(engine)?;
         let Some((dt, who)) = engine.next_completion() else {
             return Err(ColocateError::Config("no executors running".into()));
         };
@@ -137,11 +146,10 @@ pub fn spark_pair_slowdown(
         elapsed += dt;
         let done_app = engine.executor(who).map(|e| e.app()).ok();
         engine.complete_executor(who).map_err(ColocateError::from)?;
-        if done_app == Some(target_app) && engine.app(target_app).is_finished() {
-            break;
+        if done_app == Some(target) && engine.app(target).is_finished() {
+            return Ok(elapsed);
         }
     }
-    Ok(((elapsed / solo.makespan_secs) - 1.0).max(0.0) * 100.0)
 }
 
 /// Slowdown (%) of a PARSEC benchmark co-located with one Spark benchmark
@@ -159,12 +167,10 @@ pub fn parsec_slowdown(
     catalog: &Catalog,
     parsec: &ParsecBenchmark,
     spark_bench: usize,
-    system: &TrainedSystem,
-    config: &SchedulerConfig,
     seed: u64,
 ) -> Result<f64, ColocateError> {
-    let _ = system; // placement below uses the oracle-style footprint.
-    let mut engine = ClusterEngine::with_seed(ClusterSpec::small(1), config.interference, seed);
+    let mut engine =
+        ClusterEngine::with_seed(ClusterSpec::small(1), InterferenceModel::default(), seed);
     let node = engine.cluster().node_ids()[0];
 
     // PARSEC running natively on the host.
@@ -196,19 +202,7 @@ pub fn parsec_slowdown(
         .map_err(ColocateError::from)?;
 
     // Run until the PARSEC executor finishes.
-    let mut elapsed = 0.0;
-    loop {
-        let Some((dt, who)) = engine.next_completion() else {
-            return Err(ColocateError::Config("no executors running".into()));
-        };
-        engine.advance(dt);
-        elapsed += dt;
-        let done_app = engine.executor(who).map(|e| e.app()).ok();
-        engine.complete_executor(who).map_err(ColocateError::from)?;
-        if done_app == Some(parsec_app) {
-            break;
-        }
-    }
+    let elapsed = run_until_finished(&mut engine, parsec_app, |_| Ok(()))?;
     Ok(((elapsed / parsec.solo_seconds()) - 1.0).max(0.0) * 100.0)
 }
 
@@ -234,26 +228,20 @@ mod tests {
     #[test]
     fn parsec_slowdown_is_under_thirty_percent() {
         let catalog = Catalog::paper();
-        let mut rng = SimRng::seed_from(2);
-        let system = train_system(&catalog, &TrainingConfig::default(), &mut rng).unwrap();
-        let config = SchedulerConfig::default();
         let parsec = &parsec_suite()[0];
         let spark = catalog.by_name("HB.Aggregation").unwrap().index();
-        let s = parsec_slowdown(&catalog, parsec, spark, &system, &config, 3).unwrap();
+        let s = parsec_slowdown(&catalog, parsec, spark, 3).unwrap();
         assert!((0.0..=30.0).contains(&s), "slowdown {s}%");
     }
 
     #[test]
     fn heavier_co_runners_interfere_more() {
         let catalog = Catalog::paper();
-        let mut rng = SimRng::seed_from(3);
-        let system = train_system(&catalog, &TrainingConfig::default(), &mut rng).unwrap();
-        let config = SchedulerConfig::default();
         let parsec = &parsec_suite()[9]; // swaptions: 92 % CPU
         let light = catalog.by_name("HB.Scan").unwrap().index(); // 8 % CPU
         let heavy = catalog.by_name("SB.DecisionTree").unwrap().index(); // 58 %
-        let s_light = parsec_slowdown(&catalog, parsec, light, &system, &config, 4).unwrap();
-        let s_heavy = parsec_slowdown(&catalog, parsec, heavy, &system, &config, 4).unwrap();
+        let s_light = parsec_slowdown(&catalog, parsec, light, 4).unwrap();
+        let s_heavy = parsec_slowdown(&catalog, parsec, heavy, 4).unwrap();
         assert!(
             s_heavy >= s_light,
             "heavy {s_heavy}% should exceed light {s_light}%"

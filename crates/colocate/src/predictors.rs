@@ -588,7 +588,7 @@ impl QuasarPredictor {
         let exemplars = scaler.transform_batch(&raw)?;
 
         // The historical profile matrix: programs × grid sizes.
-        let grid: Vec<f64> = crate::training::TrainingConfig::default().profile_sizes_gb;
+        let grid = crate::training::PROFILE_SIZES_GB.to_vec();
         let rows: Vec<Vec<f64>> = system
             .fitted_curves
             .iter()
@@ -797,7 +797,7 @@ impl MemoryPredictor for QuasarPredictor {
 mod tests {
     use super::*;
     use crate::profiling::{profile_app, ProfilingConfig};
-    use crate::training::{train_system, TrainingConfig};
+    use crate::training::{train_system, TrainingConfig, PROFILE_SIZES_GB};
 
     fn setup() -> (Catalog, TrainedSystem, SimRng) {
         let catalog = Catalog::paper();
@@ -995,9 +995,14 @@ mod tests {
     #[test]
     fn ann_learns_rough_footprints() {
         let (catalog, system, mut rng) = setup();
-        let sizes = TrainingConfig::default().profile_sizes_gb;
-        let ann = AnnPredictor::train(&catalog, &system.program_benchmarks, &sizes, 0.01, &mut rng)
-            .unwrap();
+        let ann = AnnPredictor::train(
+            &catalog,
+            &system.program_benchmarks,
+            &PROFILE_SIZES_GB,
+            0.01,
+            &mut rng,
+        )
+        .unwrap();
         let bench = catalog.by_name("HB.Sort").unwrap();
         let profile = profile_of(&catalog, "HB.Sort", 30.0, &mut rng);
         let pred = ann.predict(&profile).unwrap();
@@ -1158,7 +1163,7 @@ mod tests {
                 })
                 .collect()
         } else {
-            TrainingConfig::default().profile_sizes_gb
+            PROFILE_SIZES_GB.to_vec()
         };
         let mut footprints: Vec<f64> = grid
             .iter()
@@ -1222,10 +1227,14 @@ mod tests {
         static ANN: std::sync::OnceLock<(Catalog, AnnPredictor)> = std::sync::OnceLock::new();
         ANN.get_or_init(|| {
             let (catalog, system, mut rng) = setup();
-            let sizes = TrainingConfig::default().profile_sizes_gb;
-            let ann =
-                AnnPredictor::train(&catalog, &system.program_benchmarks, &sizes, 0.01, &mut rng)
-                    .unwrap();
+            let ann = AnnPredictor::train(
+                &catalog,
+                &system.program_benchmarks,
+                &PROFILE_SIZES_GB,
+                0.01,
+                &mut rng,
+            )
+            .unwrap();
             (catalog, ann)
         })
     }

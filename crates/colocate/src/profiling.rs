@@ -20,43 +20,36 @@
 use moe_core::features::FeatureVector;
 use serde::{Deserialize, Serialize};
 use simkit::SimRng;
-use sparklite::dynalloc::{self, DynAllocConfig};
+use sparklite::dynalloc;
 use workloads::catalog::Benchmark;
 use workloads::signatures;
 
-/// Knobs of the profiling pipeline.
+/// Size of the feature-extraction sample (GB); the paper uses ~100 MB.
+pub const FEATURE_SAMPLE_GB: f64 = 0.1;
+
+/// Fixed time to set up counters and collect `vmstat`/`perf`/PAPI windows
+/// during feature extraction (s).
+pub const FEATURE_FIXED_SECS: f64 = 45.0;
+
+/// Relative noise of every footprint measurement: the calibration runs
+/// here, offline training's profiling sweep and the executors' realised
+/// footprints.
+pub const FOOTPRINT_NOISE_SD: f64 = 0.005;
+
+/// The calibration fractions of the profiling pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProfilingConfig {
-    /// Size of the feature-extraction sample (GB); the paper uses ~100 MB.
-    pub feature_sample_gb: f64,
-    /// Fixed time to set up counters and collect `vmstat`/`perf`/PAPI
-    /// windows during feature extraction (s).
-    pub feature_fixed_secs: f64,
     /// First calibration fraction of the expected executor slice.
     pub calib_fraction_1: f64,
     /// Second calibration fraction of the expected executor slice.
     pub calib_fraction_2: f64,
-    /// Relative noise of footprint measurements during calibration.
-    pub footprint_noise_sd: f64,
-    /// Relative noise of feature observations.
-    pub feature_noise_sd: f64,
-    /// Latent per-benchmark signature jitter (see `workloads::signatures`).
-    pub signature_jitter_sd: f64,
-    /// Dynamic-allocation sizing used to estimate the executor slice.
-    pub dynalloc: DynAllocConfig,
 }
 
 impl Default for ProfilingConfig {
     fn default() -> Self {
         ProfilingConfig {
-            feature_sample_gb: 0.1,
-            feature_fixed_secs: 45.0,
             calib_fraction_1: 0.028,
             calib_fraction_2: 0.055,
-            footprint_noise_sd: 0.005,
-            feature_noise_sd: signatures::DEFAULT_NOISE_SD,
-            signature_jitter_sd: signatures::DEFAULT_JITTER_SD,
-            dynalloc: DynAllocConfig::default(),
         }
     }
 }
@@ -112,32 +105,27 @@ pub fn profile_app(
     config: &ProfilingConfig,
     rng: &mut SimRng,
 ) -> (AppProfile, ProfilingCost) {
-    let spec = bench.app_spec(input_gb, config.footprint_noise_sd);
-    let execs = dynalloc::executors_for(&spec, nodes, ram_gb, config.dynalloc);
+    let spec = bench.app_spec(input_gb, FOOTPRINT_NOISE_SD);
+    let execs = dynalloc::executors_for(&spec, nodes, ram_gb);
     let slice = input_gb / execs as f64;
 
     // Feature extraction: ~100 MB run + a counter-collection window. The
     // window is capped at a fraction of the job's expected execution time:
     // a 30-second job is profiled in seconds, an hour-long job affords the
     // full PAPI/vmstat collection period.
-    let feature_gb = config.feature_sample_gb.min(input_gb);
+    let feature_gb = FEATURE_SAMPLE_GB.min(input_gb);
     let est_exec_secs = input_gb / (execs as f64 * bench.rate_gb_per_s());
-    let window = config.feature_fixed_secs.min(0.15 * est_exec_secs).max(2.0);
+    let window = FEATURE_FIXED_SECS.min(0.15 * est_exec_secs).max(2.0);
     let feature_secs = window + feature_gb / bench.rate_gb_per_s();
-    let features = signatures::observe(
-        bench,
-        rng,
-        config.signature_jitter_sd,
-        config.feature_noise_sd,
-    );
+    let features = signatures::observe_default(bench, rng);
     // CPU usage is measured with small relative error during the run.
     let measured_cpu = (bench.cpu_util() * rng.relative_noise(0.03)).clamp(0.01, 1.0);
 
     // Calibration runs on 5 % and 10 % of the expected slice.
     let x1 = (config.calib_fraction_1 * slice).min(input_gb);
     let x2 = (config.calib_fraction_2 * slice).min(input_gb);
-    let y1 = bench.true_footprint_gb(x1) * rng.relative_noise(config.footprint_noise_sd);
-    let y2 = bench.true_footprint_gb(x2) * rng.relative_noise(config.footprint_noise_sd);
+    let y1 = bench.true_footprint_gb(x1) * rng.relative_noise(FOOTPRINT_NOISE_SD);
+    let y2 = bench.true_footprint_gb(x2) * rng.relative_noise(FOOTPRINT_NOISE_SD);
     let calibration_secs = (x1 + x2) / bench.rate_gb_per_s();
 
     let profile = AppProfile {

@@ -39,7 +39,7 @@ use crate::predictors::{
 };
 use crate::profiling::{ProfilingConfig, ProfilingCost};
 use crate::service::{run_loop, AdmissionConfig, LoopRun, ServiceConfig};
-use crate::training::{TrainedSystem, TrainingConfig};
+use crate::training::{TrainedSystem, PROFILE_SIZES_GB};
 use crate::ColocateError;
 use mlkit::regression::{CurveFamily, FittedCurve};
 use simkit::arrivals::ArrivalPlan;
@@ -47,9 +47,9 @@ use simkit::faults::{FaultEvent, FaultKind, FaultPlan};
 use simkit::SimRng;
 use sparklite::app::AppId;
 use sparklite::cluster::ClusterSpec;
-use sparklite::dynalloc::{self, DynAllocConfig};
+use sparklite::dynalloc;
 use sparklite::engine::ClusterEngine;
-use sparklite::perf::{InterferenceModel, MemoryPressure};
+use sparklite::perf::MemoryPressure;
 use sparklite::NodeId;
 use std::collections::VecDeque;
 use workloads::catalog::Catalog;
@@ -105,50 +105,49 @@ impl PolicyKind {
     }
 }
 
+/// Hard cap on executors per node (thread re-balancing limit, §4.3).
+pub const MAX_EXECS_PER_NODE: usize = 8;
+
+/// Margin for low-confidence predictions and post-OOM re-runs.
+pub const CONSERVATIVE_MARGIN: f64 = 1.5;
+
+/// Smallest slice worth spawning an executor for (GB).
+pub const MIN_SLICE_GB: f64 = 0.02;
+
+/// RDD partition granularity (GB): data slices handed to executors are
+/// whole partitions, so budget-derived slices snap down to this grid (the
+/// HDFS block size).
+pub const PARTITION_GB: f64 = workloads::inputs::DEFAULT_PARTITION_GB;
+
+/// Fixed executor startup latency (JVM + container allocation), s. Makes
+/// slice-chopping expensive: a predictor that over-reserves memory forces
+/// smaller slices and pays this cost more often.
+pub const EXECUTOR_STARTUP_SECS: f64 = 25.0;
+
+/// Online search: fraction of the input processed per descent trial,
+/// serialised on the coordinating node (§6.5's scalability problem).
+pub const SEARCH_SERIAL_FRAC: f64 = 0.008;
+
+/// Online search: steady-state rate penalty from repeated trial
+/// adjustments.
+pub const SEARCH_RATE_PENALTY: f64 = 0.18;
+
 /// Scheduler configuration shared by all policies.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
     /// Cluster hardware.
     pub cluster: ClusterSpec,
-    /// Node-level interference model.
-    pub interference: InterferenceModel,
     /// Profiling pipeline settings.
     pub profiling: ProfilingConfig,
-    /// Dynamic-allocation sizing.
-    pub dynalloc: DynAllocConfig,
-    /// Hard cap on executors per node (thread re-balancing limit, §4.3).
-    pub max_execs_per_node: usize,
     /// Aggregate CPU demand allowed on one node (the paper refuses
     /// co-locations that push the sum over 100 %).
     pub cpu_cap: f64,
     /// Reservation margin for normal predictions (1.0 = reserve exactly
     /// the predicted footprint).
     pub reserve_margin: f64,
-    /// Margin for low-confidence predictions and post-OOM re-runs.
-    pub conservative_margin: f64,
-    /// Smallest slice worth spawning an executor for (GB).
-    pub min_slice_gb: f64,
-    /// RDD partition granularity (GB): data slices handed to executors
-    /// are whole partitions, so budget-derived slices snap down to this
-    /// grid (HDFS block size by default).
-    pub partition_gb: f64,
-    /// §4.3's dynamic adjustment: when no new executor can be placed for
-    /// an application, top up its running executors with more data items
-    /// instead (saves the executor-startup cost).
-    pub dynamic_adjustment: bool,
     /// Resource-monitor daemon settings (§4.2): placement consults the
     /// windowed CPU view in addition to the instantaneous one.
     pub monitor: sparklite::monitor::MonitorConfig,
-    /// Fixed executor startup latency (JVM + container allocation), s.
-    /// Makes slice-chopping expensive: a predictor that over-reserves
-    /// memory forces smaller slices and pays this cost more often.
-    pub executor_startup_secs: f64,
-    /// Online search: fraction of the input processed per descent trial,
-    /// serialised on the coordinating node (§6.5's scalability problem).
-    pub search_serial_frac: f64,
-    /// Online search: steady-state rate penalty from repeated trial
-    /// adjustments.
-    pub search_rate_penalty: f64,
     /// Self-healing behaviour under injected faults. Disabled by default,
     /// in which case the dispatcher behaves exactly as it always has.
     pub resilience: ResilienceConfig,
@@ -158,88 +157,69 @@ impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
             cluster: ClusterSpec::paper_cluster(),
-            interference: InterferenceModel::default(),
             profiling: ProfilingConfig::default(),
-            dynalloc: DynAllocConfig::default(),
-            max_execs_per_node: 8,
             cpu_cap: 1.0,
             // §6.9 suggests slightly over-provisioning (~10 %) to tolerate
             // prediction error; 5 % keeps measurement noise from tipping a
             // tightly packed node into paging.
             reserve_margin: 1.05,
-            conservative_margin: 1.5,
-            min_slice_gb: 0.02,
-            partition_gb: workloads::inputs::DEFAULT_PARTITION_GB,
-            dynamic_adjustment: true,
             monitor: sparklite::monitor::MonitorConfig::default(),
-            executor_startup_secs: 25.0,
-            search_serial_frac: 0.008,
-            search_rate_penalty: 0.18,
             resilience: ResilienceConfig::default(),
         }
     }
 }
 
-/// Self-healing knobs layered on the dispatcher. Fault *injection* (via
-/// [`run_schedule_with_faults`]) affects every policy equally; only
+/// Executor-loss retries an application may consume before the scheduler
+/// stops trusting its prediction and falls back to an isolated full-node
+/// reservation.
+pub const MAX_RETRIES: usize = 3;
+
+/// Backoff before the first retry, seconds (doubles per failure).
+pub const BACKOFF_BASE_SECS: f64 = 10.0;
+
+/// Ceiling on the exponential backoff, seconds.
+pub const BACKOFF_CAP_SECS: f64 = 120.0;
+
+/// Relative jitter applied to each backoff (± this fraction), drawn from a
+/// dedicated RNG fork so it never perturbs the main stream.
+pub const BACKOFF_JITTER: f64 = 0.25;
+
+/// OOM kills within one monitor window that quarantine a node.
+pub const QUARANTINE_THRESHOLD: usize = 3;
+
+/// How long placement avoids a quarantined node, seconds.
+pub const QUARANTINE_SECS: f64 = 240.0;
+
+/// EWMA smoothing factor for the observed-vs-booked footprint ratio
+/// feeding the safety-margin controller.
+pub const MARGIN_ALPHA: f64 = 0.3;
+
+/// Upper clamp on the controller's margin multiplier.
+pub const MARGIN_CAP: f64 = 2.0;
+
+/// The self-healing switch layered on the dispatcher. Fault *injection*
+/// (via [`run_schedule_with_faults`]) affects every policy equally; only
 /// schedules with `enabled == true` get the recovery machinery: retry
-/// backoff after executor losses, node quarantine after repeated OOM
-/// kills, an online safety-margin controller, and graceful degradation
-/// to an isolated reservation once the retry budget is exhausted.
+/// backoff after executor losses ([`MAX_RETRIES`], [`BACKOFF_BASE_SECS`]),
+/// node quarantine after repeated OOM kills ([`QUARANTINE_THRESHOLD`]), an
+/// online safety-margin controller ([`MARGIN_ALPHA`], [`MARGIN_CAP`]), and
+/// graceful degradation to an isolated reservation once the retry budget
+/// is exhausted.
 ///
 /// The default is fully disabled so the fault-free path is byte-identical
 /// to a scheduler without this module.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResilienceConfig {
     /// Master switch; `false` disables every recovery mechanism.
     pub enabled: bool,
-    /// Executor-loss retries an application may consume before the
-    /// scheduler stops trusting its prediction and falls back to an
-    /// isolated full-node reservation.
-    pub max_retries: usize,
-    /// Backoff before the first retry, seconds (doubles per failure).
-    pub backoff_base_secs: f64,
-    /// Ceiling on the exponential backoff, seconds.
-    pub backoff_cap_secs: f64,
-    /// Relative jitter applied to each backoff (± this fraction), drawn
-    /// from a dedicated RNG fork so it never perturbs the main stream.
-    pub backoff_jitter: f64,
-    /// OOM kills within one monitor window that quarantine a node.
-    pub quarantine_threshold: usize,
-    /// How long placement avoids a quarantined node, seconds.
-    pub quarantine_secs: f64,
-    /// EWMA smoothing factor for the observed-vs-booked footprint ratio
-    /// feeding the safety-margin controller.
-    pub margin_alpha: f64,
-    /// Upper clamp on the controller's margin multiplier.
-    pub margin_cap: f64,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            enabled: false,
-            max_retries: 3,
-            backoff_base_secs: 10.0,
-            backoff_cap_secs: 120.0,
-            backoff_jitter: 0.25,
-            quarantine_threshold: 3,
-            quarantine_secs: 240.0,
-            margin_alpha: 0.3,
-            margin_cap: 2.0,
-        }
-    }
 }
 
 impl ResilienceConfig {
-    /// The self-healing configuration used by the chaos evaluation:
-    /// defaults with the master switch on.
+    /// The self-healing configuration used by the chaos evaluation: the
+    /// master switch on.
     #[must_use]
     pub fn self_healing() -> Self {
-        ResilienceConfig {
-            enabled: true,
-            ..ResilienceConfig::default()
-        }
+        ResilienceConfig { enabled: true }
     }
 }
 
@@ -458,7 +438,7 @@ impl ResilState {
 /// product is bit-identical to the historical `margin * reserve_margin`.
 pub(crate) fn effective_margin(app: &AppRt, config: &SchedulerConfig) -> f64 {
     let controller = if config.resilience.enabled {
-        app.err_ewma.clamp(1.0, config.resilience.margin_cap)
+        app.err_ewma.clamp(1.0, MARGIN_CAP)
     } else {
         1.0
     };
@@ -466,12 +446,12 @@ pub(crate) fn effective_margin(app: &AppRt, config: &SchedulerConfig) -> f64 {
 }
 
 /// Feeds one executor's observed footprint into the app's error EWMA.
-fn observe_footprint_error(app: &mut AppRt, actual_gb: f64, reserved_gb: f64, alpha: f64) {
+fn observe_footprint_error(app: &mut AppRt, actual_gb: f64, reserved_gb: f64) {
     if reserved_gb <= 0.0 {
         return;
     }
     let ratio = (actual_gb / reserved_gb).clamp(0.0, 10.0);
-    app.err_ewma = (1.0 - alpha) * app.err_ewma + alpha * ratio;
+    app.err_ewma = (1.0 - MARGIN_ALPHA) * app.err_ewma + MARGIN_ALPHA * ratio;
 }
 
 /// Charges one executor loss to `app`: exponential backoff with jitter,
@@ -480,25 +460,19 @@ fn observe_footprint_error(app: &mut AppRt, actual_gb: f64, reserved_gb: f64, al
 /// isolated mode once the retry budget runs out. Environment failures
 /// keep retrying at the capped backoff forever: serialising an
 /// application because its *nodes* kept dying would punish the victim.
-pub(crate) fn schedule_retry(
-    app: &mut AppRt,
-    t: f64,
-    r: &ResilienceConfig,
-    resil: &mut ResilState,
-    may_demote: bool,
-) {
+pub(crate) fn schedule_retry(app: &mut AppRt, t: f64, resil: &mut ResilState, may_demote: bool) {
     app.failures += 1;
-    if may_demote && app.failures > r.max_retries {
+    if may_demote && app.failures > MAX_RETRIES {
         if !app.isolated_fallback {
             app.isolated_fallback = true;
             resil.stats.isolated_fallbacks += 1;
         }
         return;
     }
-    let exponent = app.failures.min(r.max_retries.max(1)) as i32 - 1;
-    let backoff = (r.backoff_base_secs * 2f64.powi(exponent)).min(r.backoff_cap_secs);
+    let exponent = app.failures.min(MAX_RETRIES) as i32 - 1;
+    let backoff = (BACKOFF_BASE_SECS * 2f64.powi(exponent)).min(BACKOFF_CAP_SECS);
     let jitter = match resil.jitter.as_mut() {
-        Some(rng) => 1.0 + r.backoff_jitter * rng.uniform(-1.0, 1.0),
+        Some(rng) => 1.0 + BACKOFF_JITTER * rng.uniform(-1.0, 1.0),
         None => 1.0,
     };
     app.retry_at = app.retry_at.max(t + (backoff * jitter).max(0.0));
@@ -700,7 +674,7 @@ pub(crate) fn note_completion(
     };
     let (owner, actual, reserved) = (exec.app(), exec.actual_gb(), exec.reserved_gb());
     if let Some(app) = apps.get_mut(owner.index()) {
-        observe_footprint_error(app, actual, reserved, config.resilience.margin_alpha);
+        observe_footprint_error(app, actual, reserved);
         app.failures = 0;
         app.isolated_fallback = false;
     }
@@ -746,7 +720,7 @@ pub(crate) fn apply_fault(
             resil.stats.slices_requeued_gb += slice;
             if config.resilience.enabled {
                 if let Some(app) = apps.get_mut(owner.index()) {
-                    schedule_retry(app, t, &config.resilience, resil, false);
+                    schedule_retry(app, t, resil, false);
                 }
             }
         }
@@ -817,7 +791,7 @@ fn lose_node(
     if config.resilience.enabled {
         for owner in owners {
             if let Some(app) = apps.get_mut(owner.index()) {
-                schedule_retry(app, t, &config.resilience, resil, false);
+                schedule_retry(app, t, resil, false);
             }
         }
     }
@@ -877,11 +851,10 @@ pub(crate) fn build_predictor(
         PolicyKind::UnifiedLog => Some(Box::new(UnifiedFamily::new(CurveFamily::NapierianLog))),
         PolicyKind::UnifiedAnn => {
             let sys = need_system()?;
-            let sizes = TrainingConfig::default().profile_sizes_gb;
             Some(Box::new(AnnPredictor::train(
                 catalog,
                 &sys.program_benchmarks,
-                &sizes,
+                &PROFILE_SIZES_GB,
                 0.01,
                 rng,
             )?))
@@ -1157,12 +1130,7 @@ pub(crate) fn fair_share(
     config: &SchedulerConfig,
 ) -> (usize, f64) {
     let spec = engine.app(id).spec();
-    let target = dynalloc::executors_for(
-        spec,
-        config.cluster.nodes,
-        config.cluster.node.ram_gb,
-        config.dynalloc,
-    );
+    let target = dynalloc::executors_for(spec, config.cluster.nodes, config.cluster.node.ram_gb);
     (target, spec.input_gb / target as f64)
 }
 
@@ -1186,9 +1154,7 @@ pub(crate) fn place(
 ) -> Result<usize, ColocateError> {
     match policy {
         PolicyKind::Isolated => place_isolated(engine, apps, live, nodes).map(|()| 0),
-        PolicyKind::Pairwise => {
-            place_pairwise(engine, apps, live, config, catalog, nodes).map(|()| 0)
-        }
+        PolicyKind::Pairwise => place_pairwise(engine, apps, live, catalog, nodes).map(|()| 0),
         _ => place_predictive(
             engine, apps, live, config, t, monitor, resil, nodes, abstain, scratch,
         ),
@@ -1203,7 +1169,6 @@ pub(crate) fn force_place(
     engine: &mut ClusterEngine,
     apps: &[AppRt],
     live: &[usize],
-    config: &SchedulerConfig,
     t: f64,
 ) -> Result<bool, ColocateError> {
     for app in live.iter().map(|&i| &apps[i]) {
@@ -1239,7 +1204,7 @@ pub(crate) fn force_place(
             share.min(engine.app(id).unassigned_gb()),
             free * 0.95,
         )
-        .max(config.min_slice_gb)
+        .max(MIN_SLICE_GB)
         .min(engine.app(id).unassigned_gb());
         if engine
             .spawn_executor(id, node, slice, free * 0.95)?
@@ -1304,7 +1269,6 @@ fn place_pairwise(
     engine: &mut ClusterEngine,
     apps: &[AppRt],
     live: &[usize],
-    config: &SchedulerConfig,
     catalog: &Catalog,
     nodes: &[NodeId],
 ) -> Result<(), ColocateError> {
@@ -1351,7 +1315,7 @@ fn place_pairwise(
             );
             let observed = bench.true_footprint_gb(want);
             let free = engine.node_free_memory(node);
-            if want < config.min_slice_gb || free < 1.0 {
+            if want < MIN_SLICE_GB || free < 1.0 {
                 continue;
             }
             if apps[i].margin > 1.0 && observed * apps[i].margin > free {
@@ -1413,7 +1377,7 @@ pub(crate) fn place_predictive(
                 }
                 let ram = engine.cluster().node(node).spec().ram_gb;
                 let wave = fitting_slice(curve, engine.app(id).unassigned_gb(), ram * 0.95);
-                if wave < config.min_slice_gb {
+                if wave < MIN_SLICE_GB {
                     continue;
                 }
                 engine.spawn_executor(id, node, wave, ram)?;
@@ -1446,12 +1410,11 @@ pub(crate) fn place_predictive(
     let quantize = |gb: f64| -> f64 {
         // Whole RDD partitions only (never exceeding what was asked for; a
         // final sub-partition tail is allowed so inputs drain completely).
-        if config.partition_gb <= 0.0 || gb <= config.partition_gb {
+        if gb <= PARTITION_GB {
             return gb;
         }
-        (gb / config.partition_gb).floor() * config.partition_gb
+        (gb / PARTITION_GB).floor() * PARTITION_GB
     };
-    let max_execs = config.max_execs_per_node;
     let mut synced = false;
     scratch.stalled.clear();
     scratch.stalled.resize(apps.len(), false);
@@ -1483,7 +1446,7 @@ pub(crate) fn place_predictive(
             // nodes are left out of the ranking, so rounds on a degraded
             // cluster never visit dead nodes.
             if !synced {
-                scratch.sync(engine, monitor, resil, nodes, t, max_execs);
+                scratch.sync(engine, monitor, resil, nodes, t, MAX_EXECS_PER_NODE);
                 synced = true;
             }
             let cpu = app.measured_cpu;
@@ -1510,8 +1473,8 @@ pub(crate) fn place_predictive(
                         .model
                         .max_input_for_budget(free / (app.pred_scale * margin))
                     {
-                        Some(x) if x.min(want) >= config.min_slice_gb => {
-                            let s = quantize(x.min(want)).max(config.min_slice_gb);
+                        Some(x) if x.min(want) >= MIN_SLICE_GB => {
+                            let s = quantize(x.min(want)).max(MIN_SLICE_GB);
                             (
                                 s,
                                 (prediction.model.footprint_gb(s) * app.pred_scale * margin)
@@ -1547,85 +1510,76 @@ pub(crate) fn place_predictive(
 
     // §4.3 dynamic adjustment: applications with leftover input that could
     // not obtain another executor top up a running one where the node has
-    // spare memory, avoiding a fresh executor's startup cost.
-    if config.dynamic_adjustment {
-        // Only an app's own successful extension changes its executors,
-        // its remaining input or the memory they see, and it ends that
-        // app's turn: the app's executors, their slices, `remaining` and a
-        // candidate's free memory all hold from its visit until the
-        // extension.
-        let candidates = &mut scratch.candidates;
-        let guard = config.min_slice_gb.max(config.partition_gb);
-        for app in live.iter().map(|&i| &apps[i]) {
-            if app.finished_at.is_some()
-                || app.ready_at.max(app.retry_at) > t
-                || app.isolated_fallback
-            {
+    // spare memory, avoiding a fresh executor's startup cost. Only an app's
+    // own successful extension changes its executors, its remaining input
+    // or the memory they see, and it ends that app's turn: the app's
+    // executors, their slices, `remaining` and a candidate's free memory
+    // all hold from its visit until the extension.
+    let candidates = &mut scratch.candidates;
+    let guard = MIN_SLICE_GB.max(PARTITION_GB);
+    for app in live.iter().map(|&i| &apps[i]) {
+        if app.finished_at.is_some() || app.ready_at.max(app.retry_at) > t || app.isolated_fallback
+        {
+            continue;
+        }
+        let id = app.engine_id;
+        // Too little input left to be worth an extension.
+        let remaining = engine.app(id).unassigned_gb();
+        if remaining <= 0.0 || remaining <= MIN_SLICE_GB || engine.app(id).live_executors() == 0 {
+            continue;
+        }
+        let Some(prediction) = &app.prediction else {
+            continue;
+        };
+        let margin = effective_margin(app, config);
+        // Top up only toward the dynalloc per-executor share: the
+        // adjustment restores an executor squeezed below its fair
+        // slice by an earlier memory shortage — it must not serialise
+        // work that future executors would process in parallel.
+        let (_, slice_target) = app.share;
+        // This app's executors, on the node with the most free memory
+        // first; the (node, id) tie-break reproduces the order the
+        // original nodes-times-executors scan fed its stable sort.
+        // Executors the walk would skip are dropped before sorting:
+        // no spare memory, or no room below the fair share for an
+        // extension past `guard` (float subtraction is monotone, so
+        // `max_slice.min(slice_target) - slice` is no larger).
+        candidates.clear();
+        for e in engine.app_executors(id) {
+            let free = engine.node_free_memory(e.node());
+            if free <= 0.5 || slice_target - e.slice_gb() < guard {
                 continue;
             }
-            let id = app.engine_id;
-            // Too little input left to be worth an extension.
-            let remaining = engine.app(id).unassigned_gb();
-            if remaining <= 0.0
-                || remaining <= config.min_slice_gb
-                || engine.app(id).live_executors() == 0
-            {
-                continue;
-            }
-            let Some(prediction) = &app.prediction else {
+            candidates.push((e.id(), e.node(), free));
+        }
+        candidates.sort_by(|a, b| {
+            b.2.total_cmp(&a.2)
+                .then_with(|| a.1.cmp(&b.1))
+                .then_with(|| a.0.cmp(&b.0))
+        });
+        for &(exec_id, _, free) in candidates.iter() {
+            let (slice, reserved) = {
+                let e = engine.executor(exec_id)?;
+                (e.slice_gb(), e.reserved_gb())
+            };
+            // Grow toward what the whole budget (current + free) can
+            // host, bounded by the remaining input.
+            let budget = (reserved + free) / (app.pred_scale * margin);
+            let Some(max_slice) = prediction.model.max_input_for_budget(budget) else {
                 continue;
             };
-            let margin = effective_margin(app, config);
-            // Top up only toward the dynalloc per-executor share: the
-            // adjustment restores an executor squeezed below its fair
-            // slice by an earlier memory shortage — it must not serialise
-            // work that future executors would process in parallel.
-            let (_, slice_target) = app.share;
-            // This app's executors, on the node with the most free memory
-            // first; the (node, id) tie-break reproduces the order the
-            // original nodes-times-executors scan fed its stable sort.
-            // Executors the walk would skip are dropped before sorting:
-            // no spare memory, or no room below the fair share for an
-            // extension past `guard` (float subtraction is monotone, so
-            // `max_slice.min(slice_target) - slice` is no larger).
-            candidates.clear();
-            for e in engine.app_executors(id) {
-                let free = engine.node_free_memory(e.node());
-                if free <= 0.5 || slice_target - e.slice_gb() < guard {
-                    continue;
-                }
-                candidates.push((e.id(), e.node(), free));
+            let extra = (max_slice.min(slice_target) - slice).min(remaining);
+            if extra < guard {
+                continue;
             }
-            candidates.sort_by(|a, b| {
-                b.2.total_cmp(&a.2)
-                    .then_with(|| a.1.cmp(&b.1))
-                    .then_with(|| a.0.cmp(&b.0))
-            });
-            for &(exec_id, _, free) in candidates.iter() {
-                let (slice, reserved) = {
-                    let e = engine.executor(exec_id)?;
-                    (e.slice_gb(), e.reserved_gb())
-                };
-                // Grow toward what the whole budget (current + free) can
-                // host, bounded by the remaining input.
-                let budget = (reserved + free) / (app.pred_scale * margin);
-                let Some(max_slice) = prediction.model.max_input_for_budget(budget) else {
-                    continue;
-                };
-                let extra = (max_slice.min(slice_target) - slice).min(remaining);
-                if extra < guard {
-                    continue;
-                }
-                let new_need =
-                    prediction.model.footprint_gb(slice + extra) * app.pred_scale * margin;
-                let extra_reserve = (new_need - reserved).clamp(0.0, free);
-                if engine
-                    .extend_executor(exec_id, extra, extra_reserve)
-                    .is_ok()
-                {
-                    // One extension per app per round keeps growth fair.
-                    break;
-                }
+            let new_need = prediction.model.footprint_gb(slice + extra) * app.pred_scale * margin;
+            let extra_reserve = (new_need - reserved).clamp(0.0, free);
+            if engine
+                .extend_executor(exec_id, extra, extra_reserve)
+                .is_ok()
+            {
+                // One extension per app per round keeps growth fair.
+                break;
             }
         }
     }
@@ -1661,10 +1615,10 @@ pub(crate) fn resolve_ooms(
             };
             engine.kill_executor(victim)?;
             if let Some(app) = apps.get_mut(owner.index()) {
-                app.margin = (app.margin * 1.5).min(3.0).max(config.conservative_margin);
+                app.margin = (app.margin * 1.5).clamp(CONSERVATIVE_MARGIN, 3.0);
                 if resilience.enabled {
-                    observe_footprint_error(app, actual, reserved, resilience.margin_alpha);
-                    schedule_retry(app, t, &resilience, resil, true);
+                    observe_footprint_error(app, actual, reserved);
+                    schedule_retry(app, t, resil, true);
                 }
             }
             kills += 1;
@@ -1677,9 +1631,9 @@ pub(crate) fn resolve_ooms(
                 {
                     times.pop_front();
                 }
-                if times.len() >= resilience.quarantine_threshold {
+                if times.len() >= QUARANTINE_THRESHOLD {
                     times.clear();
-                    resil.quarantine(node.index(), t + resilience.quarantine_secs);
+                    resil.quarantine(node.index(), t + QUARANTINE_SECS);
                     resil.stats.quarantines += 1;
                 }
             }
@@ -1721,7 +1675,7 @@ mod tests {
             assert_eq!(loads, &[x + 0.25, x + 0.5, x + 0.75]);
         }
     }
-    use crate::training::train_system;
+    use crate::training::{train_system, TrainingConfig};
     use mlkit::regression::CurveFamily;
     use sparklite::perf::InterferenceModel;
     use workloads::mixes::{InputSize, MixEntry};
@@ -1881,38 +1835,98 @@ mod tests {
 
     #[test]
     fn dynamic_adjustment_tops_up_memory_capped_executors() {
-        // One node; a memory-hungry app whose first slice is budget-capped
-        // because a co-runner holds memory. When the co-runner finishes,
-        // the hungry app's executor is extended rather than a new one
-        // spawned (saving startup), so it finishes with few executors.
+        // One node, so dynalloc grants the hungry app a single executor. A
+        // co-runner's reservation caps that executor's spawn slice; once
+        // the co-runner leaves, the next round extends the executor past
+        // its spawn slice instead of spawning a second one.
         let catalog = Catalog::paper();
-        let mix = mix_of(
-            &catalog,
-            &[
-                ("BDB.PageRank", InputSize::Medium), // log family, hungry
-                ("HB.Scan", InputSize::Medium),      // small footprints
-            ],
-        );
-        let cfg_on = SchedulerConfig {
+        let config = SchedulerConfig {
             cluster: ClusterSpec::small(1),
             ..Default::default()
         };
-        let cfg_off = SchedulerConfig {
-            dynamic_adjustment: false,
-            ..cfg_on.clone()
+        let mut engine =
+            ClusterEngine::with_seed(config.cluster.clone(), InterferenceModel::default(), 2);
+        let node = engine.cluster().node_ids()[0];
+        let hungry = catalog.by_name("BDB.PageRank").unwrap();
+        let id = engine.submit(hungry.app_spec(30.0, 0.0));
+        // The co-runner leaves room for a 5 GB slice of the 30 GB input.
+        let room = hungry.true_footprint_gb(5.0) * config.reserve_margin;
+        let ram = engine.cluster().node(node).spec().ram_gb;
+        let scan = catalog.by_name("HB.Scan").unwrap();
+        let co_runner = engine.submit(scan.app_spec(1.0, 0.0));
+        let blocker = engine
+            .spawn_executor(co_runner, node, 1.0, ram - room)
+            .unwrap()
+            .unwrap();
+        let apps = [AppRt {
+            engine_id: id,
+            benchmark: hungry.index(),
+            ready_at: 0.0,
+            share: fair_share(&engine, id, &config),
+            prediction: Some(Prediction {
+                model: Box::new(moe_core::calibration::CalibratedModel::from_curve(
+                    hungry.curve(),
+                )),
+                low_confidence: false,
+                cpu_estimate: None,
+            }),
+            measured_cpu: hungry.cpu_util(),
+            margin: 1.0,
+            finished_at: None,
+            profiling: ProfilingCost::default(),
+            input_gb: 30.0,
+            pred_scale: 1.0,
+            err_ewma: 1.0,
+            failures: 0,
+            retry_at: 0.0,
+            isolated_fallback: false,
+        }];
+        let monitor = sparklite::monitor::ResourceMonitor::new(1, Default::default());
+        let resil = ResilState {
+            jitter: None,
+            quarantined_until: vec![0.0],
+            oom_times: vec![VecDeque::new()],
+            stats: FaultStats::default(),
+            quarantine_writes: 0,
         };
-        let on = run_schedule(PolicyKind::Oracle, &catalog, &mix, None, &cfg_on, 2).unwrap();
-        let off = run_schedule(PolicyKind::Oracle, &catalog, &mix, None, &cfg_off, 2).unwrap();
-        // Both complete; the adjusted schedule is no slower (it saves
-        // startup costs when it fires).
-        assert!(on.per_app.iter().all(|a| a.finished_at > 0.0));
-        assert!(off.per_app.iter().all(|a| a.finished_at > 0.0));
+        let mut scratch = PlaceScratch::default();
+        let nodes = [node];
+        let mut place_and_slices = |engine: &mut ClusterEngine| {
+            place_predictive(
+                engine,
+                &apps,
+                &[0],
+                &config,
+                0.0,
+                &monitor,
+                &resil,
+                &nodes,
+                false,
+                &mut scratch,
+            )
+            .unwrap();
+            engine
+                .app_executors(id)
+                .map(|e| e.slice_gb())
+                .collect::<Vec<_>>()
+        };
+        let spawned = place_and_slices(&mut engine);
+        assert_eq!(spawned.len(), 1);
         assert!(
-            on.makespan_secs <= off.makespan_secs + 1.0,
-            "adjusted {:.0}s vs plain {:.0}s",
-            on.makespan_secs,
-            off.makespan_secs
+            spawned[0] <= 5.0,
+            "spawn slice {} is not capped",
+            spawned[0]
         );
+        engine.kill_executor(blocker).unwrap();
+        let extended = place_and_slices(&mut engine);
+        assert_eq!(extended.len(), 1, "extended, not respawned");
+        assert!(
+            extended[0] > spawned[0],
+            "slice {} did not grow past its spawn slice {}",
+            extended[0],
+            spawned[0]
+        );
+        assert_eq!(extended[0], 30.0, "topped up to the fair share");
     }
 
     /// One step of the floor's fold as the per-call rebuild ran it.

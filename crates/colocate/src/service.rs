@@ -38,11 +38,12 @@
 
 use crate::harness::{fold_campaign, trained_systems_for, BaselineCache, ChaosSpec, RunConfig};
 use crate::metrics::percentiles;
-use crate::profiling::{profile_app, AppProfile, ProfilingCost};
+use crate::profiling::{profile_app, AppProfile, ProfilingCost, FOOTPRINT_NOISE_SD};
 use crate::scheduler::{
     apply_fault, build_predictor, effective_margin, fair_share, force_place, note_completion,
     place, process_revocations, resolve_ooms, AppRt, FaultStats, NextSeed, PolicyKind, ResilState,
-    ResilienceConfig, SchedulerConfig, UtilTrace,
+    ResilienceConfig, SchedulerConfig, UtilTrace, CONSERVATIVE_MARGIN, EXECUTOR_STARTUP_SECS,
+    SEARCH_RATE_PENALTY, SEARCH_SERIAL_FRAC,
 };
 use crate::training::TrainedSystem;
 use crate::ColocateError;
@@ -51,6 +52,7 @@ use simkit::faults::FaultPlan;
 use simkit::stats::TimeWeighted;
 use simkit::SimRng;
 use sparklite::engine::ClusterEngine;
+use sparklite::perf::InterferenceModel;
 use sparklite::NodeId;
 use std::collections::{HashMap, VecDeque};
 use workloads::catalog::Catalog;
@@ -510,7 +512,7 @@ pub(crate) struct LoopRun {
 
 /// Fails naming the first of `fields` whose value is NaN, infinite or
 /// fails `ok`, which `what` puts in words.
-fn check_fields(
+pub(crate) fn check_fields(
     what: &str,
     ok: impl Fn(f64) -> bool,
     fields: &[(&str, f64)],
@@ -525,27 +527,14 @@ fn check_fields(
 
 /// Rejects a scheduler config the loop cannot run faithfully: a cluster
 /// without nodes or usable RAM, or a bound that is NaN, infinite or out of
-/// range. A NaN cap or margin would silently disable its guard, a zero
-/// executor cap would let the forced placement ignore it, a bad startup
-/// latency would panic in the engine, and a margin cap below 1 would panic
-/// the resilience controller's clamp. A NaN quarantine never ends and a
-/// negative one ends before it starts; a NaN profiling noise makes every
-/// observed feature NaN; a NaN monitor period turns the throttle off, a NaN
+/// range. A NaN cap or margin would silently disable its guard; a NaN
 /// window never evicts and a negative one evicts every report on arrival.
-/// A NaN dynamic-allocation fraction or slice makes `executors_for` grant
-/// every node.
 fn validate_scheduler(sched: &SchedulerConfig) -> Result<(), ColocateError> {
     if sched.cluster.nodes == 0 {
         return Err(ColocateError::Config(
             "the cluster needs at least one node".into(),
         ));
     }
-    if sched.max_execs_per_node == 0 {
-        return Err(ColocateError::Config(
-            "max_execs_per_node must be at least 1".into(),
-        ));
-    }
-    let r = &sched.resilience;
     let p = &sched.profiling;
     check_fields(
         "positive",
@@ -554,40 +543,12 @@ fn validate_scheduler(sched: &SchedulerConfig) -> Result<(), ColocateError> {
             ("node RAM (GB)", sched.cluster.node.ram_gb),
             ("cpu_cap", sched.cpu_cap),
             ("reserve_margin", sched.reserve_margin),
-            ("conservative_margin", sched.conservative_margin),
-            (
-                "dynalloc.preferred_slice_gb",
-                sched.dynalloc.preferred_slice_gb,
-            ),
-            (
-                "profiling.dynalloc.preferred_slice_gb",
-                p.dynalloc.preferred_slice_gb,
-            ),
         ],
     )?;
     check_fields(
         "non-negative",
         |v| v >= 0.0,
-        &[
-            ("executor_startup_secs", sched.executor_startup_secs),
-            ("min_slice_gb", sched.min_slice_gb),
-            ("partition_gb", sched.partition_gb),
-            ("resilience.backoff_base_secs", r.backoff_base_secs),
-            ("resilience.backoff_cap_secs", r.backoff_cap_secs),
-            ("resilience.quarantine_secs", r.quarantine_secs),
-            ("profiling.feature_sample_gb", p.feature_sample_gb),
-            ("profiling.feature_fixed_secs", p.feature_fixed_secs),
-            ("profiling.footprint_noise_sd", p.footprint_noise_sd),
-            ("profiling.feature_noise_sd", p.feature_noise_sd),
-            ("profiling.signature_jitter_sd", p.signature_jitter_sd),
-            ("monitor.window_secs", sched.monitor.window_secs),
-            (
-                "monitor.report_period_secs",
-                sched.monitor.report_period_secs,
-            ),
-            ("search_serial_frac", sched.search_serial_frac),
-            ("search_rate_penalty", sched.search_rate_penalty),
-        ],
+        &[("monitor.window_secs", sched.monitor.window_secs)],
     )?;
     check_fields(
         "in (0, 1]",
@@ -595,28 +556,7 @@ fn validate_scheduler(sched: &SchedulerConfig) -> Result<(), ColocateError> {
         &[
             ("profiling.calib_fraction_1", p.calib_fraction_1),
             ("profiling.calib_fraction_2", p.calib_fraction_2),
-            (
-                "dynalloc.target_mem_fraction",
-                sched.dynalloc.target_mem_fraction,
-            ),
-            (
-                "profiling.dynalloc.target_mem_fraction",
-                p.dynalloc.target_mem_fraction,
-            ),
         ],
-    )?;
-    check_fields(
-        "in [0, 1]",
-        |v| (0.0..=1.0).contains(&v),
-        &[
-            ("resilience.margin_alpha", r.margin_alpha),
-            ("resilience.backoff_jitter", r.backoff_jitter),
-        ],
-    )?;
-    check_fields(
-        "at least 1",
-        |v| v >= 1.0,
-        &[("resilience.margin_cap", r.margin_cap)],
     )
 }
 
@@ -690,10 +630,10 @@ pub(crate) fn run_loop(
 
     let mut engine = ClusterEngine::with_seed(
         sched.cluster.clone(),
-        sched.interference,
+        InterferenceModel::default(),
         rng.fork().next_u64_seed(),
     );
-    engine.set_executor_startup_secs(sched.executor_startup_secs);
+    engine.set_executor_startup_secs(EXECUTOR_STARTUP_SECS);
 
     // Submit every planned job up front (the engine is inert about apps
     // without executors). Under a predictive policy each job's profiling
@@ -712,11 +652,11 @@ pub(crate) fn run_loop(
         let (bench_idx, input) = config.job_classes[event.job_class];
         let bench = &catalog.all()[bench_idx];
         let rate_penalty = if policy == PolicyKind::OnlineSearch {
-            1.0 / (1.0 + sched.search_rate_penalty)
+            1.0 / (1.0 + SEARCH_RATE_PENALTY)
         } else {
             1.0
         };
-        let mut spec = bench.app_spec(input, sched.profiling.footprint_noise_sd);
+        let mut spec = bench.app_spec(input, FOOTPRINT_NOISE_SD);
         spec.rate_gb_per_s *= rate_penalty;
         let engine_id = engine.submit(spec);
         let share = fair_share(&engine, engine_id, sched);
@@ -749,7 +689,7 @@ pub(crate) fn run_loop(
             }
             if policy == PolicyKind::OnlineSearch {
                 // Descent search serialised on the coordinating node.
-                let search = sched.search_serial_frac * input / bench.rate_gb_per_s();
+                let search = SEARCH_SERIAL_FRAC * input / bench.rate_gb_per_s();
                 search_queue_end = search_queue_end.max(event.at_secs) + search;
                 ready = ready.max(search_queue_end);
             }
@@ -806,7 +746,7 @@ pub(crate) fn run_loop(
                 app.measured_cpu = cpu;
             }
             if prediction.low_confidence {
-                app.margin = sched.conservative_margin;
+                app.margin = CONSERVATIVE_MARGIN;
             }
             app.prediction = Some(prediction);
         }
@@ -1169,7 +1109,7 @@ pub(crate) fn run_loop(
                 // still makes progress — force a minimum-slice placement
                 // on the emptiest node, capped at the free memory; if it
                 // pages, that is the baseline's deserved penalty.
-                if !force_place(&mut engine, &apps, &live, sched, t)? {
+                if !force_place(&mut engine, &apps, &live, t)? {
                     return Err(ColocateError::Config(format!(
                         "event loop stuck at t={t:.1}s with unfinished jobs"
                     )));
@@ -1417,7 +1357,8 @@ impl OpenLoopEntryStats {
 ///
 /// # Errors
 ///
-/// [`ColocateError::Config`] when `spec.replications` is zero; propagates
+/// [`ColocateError::Config`] when `spec.replications` is zero or a
+/// `spec.chaos` field is NaN, infinite or out of range; propagates
 /// training and per-replication service failures.
 pub fn evaluate_openloop(
     entries: &[OpenLoopEntry],
@@ -1426,6 +1367,7 @@ pub fn evaluate_openloop(
     spec: &OpenLoopSpec,
     base_seed: u64,
 ) -> Result<OpenLoopStats, ColocateError> {
+    spec.chaos.validate()?;
     let policies: Vec<PolicyKind> = entries.iter().map(|e| e.policy).collect();
     let systems = trained_systems_for(&policies, catalog, config, base_seed)?;
     let cfgs: Vec<ServiceConfig> = entries
@@ -1615,28 +1557,12 @@ mod tests {
 
     #[test]
     fn nan_negative_and_zero_capacity_bounds_are_rejected() {
-        let mut bad = vec![SchedulerConfig {
-            max_execs_per_node: 0,
-            ..small_sched()
-        }];
         let non_finite = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
         type Setter = fn(&mut SchedulerConfig, f64);
-        let setters: [(Setter, &[f64]); 21] = [
+        let setters: [(Setter, &[f64]); 5] = [
             (|s, v| s.cpu_cap = v, &[0.0, -0.0, -1.0]),
             (|s, v| s.reserve_margin = v, &[0.0, -0.0, -1.0]),
-            (|s, v| s.conservative_margin = v, &[0.0, -0.0, -1.0]),
-            (|s, v| s.executor_startup_secs = v, &[-1.0]),
-            (|s, v| s.min_slice_gb = v, &[-1.0]),
-            (|s, v| s.partition_gb = v, &[-1.0]),
-            (|s, v| s.search_serial_frac = v, &[-1.0]),
-            (|s, v| s.search_rate_penalty = v, &[-1.0]),
             (|s, v| s.monitor.window_secs = v, &[-1.0]),
-            (|s, v| s.monitor.report_period_secs = v, &[-1.0]),
-            (|s, v| s.profiling.feature_sample_gb = v, &[-1.0]),
-            (|s, v| s.profiling.feature_fixed_secs = v, &[-1.0]),
-            (|s, v| s.profiling.footprint_noise_sd = v, &[-1.0]),
-            (|s, v| s.profiling.feature_noise_sd = v, &[-1.0]),
-            (|s, v| s.profiling.signature_jitter_sd = v, &[-1.0]),
             (
                 |s, v| s.profiling.calib_fraction_1 = v,
                 &[0.0, -0.0, -0.5, 1.5],
@@ -1645,49 +1571,12 @@ mod tests {
                 |s, v| s.profiling.calib_fraction_2 = v,
                 &[0.0, -0.0, -0.5, 1.5],
             ),
-            (
-                |s, v| s.dynalloc.target_mem_fraction = v,
-                &[0.0, -0.0, -0.5, 1.5],
-            ),
-            (
-                |s, v| s.profiling.dynalloc.target_mem_fraction = v,
-                &[0.0, -0.0, -0.5, 1.5],
-            ),
-            (|s, v| s.dynalloc.preferred_slice_gb = v, &[0.0, -0.0, -1.0]),
-            (
-                |s, v| s.profiling.dynalloc.preferred_slice_gb = v,
-                &[0.0, -0.0, -1.0],
-            ),
-        ];
-        for (set, out_of_range) in setters {
-            for &value in non_finite.iter().chain(out_of_range) {
-                let mut sched = small_sched();
-                set(&mut sched, value);
-                bad.push(sched);
-            }
-        }
-        assert_rejected(bad);
-    }
-
-    #[test]
-    fn out_of_range_resilience_bounds_are_rejected() {
-        let non_finite = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
-        type Setter = fn(&mut ResilienceConfig, f64);
-        let setters: [(Setter, &[f64]); 6] = [
-            // Below 1 would panic `f64::clamp(1.0, margin_cap)`.
-            (|r, v| r.margin_cap = v, &[0.5, 0.0, -1.0]),
-            (|r, v| r.margin_alpha = v, &[-0.1, 1.5]),
-            (|r, v| r.backoff_jitter = v, &[-0.1, 1.5]),
-            (|r, v| r.backoff_base_secs = v, &[-1.0]),
-            (|r, v| r.backoff_cap_secs = v, &[-1.0]),
-            (|r, v| r.quarantine_secs = v, &[-1.0]),
         ];
         let mut bad = Vec::new();
         for (set, out_of_range) in setters {
             for &value in non_finite.iter().chain(out_of_range) {
                 let mut sched = small_sched();
-                sched.resilience = ResilienceConfig::self_healing();
-                set(&mut sched.resilience, value);
+                set(&mut sched, value);
                 bad.push(sched);
             }
         }

@@ -23,7 +23,7 @@
 //! per-fold selector training out across workers deterministically.
 
 use crate::predictors::{PredictionTable, QuasarPredictor};
-use crate::profiling::ProfilingConfig;
+use crate::profiling::FOOTPRINT_NOISE_SD;
 use crate::ColocateError;
 use mlkit::regression::{self, CurveFamily, FittedCurve};
 use moe_core::expert::ExpertId;
@@ -35,32 +35,19 @@ use std::sync::{Arc, OnceLock};
 use workloads::catalog::{Benchmark, Catalog};
 use workloads::signatures;
 
+/// Input slice sizes (GB) profiled per benchmark for curve fitting, and
+/// the grid the Quasar and unified-ANN baselines sample: log-spaced from
+/// 50 MB to 64 GB, the slice scales executors actually see, covering the
+/// curvature of all three families.
+pub const PROFILE_SIZES_GB: [f64; 12] = [
+    0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8, 25.6, 51.2, 64.0,
+];
+
 /// Configuration of offline training.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TrainingConfig {
-    /// Input slice sizes (GB) profiled per benchmark for curve fitting.
-    pub profile_sizes_gb: Vec<f64>,
-    /// Measurement noise on profiled footprints.
-    pub footprint_noise_sd: f64,
-    /// Profiling (feature observation) noise settings.
-    pub profiling: ProfilingConfig,
     /// Selector/calibration settings.
     pub predictor: PredictorConfig,
-}
-
-impl Default for TrainingConfig {
-    fn default() -> Self {
-        TrainingConfig {
-            // Log-spaced from 50 MB to 64 GB: the slice scales executors
-            // actually see, covering the curvature of all three families.
-            profile_sizes_gb: vec![
-                0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8, 25.6, 51.2, 64.0,
-            ],
-            footprint_noise_sd: 0.005,
-            profiling: ProfilingConfig::default(),
-            predictor: PredictorConfig::default(),
-        }
-    }
 }
 
 /// A trained runtime: registry, selector and the labeled training programs.
@@ -118,15 +105,13 @@ impl TrainedSystem {
 /// Returns [`ColocateError::Ml`] if no family fits the profile data.
 pub fn fit_benchmark(
     bench: &Benchmark,
-    config: &TrainingConfig,
     rng: &mut SimRng,
 ) -> Result<(CurveFamily, mlkit::regression::FittedCurve), ColocateError> {
-    let xs: Vec<f64> = config.profile_sizes_gb.clone();
-    let ys: Vec<f64> = xs
+    let ys: Vec<f64> = PROFILE_SIZES_GB
         .iter()
-        .map(|&x| bench.true_footprint_gb(x) * rng.relative_noise(config.footprint_noise_sd))
+        .map(|&x| bench.true_footprint_gb(x) * rng.relative_noise(FOOTPRINT_NOISE_SD))
         .collect();
-    let (curve, _rmse) = regression::best_fit(&xs, &ys)?;
+    let (curve, _rmse) = regression::best_fit(&PROFILE_SIZES_GB, &ys)?;
     Ok((curve.family, curve))
 }
 
@@ -170,7 +155,6 @@ pub struct ProgramProfiles {
 /// Returns [`ColocateError::Ml`] if a benchmark's profile fits no family.
 pub fn profile_benchmarks(
     benchmarks: &[&Benchmark],
-    config: &TrainingConfig,
     rng: &mut SimRng,
 ) -> Result<ProgramProfiles, ColocateError> {
     let mut programs = Vec::with_capacity(benchmarks.len());
@@ -178,13 +162,8 @@ pub fn profile_benchmarks(
     let mut program_benchmarks = Vec::with_capacity(benchmarks.len());
     let mut program_cpus = Vec::with_capacity(benchmarks.len());
     for bench in benchmarks {
-        let (family, curve) = fit_benchmark(bench, config, rng)?;
-        let features = signatures::observe(
-            bench,
-            rng,
-            config.profiling.signature_jitter_sd,
-            config.profiling.feature_noise_sd,
-        );
+        let (family, curve) = fit_benchmark(bench, rng)?;
+        let features = signatures::observe_default(bench, rng);
         programs.push(TrainingProgram::new(
             bench.name(),
             features,
@@ -250,7 +229,7 @@ pub fn train_on(
     config: &TrainingConfig,
     rng: &mut SimRng,
 ) -> Result<TrainedSystem, ColocateError> {
-    let profiles = profile_benchmarks(benchmarks, config, rng)?;
+    let profiles = profile_benchmarks(benchmarks, rng)?;
     train_from_profiles(&profiles, &HashSet::new(), config)
 }
 
@@ -333,7 +312,7 @@ pub fn train_loocv_all(
     workers: usize,
 ) -> Result<Vec<TrainedSystem>, ColocateError> {
     let mut rng = SimRng::seed_from(base_seed);
-    let profiles = profile_benchmarks(&catalog.training_set(), config, &mut rng)?;
+    let profiles = profile_benchmarks(&catalog.training_set(), &mut rng)?;
     simkit::par::par_map_indexed(targets, workers, |_, target| {
         let excluded = loocv_exclusions(catalog, target);
         train_from_profiles(&profiles, &excluded, config)
@@ -349,12 +328,11 @@ mod tests {
     #[test]
     fn offline_fit_recovers_the_generating_family() {
         let catalog = Catalog::paper();
-        let config = TrainingConfig::default();
         let mut rng = SimRng::seed_from(1);
         let mut correct = 0;
         let all = catalog.all();
         for bench in all {
-            let (family, _) = fit_benchmark(bench, &config, &mut rng).unwrap();
+            let (family, _) = fit_benchmark(bench, &mut rng).unwrap();
             if family == bench.family() {
                 correct += 1;
             }
@@ -426,7 +404,7 @@ mod tests {
         let mut rng_a = SimRng::seed_from(7);
         let mut rng_b = SimRng::seed_from(7);
         let via_train_on = train_on(&catalog.training_set(), &config, &mut rng_a).unwrap();
-        let profiles = profile_benchmarks(&catalog.training_set(), &config, &mut rng_b).unwrap();
+        let profiles = profile_benchmarks(&catalog.training_set(), &mut rng_b).unwrap();
         let via_profiles = train_from_profiles(&profiles, &HashSet::new(), &config).unwrap();
         assert_eq!(
             rng_a.unit().to_bits(),

@@ -9,53 +9,40 @@
 //! capped by the cluster size and floored at one.
 
 use crate::app::AppSpec;
-use serde::{Deserialize, Serialize};
 
-/// Policy knobs for dynamic allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DynAllocConfig {
-    /// Fraction of a node's RAM one executor's slice should fit into when
-    /// sized by dynamic allocation (Spark defaults leave head-room for
-    /// execution/storage fractions; 0.9 models `spark.memory.fraction`-ish
-    /// overheads).
-    pub target_mem_fraction: f64,
-    /// Minimum number of executors.
-    pub min_executors: usize,
-    /// Preferred data slice per executor (GB): dynamic allocation grows the
-    /// executor set so each one handles roughly this much input, mirroring
-    /// Spark's pending-task-driven scale-out.
-    pub preferred_slice_gb: f64,
-}
+/// Fraction of a node's RAM one executor's slice should fit into when
+/// sized by dynamic allocation (Spark defaults leave head-room for
+/// execution/storage fractions; 0.9 models `spark.memory.fraction`-ish
+/// overheads).
+pub const TARGET_MEM_FRACTION: f64 = 0.9;
 
-impl Default for DynAllocConfig {
-    fn default() -> Self {
-        DynAllocConfig {
-            target_mem_fraction: 0.9,
-            min_executors: 1,
-            preferred_slice_gb: 8.0,
-        }
-    }
-}
+/// Minimum number of executors.
+pub const MIN_EXECUTORS: usize = 1;
+
+/// Preferred data slice per executor (GB): dynamic allocation grows the
+/// executor set so each one handles roughly this much input, mirroring
+/// Spark's pending-task-driven scale-out.
+pub const PREFERRED_SLICE_GB: f64 = 8.0;
 
 /// Number of executors (= nodes, one executor per node) dynamic allocation
 /// grants `app` on a cluster of `nodes` nodes with `ram_gb` RAM each.
 ///
 /// Two pressures grow the executor set, and the larger wins:
-/// * **parallelism** — one executor per `preferred_slice_gb` of input
+/// * **parallelism** — one executor per [`PREFERRED_SLICE_GB`] of input
 ///   (Spark scales out while tasks are pending);
 /// * **memory** — the smallest count that lets every slice's footprint fit
-///   within `target_mem_fraction × ram_gb`.
+///   within [`TARGET_MEM_FRACTION`]` × ram_gb`.
 ///
-/// The result is capped at `nodes` and floored at `min_executors`.
+/// The result is capped at `nodes` and floored at [`MIN_EXECUTORS`].
 ///
 /// # Panics
 ///
 /// Panics if `nodes` is zero.
 #[must_use]
-pub fn executors_for(app: &AppSpec, nodes: usize, ram_gb: f64, config: DynAllocConfig) -> usize {
+pub fn executors_for(app: &AppSpec, nodes: usize, ram_gb: f64) -> usize {
     assert!(nodes > 0, "cluster must have nodes");
-    let parallel = (app.input_gb / config.preferred_slice_gb.max(1e-9)).ceil() as usize;
-    let budget = ram_gb * config.target_mem_fraction;
+    let parallel = (app.input_gb / PREFERRED_SLICE_GB).ceil() as usize;
+    let budget = ram_gb * TARGET_MEM_FRACTION;
     let mut by_memory = 1;
     while by_memory < nodes {
         let slice = app.input_gb / by_memory as f64;
@@ -64,10 +51,7 @@ pub fn executors_for(app: &AppSpec, nodes: usize, ram_gb: f64, config: DynAllocC
         }
         by_memory += 1;
     }
-    parallel
-        .max(by_memory)
-        .max(config.min_executors.max(1))
-        .min(nodes)
+    parallel.max(by_memory).max(MIN_EXECUTORS).min(nodes)
 }
 
 #[cfg(test)]
@@ -93,10 +77,10 @@ mod tests {
     #[test]
     fn small_input_gets_few_executors() {
         // 10 GB input: two 8 GB-preferred slices; memory is no constraint.
-        let n = executors_for(&app(10.0, 0.5, 1.0), 40, 64.0, DynAllocConfig::default());
+        let n = executors_for(&app(10.0, 0.5, 1.0), 40, 64.0);
         assert_eq!(n, 2);
         // 300 MB: a single executor suffices.
-        let n = executors_for(&app(0.3, 0.5, 1.0), 40, 64.0, DynAllocConfig::default());
+        let n = executors_for(&app(0.3, 0.5, 1.0), 40, 64.0);
         assert_eq!(n, 1);
     }
 
@@ -104,7 +88,7 @@ mod tests {
     fn large_input_spreads_across_nodes() {
         // 1000 GB at 0.5 GB footprint per GB: a single slice would need
         // 501 GB; each node affords 57.6 GB → ~9 executors.
-        let n = executors_for(&app(1000.0, 0.5, 1.0), 40, 64.0, DynAllocConfig::default());
+        let n = executors_for(&app(1000.0, 0.5, 1.0), 40, 64.0);
         assert!(n >= 9, "n = {n}");
         let slice = 1000.0 / n as f64;
         assert!(0.5 * slice + 1.0 <= 57.6 + 1e-9);
@@ -113,18 +97,8 @@ mod tests {
     #[test]
     fn capped_at_cluster_size() {
         // Footprint so large it never fits: still capped at the cluster.
-        let n = executors_for(&app(1e6, 1.0, 0.0), 40, 64.0, DynAllocConfig::default());
+        let n = executors_for(&app(1e6, 1.0, 0.0), 40, 64.0);
         assert_eq!(n, 40);
-    }
-
-    #[test]
-    fn min_executors_respected() {
-        let cfg = DynAllocConfig {
-            min_executors: 4,
-            ..Default::default()
-        };
-        let n = executors_for(&app(1.0, 0.1, 0.1), 40, 64.0, cfg);
-        assert_eq!(n, 4);
     }
 
     #[test]
@@ -139,7 +113,7 @@ mod tests {
             },
             ..app(1000.0, 0.0, 0.0)
         };
-        let n = executors_for(&spec, 40, 64.0, DynAllocConfig::default());
+        let n = executors_for(&spec, 40, 64.0);
         assert_eq!(n, 40, "1 TB / 8 GB slices saturates the 40-node cluster");
     }
 }

@@ -16,8 +16,9 @@
 //! Internally the rate cache is **sharded per node** (DESIGN.md §13): a
 //! placement mutation dirties only the touched node's shard, and the next
 //! query recomputes just the dirty shards — with exactly the arithmetic
-//! [`ClusterEngine::current_rates`] performs per node (same member order,
-//! same float operations), so caching never changes a single output bit.
+//! the test-only `current_rates` oracle performs per node (same member
+//! order, same float operations), so caching never changes a single
+//! output bit.
 //! Untouched *cool* nodes (final footprints within RAM) keep their rates
 //! verbatim across `advance` calls: their paging overflow is exactly
 //! `0.0` — footprints only ramp *toward* the final sum, and the
@@ -28,9 +29,9 @@
 //!
 //! The global next completion is maintained by a tournament tree over
 //! per-node minimum completion keys ([`crate::tourney`]): O(log N) per
-//! dirtied node instead of an O(E) scan per query, with
-//! [`ClusterEngine::next_completion_naive`] retained as the from-scratch
-//! oracle the property tests pin the tree against.
+//! dirtied node instead of an O(E) scan per query, with the test-only
+//! `next_completion_naive` as the from-scratch oracle the property tests
+//! pin the tree against.
 
 use crate::app::{AppId, AppSpec, AppState};
 use crate::cluster::{Cluster, ClusterSpec, NodeId};
@@ -39,6 +40,7 @@ use crate::perf::{ExecutorDemand, InterferenceModel, MemoryPressure};
 use crate::tourney::{ShardKey, TourneyTree};
 use crate::SparkliteError;
 use simkit::SimRng;
+#[cfg(test)]
 use std::collections::BTreeMap;
 
 /// One node's slice of the rate cache.
@@ -91,10 +93,10 @@ fn cpu_demand<'a>(execs: impl Iterator<Item = &'a Executor>) -> f64 {
 ///
 /// `exec_rates` is parallel to the engine's dense executor storage. Each
 /// shard is refreshed lazily on the first query after a mutation dirties
-/// it, re-running exactly the per-node arithmetic
-/// [`ClusterEngine::current_rates`] performs so cached and from-scratch
-/// values are bit-identical. The scratch vectors are reused across
-/// refreshes, keeping the hot path allocation-free at steady state.
+/// it, re-running exactly the per-node arithmetic `current_rates`
+/// performs so cached and from-scratch values are bit-identical. The
+/// scratch vectors are reused across refreshes, keeping the hot path
+/// allocation-free at steady state.
 #[derive(Debug)]
 struct RateCache {
     /// Effective rate (GB/s) per executor, parallel to the dense storage.
@@ -298,8 +300,10 @@ impl ClusterEngine {
     }
 
     /// Iterates all live executors cluster-wide, in spawn (id) order.
-    /// Walks the id table, so it costs O(executors ever spawned).
-    pub fn executors_iter(&self) -> impl Iterator<Item = &Executor> {
+    /// Walks the id table, so it costs O(executors ever spawned). A test
+    /// oracle for the per-node and per-app member lists.
+    #[cfg(test)]
+    pub(crate) fn executors_iter(&self) -> impl Iterator<Item = &Executor> {
         self.exec_index
             .iter()
             .filter(|&&pos| pos != DEAD)
@@ -632,8 +636,8 @@ impl ClusterEngine {
     /// Refreshes every dirty shard of the rate cache.
     ///
     /// Per shard: demands are gathered in member (id) order — exactly the
-    /// order [`ClusterEngine::current_rates`] visits a node's executors —
-    /// the multipliers come from the same
+    /// order `current_rates` visits a node's executors — the multipliers
+    /// come from the same
     /// [`InterferenceModel::rate_multipliers_into`] call, and each rate is
     /// the same `nominal * multiplier` product, so a refreshed shard is
     /// bit-identical to a from-scratch recomputation. The shard's `hot`
@@ -721,7 +725,8 @@ impl ClusterEngine {
     /// order. Refreshes dirty shards if mutations invalidated them;
     /// bit-identical to [`ClusterEngine::current_rates`]. The property
     /// tests use it to check the cache against that reference.
-    pub fn cached_current_rates(&mut self) -> Vec<(ExecutorId, f64)> {
+    #[cfg(test)]
+    pub(crate) fn cached_current_rates(&mut self) -> Vec<(ExecutorId, f64)> {
         self.refresh_rates();
         let exec_rates = &self.rate_cache.exec_rates;
         self.exec_index
@@ -740,8 +745,8 @@ impl ClusterEngine {
     /// deliberately bypasses the shard membership lists (it sorts the
     /// dense storage itself), so it cross-checks those too. The engine's
     /// own stepping reads the cache directly.
-    #[must_use]
-    pub fn current_rates(&self) -> BTreeMap<ExecutorId, f64> {
+    #[cfg(test)]
+    pub(crate) fn current_rates(&self) -> BTreeMap<ExecutorId, f64> {
         let mut by_id: Vec<&Executor> = self.executors.iter().collect();
         by_id.sort_by_key(|e| e.id());
         let mut rates = BTreeMap::new();
@@ -775,7 +780,7 @@ impl ClusterEngine {
     /// Served by the tournament tree in O(log N) after refreshing dirty
     /// shards; the returned delay is always recomputed fresh from the
     /// winner's live state, so it carries exactly the bits
-    /// [`ClusterEngine::next_completion_naive`] would produce. Takes
+    /// `next_completion_naive` would produce. Takes
     /// `&mut self` only to refresh the rate cache; the simulation state is
     /// otherwise untouched.
     pub fn next_completion(&mut self) -> Option<(f64, ExecutorId)> {
@@ -792,8 +797,8 @@ impl ClusterEngine {
     /// rates recomputed by [`ClusterEngine::current_rates`]. O(N·E) and
     /// allocating — this is the oracle the property tests pin the
     /// tournament tree against, not a production path.
-    #[must_use]
-    pub fn next_completion_naive(&self) -> Option<(f64, ExecutorId)> {
+    #[cfg(test)]
+    pub(crate) fn next_completion_naive(&self) -> Option<(f64, ExecutorId)> {
         let rates = self.current_rates();
         rates
             .iter()

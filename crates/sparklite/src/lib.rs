@@ -67,6 +67,8 @@ pub mod engine;
 pub mod executor;
 pub mod monitor;
 pub mod perf;
+#[cfg(test)]
+mod properties;
 mod tourney;
 
 pub use app::{AppId, AppSpec};

@@ -24,18 +24,16 @@ use std::collections::VecDeque;
 pub struct MonitorConfig {
     /// Width of the sliding window, seconds (paper: 300 s).
     pub window_secs: f64,
-    /// Reporting period of the per-node daemons, seconds.
-    pub report_period_secs: f64,
 }
 
 impl Default for MonitorConfig {
     fn default() -> Self {
-        MonitorConfig {
-            window_secs: 300.0,
-            report_period_secs: 30.0,
-        }
+        MonitorConfig { window_secs: 300.0 }
     }
 }
+
+/// Reporting period of the per-node daemons, seconds.
+pub const REPORT_PERIOD_SECS: f64 = 30.0;
 
 /// One report from a node daemon.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -188,7 +186,7 @@ impl ResourceMonitor {
     /// periodically).
     pub fn observe(&mut self, engine: &ClusterEngine, now_secs: f64) {
         if let Some(last) = self.last_observation {
-            if now_secs - last < self.config.report_period_secs {
+            if now_secs - last < REPORT_PERIOD_SECS {
                 return;
             }
         }
@@ -337,13 +335,7 @@ mod tests {
     #[test]
     fn window_evicts_stale_reports() {
         let (engine, node) = engine_with_load();
-        let mut monitor = ResourceMonitor::new(
-            1,
-            MonitorConfig {
-                window_secs: 60.0,
-                report_period_secs: 30.0,
-            },
-        );
+        let mut monitor = ResourceMonitor::new(1, MonitorConfig { window_secs: 60.0 });
         for t in [0.0, 30.0, 60.0, 90.0, 120.0] {
             monitor.observe(&engine, t);
         }
@@ -407,13 +399,7 @@ mod tests {
         // whose age equals `window_secs` exactly stays in (the `>` in
         // `NodeWindow::evict`). Pin that boundary.
         let (engine, node) = engine_with_load();
-        let mut monitor = ResourceMonitor::new(
-            1,
-            MonitorConfig {
-                window_secs: 60.0,
-                report_period_secs: 30.0,
-            },
-        );
+        let mut monitor = ResourceMonitor::new(1, MonitorConfig { window_secs: 60.0 });
         monitor.observe(&engine, 0.0);
         monitor.observe(&engine, 60.0); // age of first = window exactly
         assert_eq!(monitor.reports_in_window(node), 2);
@@ -424,13 +410,7 @@ mod tests {
     #[test]
     fn dropout_drains_the_window_to_stale() {
         let (engine, node) = engine_with_load();
-        let mut monitor = ResourceMonitor::new(
-            1,
-            MonitorConfig {
-                window_secs: 60.0,
-                report_period_secs: 30.0,
-            },
-        );
+        let mut monitor = ResourceMonitor::new(1, MonitorConfig { window_secs: 60.0 });
         monitor.observe(&engine, 0.0);
         assert!(!monitor.is_stale(node));
         monitor.drop_reports(node, 300.0);

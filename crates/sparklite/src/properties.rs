@@ -1,12 +1,13 @@
-//! Property-based tests for the Spark substrate.
+//! Property-based tests for the Spark substrate, pinning the engine's
+//! caches to its test-only oracles.
 
+use crate::app::{AppId, AppSpec};
+use crate::cluster::{ClusterSpec, NodeId};
+use crate::engine::ClusterEngine;
+use crate::executor::ExecutorId;
+use crate::perf::{ExecutorDemand, InterferenceModel};
 use mlkit::regression::{CurveFamily, FittedCurve};
 use proptest::prelude::*;
-use sparklite::app::{AppId, AppSpec};
-use sparklite::cluster::{ClusterSpec, NodeId};
-use sparklite::engine::ClusterEngine;
-use sparklite::executor::ExecutorId;
-use sparklite::perf::{ExecutorDemand, InterferenceModel};
 
 fn app(input_gb: f64, cpu: f64, mem_m: f64) -> AppSpec {
     AppSpec {

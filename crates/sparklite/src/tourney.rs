@@ -11,7 +11,7 @@
 //!
 //! # Key semantics and the oracle-pinning discipline
 //!
-//! The naive oracle ([`crate::engine::ClusterEngine::next_completion_naive`])
+//! The naive oracle (the test-only `ClusterEngine::next_completion_naive`)
 //! compares *fresh* `(dt, id)` pairs, all computed at the same instant. The
 //! tree must compare keys computed at *different* instants (a node's key is
 //! only recomputed when a mutation dirties it; untouched nodes keep keys

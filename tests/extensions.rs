@@ -141,13 +141,7 @@ fn monitor_smooths_bursts_for_the_dispatcher() {
 
     let mut engine = ClusterEngine::new(ClusterSpec::small(1), InterferenceModel::default());
     let node = engine.cluster().node_ids()[0];
-    let mut monitor = ResourceMonitor::new(
-        1,
-        MonitorConfig {
-            window_secs: 300.0,
-            report_period_secs: 30.0,
-        },
-    );
+    let mut monitor = ResourceMonitor::new(1, MonitorConfig::default());
 
     // A burst of load, then quiet.
     let app = engine.submit(AppSpec {
