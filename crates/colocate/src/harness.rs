@@ -3,8 +3,7 @@
 //! * [`isolated_times`] — per-task `C_iso`: each application alone on the
 //!   cluster with all memory (the denominator of every metric, §5.3);
 //! * [`run_policy`] — one mix under one policy, with normalised metrics;
-//! * [`evaluate_scenario`] (§5.2 CI-stopped mixes),
-//!   [`evaluate_scenario_multi`] (policies on shared mixes, Figs. 6/9/10),
+//! * [`evaluate_scenario_multi`] (policies on shared mixes, Figs. 6/9/10),
 //!   [`evaluate_chaos`] (entries on shared fault plans, Fig. 19) and
 //!   [`crate::service::evaluate_openloop`] (open-loop replications,
 //!   Fig. 21) — thin adapters over one private fold, `fold_campaign`:
@@ -37,11 +36,11 @@ pub struct RunConfig {
     pub scheduler: SchedulerConfig,
     /// Offline training configuration.
     pub training: TrainingConfig,
-    /// Worker threads each campaign batch fans out over; `None` defers to
+    /// Worker threads each campaign fans out over; `None` defers to
     /// [`par::available_workers`] (the `SPARK_MOE_THREADS` override, then
     /// the host's parallelism). Every campaign folds its results in index
     /// order, so results are identical for every value — see
-    /// [`evaluate_scenario`].
+    /// [`evaluate_scenario_multi`].
     pub workers: Option<usize>,
 }
 
@@ -284,54 +283,33 @@ pub fn trained_systems_for(
 
 /// The one campaign loop behind every `evaluate_*` entry point.
 ///
-/// Draws up to `items` inputs serially in index order (`draw` is the one
-/// RNG stream of the campaign), fans each batch out with
-/// [`par::par_map_indexed`] (`run` gets the item index and its input) and
-/// folds the results strictly in index order; `fold` gets the index and
-/// the result and returns `true` to stop early. The first batch runs every
-/// index below `upfront`, later batches `workers` items each, so an early
-/// stop discards at most one batch of speculative runs and the folded
-/// sequence is identical for every worker count.
-///
-/// Returns the number of items folded.
+/// Draws all `items` inputs serially in index order (`draw` is the one RNG
+/// stream of the campaign), runs them in one [`par::par_map_indexed`]
+/// fan-out (`run` gets the item index and its input) and folds the
+/// results strictly in index order, so the folded sequence is identical
+/// for every worker count.
 ///
 /// # Errors
 ///
-/// [`ColocateError::Config`] when `items` is zero; otherwise propagates
-/// per-item failures.
+/// [`ColocateError::Config`] when `items` is zero; otherwise the first
+/// per-item failure in index order.
 pub(crate) fn fold_campaign<I: Sync, R: Send>(
     items: usize,
-    upfront: usize,
     workers: usize,
     mut draw: impl FnMut() -> I,
     run: impl Fn(usize, &I) -> Result<R, ColocateError> + Sync,
-    mut fold: impl FnMut(usize, R) -> bool,
-) -> Result<usize, ColocateError> {
+    mut fold: impl FnMut(R),
+) -> Result<(), ColocateError> {
     if items == 0 {
         return Err(ColocateError::Config(
             "a campaign needs at least one mix or replication".into(),
         ));
     }
-    let mut count = 0; // results folded
-    while count < items {
-        let batch = if count < upfront {
-            upfront - count
-        } else {
-            workers
-        }
-        .min(items - count);
-        let inputs: Vec<I> = (0..batch).map(|_| draw()).collect();
-        let first = count;
-        let results = par::par_map_indexed(&inputs, workers, |i, input| run(first + i, input));
-        for result in results {
-            let stop = fold(count, result?);
-            count += 1;
-            if stop {
-                return Ok(count);
-            }
-        }
+    let inputs: Vec<I> = (0..items).map(|_| draw()).collect();
+    for result in par::par_map_indexed(&inputs, workers, run) {
+        fold(result?);
     }
-    Ok(count)
+    Ok(())
 }
 
 /// `(normalized STP, ANTT reduction %)` of a schedule against the per-app
@@ -391,54 +369,6 @@ pub struct ScenarioStats {
     pub mixes: usize,
 }
 
-/// Evaluates one policy on one Table 3 scenario: draws random mixes and
-/// replays until the 95 % CI half-width of the normalised STP falls below
-/// 5 % of its mean (§5.2), bounded by `min_mixes`/`max_mixes`.
-///
-/// Replays fan out across [`RunConfig::effective_workers`] threads. Each
-/// replay is seeded by `base_seed + index` and results are folded through
-/// the [`Welford`] accumulators strictly in index order, with the §5.2
-/// stopping rule checked after every fold — exactly the serial semantics.
-/// Parallelism is purely speculative: the harness dispatches
-/// `max(min_mixes, 2)` replays up front, then one batch of `workers` at
-/// a time, and discards any speculative results past the convergence
-/// point. The returned [`ScenarioStats`] are therefore bit-for-bit
-/// identical for every worker count, including 1.
-///
-/// # Errors
-///
-/// [`ColocateError::Config`] when `max_mixes` is zero; propagates per-mix
-/// failures.
-pub fn evaluate_scenario(
-    policy: PolicyKind,
-    scenario: MixScenario,
-    catalog: &Catalog,
-    config: &RunConfig,
-    min_mixes: usize,
-    max_mixes: usize,
-    base_seed: u64,
-) -> Result<ScenarioStats, ColocateError> {
-    let mut acc = Outcomes::new();
-    let mut mix_rng = SimRng::seed_from(base_seed);
-    let mixes = fold_campaign(
-        max_mixes,
-        // The stopping rule cannot fire before min_mixes (or two samples).
-        min_mixes.max(2),
-        config.effective_workers(),
-        || scenario.random_mix(catalog, &mut mix_rng),
-        |i, mix| {
-            let outcome = run_policy(policy, catalog, mix, config, base_seed + i as u64)?;
-            let n = outcome.normalized;
-            Ok((n.normalized_stp, n.antt_reduction_pct))
-        },
-        |i, pair| {
-            acc.push(pair);
-            i + 1 >= min_mixes && acc.stp.ci_converged(0.05)
-        },
-    )?;
-    Ok(acc.stats(scenario, mixes))
-}
-
 /// Per-policy aggregates from a shared-mix campaign
 /// (see [`evaluate_scenario_multi`]).
 #[derive(Debug, Clone)]
@@ -481,7 +411,6 @@ pub fn evaluate_scenario_multi(
     let mut mix_rng = SimRng::seed_from(base_seed);
     fold_campaign(
         mixes,
-        mixes,
         config.effective_workers(),
         || scenario.random_mix(catalog, &mut mix_rng),
         |i, mix| {
@@ -503,11 +432,10 @@ pub fn evaluate_scenario_multi(
                 })
                 .collect()
         },
-        |_, pairs: Vec<(f64, f64)>| {
+        |pairs: Vec<(f64, f64)>| {
             for (a, pair) in acc.iter_mut().zip(pairs) {
                 a.push(pair);
             }
-            false
         },
     )?;
     Ok(MultiPolicyStats {
@@ -711,7 +639,6 @@ pub fn evaluate_chaos(
     let mut mix_rng = SimRng::seed_from(base_seed);
     fold_campaign(
         mixes,
-        mixes,
         config.effective_workers(),
         || scenario.random_mix(catalog, &mut mix_rng),
         |i, mix| {
@@ -739,13 +666,12 @@ pub fn evaluate_chaos(
                 })
                 .collect()
         },
-        |_, per_entry: Vec<(f64, f64, usize, FaultStats)>| {
+        |per_entry: Vec<(f64, f64, usize, FaultStats)>| {
             for ((outcomes, ooms, faults), (stp, antt, kills, f)) in acc.iter_mut().zip(per_entry) {
                 outcomes.push((stp, antt));
                 ooms.push(kills as f64);
                 *faults += f;
             }
-            false
         },
     )?;
     Ok(ChaosStats {
@@ -914,17 +840,17 @@ mod tests {
     fn scenario_evaluation_aggregates_mixes() {
         let catalog = Catalog::paper();
         let cfg = small_run_config();
-        let stats = evaluate_scenario(
-            PolicyKind::Oracle,
+        let multi = evaluate_scenario_multi(
+            &[PolicyKind::Oracle],
             MixScenario { label: 1, apps: 2 },
             &catalog,
             &cfg,
-            2,
-            4,
+            3,
             11,
         )
         .unwrap();
-        assert!(stats.mixes >= 2);
+        let stats = &multi.per_policy[0];
+        assert_eq!(stats.mixes, 3);
         assert!(stats.stp_min_max.0 <= stats.stp_mean);
         assert!(stats.stp_mean <= stats.stp_min_max.1);
     }
@@ -942,7 +868,6 @@ mod tests {
         let cfg = small_run_config();
         let sc = MixScenario { label: 1, apps: 2 };
         let oracle = PolicyKind::Oracle;
-        assert_config_error(evaluate_scenario(oracle, sc, &catalog, &cfg, 0, 0, 1));
         assert_config_error(evaluate_scenario_multi(&[oracle], sc, &catalog, &cfg, 0, 1));
         let resilience = ResilienceConfig::default();
         let entry = ChaosEntry {
@@ -1021,25 +946,67 @@ mod tests {
         }
     }
 
-    /// A campaign that converges before `max_mixes` folds exactly the
-    /// mixes up to the stop: the speculative replays dispatched past it
-    /// are discarded, at any worker count.
     #[test]
-    fn early_stop_discards_speculative_mixes() {
+    fn malformed_open_loop_specs_are_rejected_before_any_plan_is_drawn() {
         let catalog = Catalog::paper();
-        // Converges after five folds: at four workers the second batch
-        // (mixes 2..6) ran one replay past the stop.
-        let sc = MixScenario { label: 1, apps: 3 };
-        for workers in [1, 4] {
-            let cfg = RunConfig {
-                workers: Some(workers),
-                ..small_run_config()
+        let cfg = small_run_config();
+        let entry = OpenLoopEntry {
+            label: "oracle",
+            policy: PolicyKind::Oracle,
+            admission: AdmissionConfig::default(),
+            resilience: ResilienceConfig::default(),
+        };
+        fn bursty(base: f64, peak: f64, period: f64) -> ArrivalProcess {
+            ArrivalProcess::Bursty {
+                base_rate_per_sec: base,
+                peak_rate_per_sec: peak,
+                period_secs: period,
+            }
+        }
+        fn poisson(rate: f64) -> ArrivalProcess {
+            ArrivalProcess::Poisson { rate_per_sec: rate }
+        }
+        type Setter = fn(&mut OpenLoopSpec);
+        let cases: [(&str, Setter); 16] = [
+            ("no job classes", |s| s.job_classes.clear()),
+            ("no tenants", |s| s.tenants = 0),
+            ("NaN horizon", |s| s.horizon_secs = f64::NAN),
+            ("infinite horizon", |s| s.horizon_secs = f64::INFINITY),
+            ("zero horizon", |s| s.horizon_secs = 0.0),
+            ("negative horizon", |s| s.horizon_secs = -1.0),
+            ("NaN rate", |s| s.process = poisson(f64::NAN)),
+            ("infinite rate", |s| s.process = poisson(f64::INFINITY)),
+            ("negative rate", |s| s.process = poisson(-0.01)),
+            ("NaN base rate", |s| {
+                s.process = bursty(f64::NAN, 0.02, 100.0)
+            }),
+            ("negative base rate", |s| {
+                s.process = bursty(-0.01, 0.02, 100.0)
+            }),
+            ("peak below base", |s| s.process = bursty(0.02, 0.01, 100.0)),
+            ("NaN peak", |s| s.process = bursty(0.01, f64::NAN, 100.0)),
+            ("NaN period", |s| s.process = bursty(0.01, 0.02, f64::NAN)),
+            ("zero period", |s| s.process = bursty(0.01, 0.02, 0.0)),
+            ("negative period", |s| {
+                s.process = bursty(0.01, 0.02, -100.0)
+            }),
+        ];
+        for (what, set) in cases {
+            let mut spec = OpenLoopSpec {
+                process: poisson(0.01),
+                horizon_secs: 1_000.0,
+                tenants: 1,
+                tenant_weights: Vec::new(),
+                job_classes: vec![(0, InputSize::Small.gb())],
+                max_jobs: 4,
+                chaos: ChaosSpec::default(),
+                replications: 1,
             };
-            let stats =
-                evaluate_scenario(PolicyKind::Oracle, sc, &catalog, &cfg, 2, 12, 3).unwrap();
-            assert_eq!(
-                stats.mixes, 5,
-                "campaign must converge early at {workers} workers"
+            set(&mut spec);
+            let result = evaluate_openloop(&[entry], &catalog, &cfg, &spec, 1);
+            assert!(
+                matches!(result, Err(ColocateError::Config(_))),
+                "{what}: expected a configuration error, got {result:?}"
             );
         }
     }

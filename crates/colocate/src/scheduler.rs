@@ -319,9 +319,9 @@ pub struct ScheduleOutcome {
 /// A utilisation trace: one `(time, per-node CPU load)` sample per
 /// scheduling instant, stored flat — the time, then the node loads, with
 /// stride `nodes + 1` — so recording a sample allocates nothing except
-/// once per [`TRACE_BLOCK_SAMPLES`] samples. Fixed-size blocks rather than
-/// one doubling buffer keep the peak footprint at the samples' own size:
-/// a grown copy never sits beside the old one.
+/// once per block of 256 samples (`TRACE_BLOCK_SAMPLES`). Fixed-size
+/// blocks rather than one doubling buffer keep the peak footprint at the
+/// samples' own size: a grown copy never sits beside the old one.
 #[derive(Debug, Clone, Default)]
 pub struct UtilTrace {
     nodes: usize,

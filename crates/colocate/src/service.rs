@@ -1,8 +1,7 @@
 //! The open-system streaming service (§6's evaluation, opened up): jobs
-//! arrive over simulated time from a pre-drawn
-//! [`ArrivalPlan`](simkit::arrivals::ArrivalPlan) instead of all sitting
-//! in the queue at `t = 0`, and the dispatcher is wrapped in an
-//! overload-robust admission layer:
+//! arrive over simulated time from a pre-drawn [`ArrivalPlan`] instead of
+//! all sitting in the queue at `t = 0`, and the dispatcher is wrapped in
+//! an overload-robust admission layer:
 //!
 //! * **memory-aware admission** — a job is admitted only while the sum of
 //!   MoE-predicted footprints of everything already admitted leaves
@@ -1278,6 +1277,55 @@ pub struct OpenLoopSpec {
     pub replications: usize,
 }
 
+impl OpenLoopSpec {
+    /// Rejects a spec whose arrival plans [`ArrivalPlan::generate`] would
+    /// refuse with a panic: no job class or tenant, a horizon that is not
+    /// finite and positive, a NaN, infinite or negative rate, a bursty
+    /// peak below its base or a period that is not finite and positive.
+    /// Also rejects every `chaos` field [`ChaosSpec`] rejects.
+    fn validate(&self) -> Result<(), ColocateError> {
+        if self.job_classes.is_empty() || self.tenants == 0 {
+            return Err(ColocateError::Config(
+                "an open-loop campaign needs at least one job class and one tenant".into(),
+            ));
+        }
+        check_fields(
+            "positive",
+            |v| v > 0.0,
+            &[("openloop.horizon_secs", self.horizon_secs)],
+        )?;
+        match self.process {
+            ArrivalProcess::Poisson { rate_per_sec } => check_fields(
+                "non-negative",
+                |v| v >= 0.0,
+                &[("openloop.rate_per_sec", rate_per_sec)],
+            )?,
+            ArrivalProcess::Bursty {
+                base_rate_per_sec,
+                peak_rate_per_sec,
+                period_secs,
+            } => {
+                check_fields(
+                    "non-negative",
+                    |v| v >= 0.0,
+                    &[("openloop.base_rate_per_sec", base_rate_per_sec)],
+                )?;
+                check_fields(
+                    "at least the base rate",
+                    |v| v >= base_rate_per_sec,
+                    &[("openloop.peak_rate_per_sec", peak_rate_per_sec)],
+                )?;
+                check_fields(
+                    "positive",
+                    |v| v > 0.0,
+                    &[("openloop.period_secs", period_secs)],
+                )?;
+            }
+        }
+        self.chaos.validate()
+    }
+}
+
 /// Tail metrics of one open-loop entry, folded across replications.
 #[derive(Debug, Clone, Default)]
 pub struct OpenLoopEntryStats {
@@ -1357,9 +1405,11 @@ impl OpenLoopEntryStats {
 ///
 /// # Errors
 ///
-/// [`ColocateError::Config`] when `spec.replications` is zero or a
-/// `spec.chaos` field is NaN, infinite or out of range; propagates
-/// training and per-replication service failures.
+/// [`ColocateError::Config`] when `spec.replications` is zero or `spec`
+/// is malformed (see [`OpenLoopSpec`]'s fields: no job class or tenant, a
+/// bad horizon or arrival process, a NaN, infinite or out-of-range
+/// `chaos` field); propagates training and per-replication service
+/// failures.
 pub fn evaluate_openloop(
     entries: &[OpenLoopEntry],
     catalog: &Catalog,
@@ -1367,7 +1417,7 @@ pub fn evaluate_openloop(
     spec: &OpenLoopSpec,
     base_seed: u64,
 ) -> Result<OpenLoopStats, ColocateError> {
-    spec.chaos.validate()?;
+    spec.validate()?;
     let policies: Vec<PolicyKind> = entries.iter().map(|e| e.policy).collect();
     let systems = trained_systems_for(&policies, catalog, config, base_seed)?;
     let cfgs: Vec<ServiceConfig> = entries
@@ -1392,8 +1442,7 @@ pub fn evaluate_openloop(
     let baselines = BaselineCache::new();
     let mut per_entry = vec![OpenLoopEntryStats::default(); entries.len()];
     let mut slowdowns: Vec<Vec<f64>> = vec![Vec::new(); entries.len()];
-    let replications = fold_campaign(
-        spec.replications,
+    fold_campaign(
         spec.replications,
         config.effective_workers(),
         || (),
@@ -1459,12 +1508,11 @@ pub fn evaluate_openloop(
                 })
                 .collect()
         },
-        |_, per_rep: Vec<(Vec<f64>, OpenLoopEntryStats)>| {
+        |per_rep: Vec<(Vec<f64>, OpenLoopEntryStats)>| {
             for ((stats, all), (s, rep)) in per_entry.iter_mut().zip(&mut slowdowns).zip(per_rep) {
                 all.extend(s);
                 stats.add_replication(&rep);
             }
-            false
         },
     )?;
 
@@ -1479,7 +1527,7 @@ pub fn evaluate_openloop(
         } else {
             s.iter().sum::<f64>() / s.len() as f64
         };
-        stats.mean_queue_depth /= replications as f64;
+        stats.mean_queue_depth /= spec.replications as f64;
     }
     Ok(OpenLoopStats {
         replications: spec.replications,

@@ -31,24 +31,6 @@ impl Default for CalibrationPlan {
     }
 }
 
-impl CalibrationPlan {
-    /// The two sample sizes (in input units) for an input of `total` units.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fractions are not strictly increasing in `(0, 1)`.
-    #[must_use]
-    pub fn sample_sizes(&self, total: f64) -> (f64, f64) {
-        assert!(
-            0.0 < self.first_fraction
-                && self.first_fraction < self.second_fraction
-                && self.second_fraction < 1.0,
-            "calibration fractions must satisfy 0 < f1 < f2 < 1"
-        );
-        (total * self.first_fraction, total * self.second_fraction)
-    }
-}
-
 /// A memory function with instantiated coefficients.
 ///
 /// # Examples
@@ -161,24 +143,6 @@ mod tests {
 
     fn model(family: CurveFamily, m: f64, b: f64) -> CalibratedModel {
         CalibratedModel::from_curve(FittedCurve { family, m, b })
-    }
-
-    #[test]
-    fn plan_sample_sizes() {
-        let plan = CalibrationPlan::default();
-        let (a, b) = plan.sample_sizes(1000.0);
-        assert_eq!(a, 50.0);
-        assert_eq!(b, 100.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "calibration fractions")]
-    fn plan_rejects_bad_fractions() {
-        let plan = CalibrationPlan {
-            first_fraction: 0.2,
-            second_fraction: 0.1,
-        };
-        let _ = plan.sample_sizes(100.0);
     }
 
     #[test]

@@ -195,23 +195,6 @@ impl FeatureVector {
         }
     }
 
-    /// Builds a vector from a raw slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the slice has exactly [`RAW_FEATURE_COUNT`] entries.
-    #[must_use]
-    pub fn from_slice(values: &[f64]) -> Self {
-        assert_eq!(
-            values.len(),
-            RAW_FEATURE_COUNT,
-            "feature vector must have {RAW_FEATURE_COUNT} entries"
-        );
-        FeatureVector {
-            values: values.to_vec(),
-        }
-    }
-
     /// Value of one feature.
     #[must_use]
     pub fn get(&self, feature: RawFeature) -> f64 {
@@ -291,18 +274,10 @@ mod tests {
     }
 
     #[test]
-    fn from_fn_and_from_slice_agree() {
+    fn from_fn_fills_in_index_order() {
         let a = FeatureVector::from_fn(|i| i as f64 * 2.0);
         let raw: Vec<f64> = (0..22).map(|i| i as f64 * 2.0).collect();
-        let b = FeatureVector::from_slice(&raw);
-        assert_eq!(a, b);
         assert_eq!(Vec::<f64>::from(a), raw);
-    }
-
-    #[test]
-    #[should_panic(expected = "22 entries")]
-    fn from_slice_rejects_wrong_length() {
-        let _ = FeatureVector::from_slice(&[1.0, 2.0]);
     }
 
     #[test]

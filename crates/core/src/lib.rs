@@ -54,7 +54,6 @@
 pub mod calibration;
 pub mod expert;
 pub mod features;
-pub mod phases;
 pub mod predictor;
 pub mod registry;
 pub mod selector;

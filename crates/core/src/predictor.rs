@@ -176,24 +176,6 @@ impl MoePredictor {
         self.registry.get(expert)?.calibrate(p1, p2)
     }
 
-    /// Convenience: select + calibrate in one call, returning the selection
-    /// evidence alongside the model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MoePredictor::select`] and [`MoePredictor::calibrate`]
-    /// errors.
-    pub fn predict_model(
-        &self,
-        features: &FeatureVector,
-        p1: (f64, f64),
-        p2: (f64, f64),
-    ) -> Result<(Selection, CalibratedModel), MoeError> {
-        let selection = self.select(features)?;
-        let model = self.calibrate(selection.expert, p1, p2)?;
-        Ok((selection, model))
-    }
-
     /// Registers a new expert and a first exemplar for it, without
     /// retraining the selector (§1's extensibility claim; see also the
     /// `custom_expert` example).
@@ -254,9 +236,10 @@ mod tests {
             m: 5.768,
             b: 4.479,
         };
-        let (sel, model) = predictor
-            .predict_model(
-                &features,
+        let sel = predictor.select(&features).unwrap();
+        let model = predictor
+            .calibrate(
+                sel.expert,
                 (0.05, truth.eval(0.05)),
                 (0.10, truth.eval(0.10)),
             )

@@ -4,32 +4,8 @@ use mlkit::regression::{CurveFamily, FittedCurve};
 use moe_core::calibration::CalibratedModel;
 use moe_core::expert::{CurveExpert, ExpertId, MemoryExpert};
 use moe_core::features::FeatureVector;
-use moe_core::phases::{PhaseProfile, PhasedModel};
-use moe_core::predictor::{MoePredictor, PredictorConfig, TrainingProgram};
-use moe_core::registry::ExpertRegistry;
 use moe_core::selector::{ExpertSelector, SelectorConfig};
 use proptest::prelude::*;
-
-fn cluster_features(cluster: usize) -> FeatureVector {
-    FeatureVector::from_fn(|i| if i / 8 == cluster.min(2) { 0.9 } else { 0.1 })
-}
-
-fn tiny_predictor() -> MoePredictor {
-    let registry = ExpertRegistry::builtin();
-    let mut programs = Vec::new();
-    for c in 0..3 {
-        for j in 0..2 {
-            let mut f = cluster_features(c);
-            f.set(moe_core::features::RawFeature::Sy, 0.1 + j as f64 * 0.02);
-            programs.push(TrainingProgram::new(
-                format!("p{c}{j}"),
-                f,
-                ExpertId::from_usize(c),
-            ));
-        }
-    }
-    MoePredictor::train(registry, &programs, PredictorConfig::default()).unwrap()
-}
 
 proptest! {
     /// Footprint predictions are never negative, for any coefficients.
@@ -116,45 +92,6 @@ proptest! {
             prop_assert_eq!(s.expert, *id);
             prop_assert!(s.distance >= 0.0);
             prop_assert!(s.distance < 1e-6);
-        }
-    }
-
-    /// A phased model's peak footprint dominates every member phase at
-    /// every probe, and its budget answer is feasible for all phases.
-    #[test]
-    fn phased_model_peak_dominates_members(
-        m1 in 0.2f64..3.0,
-        b1 in 0.1f64..2.0,
-        m2 in 6.0f64..25.0,
-        b2 in 0.5f64..2.5,
-        budget in 8.0f64..30.0,
-    ) {
-        let predictor = tiny_predictor();
-        let lin = FittedCurve { family: CurveFamily::Linear, m: m1, b: b1 };
-        let log = FittedCurve { family: CurveFamily::NapierianLog, m: m2, b: b2 };
-        let profiles = vec![
-            PhaseProfile {
-                name: "lin".into(),
-                features: cluster_features(0),
-                calibration: [(1.0, lin.eval(1.0)), (2.0, lin.eval(2.0))],
-            },
-            PhaseProfile {
-                name: "log".into(),
-                features: cluster_features(2),
-                calibration: [(1.0, log.eval(1.0)), (2.0, log.eval(2.0))],
-            },
-        ];
-        let model = PhasedModel::from_profiles(&predictor, &profiles).unwrap();
-        for probe in [0.5, 2.0, 10.0, 50.0] {
-            let peak = model.peak_footprint_gb(probe);
-            for phase in model.phases() {
-                prop_assert!(peak >= phase.model.footprint_gb(probe) - 1e-9);
-            }
-        }
-        if let Some(x) = model.max_input_for_budget(budget) {
-            if x.is_finite() {
-                prop_assert!(model.peak_footprint_gb(x) <= budget * 1.01 + 1e-9);
-            }
         }
     }
 }

@@ -371,16 +371,6 @@ impl ArrivalPlan {
         self.horizon_secs
     }
 
-    /// Mean arrival rate actually realised by the plan, per second.
-    #[must_use]
-    pub fn realized_rate_per_sec(&self) -> f64 {
-        if self.horizon_secs > 0.0 {
-            self.events.len() as f64 / self.horizon_secs
-        } else {
-            0.0
-        }
-    }
-
     /// A cursor over the plan for consumption during a replay.
     #[must_use]
     pub fn cursor(&self) -> ArrivalCursor<'_> {
@@ -443,7 +433,6 @@ mod tests {
         assert!(plan.is_empty());
         assert_eq!(plan.len(), 0);
         assert_eq!(plan.cursor().next_at(), None);
-        assert_eq!(plan.realized_rate_per_sec(), 0.0);
     }
 
     #[test]
@@ -468,7 +457,7 @@ mod tests {
     #[test]
     fn poisson_rate_is_roughly_honoured() {
         let plan = ArrivalPlan::generate(3, &poisson_cfg(0.02));
-        let realized = plan.realized_rate_per_sec();
+        let realized = plan.len() as f64 / plan.horizon_secs();
         assert!(
             (realized - 0.02).abs() < 0.004,
             "realized rate {realized} far from 0.02"
@@ -494,7 +483,7 @@ mod tests {
             ..poisson_cfg(0.0)
         };
         let plan = ArrivalPlan::generate(5, &cfg);
-        let realized = plan.realized_rate_per_sec();
+        let realized = plan.len() as f64 / plan.horizon_secs();
         // Mean of the sinusoid is (base + peak) / 2 = 0.011.
         assert!(realized > 0.002 && realized < 0.02, "realized {realized}");
         // Crest halves (mid-period) should be denser than trough halves.

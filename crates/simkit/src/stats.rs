@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 ///     w.push(x);
 /// }
 /// assert_eq!(w.mean(), 5.0);
-/// assert!((w.population_variance() - 4.0).abs() < 1e-12);
+/// assert!((w.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Welford {
@@ -68,16 +68,6 @@ impl Welford {
             0.0
         } else {
             self.mean
-        }
-    }
-
-    /// Population variance (divides by n); 0 when empty.
-    #[must_use]
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
         }
     }
 
@@ -338,7 +328,7 @@ mod tests {
     fn welford_empty_is_benign() {
         let w = Welford::new();
         assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.population_variance(), 0.0);
+        assert_eq!(w.sample_variance(), 0.0);
         assert_eq!(w.ci95_half_width(), f64::INFINITY);
         assert!(!w.ci_converged(0.05));
     }

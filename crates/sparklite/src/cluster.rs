@@ -125,12 +125,6 @@ impl Node {
         self.reserved.available()
     }
 
-    /// Memory reserved by executors (GB, predicted footprints).
-    #[must_use]
-    pub fn reserved_memory_gb(&self) -> f64 {
-        self.reserved.in_use()
-    }
-
     /// Whether the node is accepting work (not crashed).
     #[must_use]
     pub fn is_online(&self) -> bool {
@@ -296,7 +290,7 @@ mod tests {
         assert_eq!(c.node(id).free_memory_gb(), 64.0);
         c.node_mut(id).reserve(24.0).unwrap();
         assert_eq!(c.node(id).free_memory_gb(), 40.0);
-        assert_eq!(c.node(id).reserved_memory_gb(), 24.0);
+        assert_eq!(c.node(id).reserved.in_use(), 24.0);
         assert!(c.node_mut(id).reserve(41.0).is_err());
         c.node_mut(id).release(24.0).unwrap();
         assert_eq!(c.node(id).free_memory_gb(), 64.0);

@@ -28,10 +28,10 @@
 //! `advance`, because their paging factor tracks the ramping occupancy.
 //!
 //! The global next completion is maintained by a tournament tree over
-//! per-node minimum completion keys ([`crate::tourney`]): O(log N) per
-//! dirtied node instead of an O(E) scan per query, with the test-only
-//! `next_completion_naive` as the from-scratch oracle the property tests
-//! pin the tree against.
+//! per-node minimum completion keys (the private `tourney` module):
+//! O(log N) per dirtied node instead of an O(E) scan per query, with the
+//! test-only `next_completion_naive` as the from-scratch oracle the
+//! property tests pin the tree against.
 
 use crate::app::{AppId, AppSpec, AppState};
 use crate::cluster::{Cluster, ClusterSpec, NodeId};
@@ -212,18 +212,6 @@ impl ClusterEngine {
         self.startup_secs = secs;
     }
 
-    /// The configured per-executor startup latency (s).
-    #[must_use]
-    pub fn executor_startup_secs(&self) -> f64 {
-        self.startup_secs
-    }
-
-    /// Total simulated seconds accumulated by [`ClusterEngine::advance`].
-    #[must_use]
-    pub fn elapsed_secs(&self) -> f64 {
-        self.elapsed
-    }
-
     /// The cluster.
     #[must_use]
     pub fn cluster(&self) -> &Cluster {
@@ -344,8 +332,8 @@ impl ClusterEngine {
 
     /// Moves the nodes whose reservations, executor set or online state
     /// changed since the last call into `out` (cleared first), each once.
-    /// Every such change passes [`Cluster::node_mut`] or
-    /// [`ClusterEngine::invalidate`], which file the node. A placement view
+    /// Every such change passes the private `Cluster::node_mut` or
+    /// `ClusterEngine::invalidate`, which file the node. A placement view
     /// kept across events re-reads only these nodes: nothing else in a
     /// node's free memory, executor count, CPU load or online flag can
     /// have moved. [`ClusterEngine::advance`] files nothing; it ramps
@@ -1402,12 +1390,12 @@ mod tests {
     #[test]
     fn elapsed_accumulates_advances() {
         let mut eng = engine(1);
-        assert_eq!(eng.elapsed_secs(), 0.0);
+        assert_eq!(eng.elapsed, 0.0);
         let app = eng.submit(linear_app("a", 10.0, 0.3));
         let node = eng.cluster().node_ids()[0];
         eng.spawn_executor(app, node, 10.0, 6.0).unwrap().unwrap();
         eng.advance(2.5);
         eng.advance(1.5);
-        assert_eq!(eng.elapsed_secs(), 4.0);
+        assert_eq!(eng.elapsed, 4.0);
     }
 }

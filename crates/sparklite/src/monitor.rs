@@ -1,17 +1,20 @@
 //! The resource-monitor daemon (§4.2).
 //!
-//! Each computing node periodically reports its memory usage and CPU load;
-//! the monitor keeps the average over a sliding window (the paper uses
-//! five minutes) read from "/proc". Schedulers consume the *windowed*
-//! view, which smooths execution-phase changes and load spikes — and lags
-//! reality, which is exactly the trade-off the window-size ablation
-//! explores.
+//! In the paper each computing node periodically reports its memory usage
+//! and CPU load, read from "/proc", and the monitor keeps the average over
+//! a sliding window (the paper uses five minutes). This dispatcher reads
+//! memory from the engine's reservations, so a report here carries only
+//! the CPU load, and [`ResourceMonitor::windowed_cpu`] serves its windowed
+//! mean. Schedulers consume the *windowed* view, which smooths
+//! execution-phase changes and load spikes — and lags reality, which is
+//! exactly the trade-off the window-size ablation explores.
 //!
 //! Daemons can also go silent (crash, network partition, hung `/proc`
 //! read): [`ResourceMonitor::drop_reports`] silences a node for a span,
-//! after which its window drains and [`ResourceMonitor::is_stale`] turns
-//! true. A stale window means the node's state is **unknown** — consumers
-//! must not read the zeroed means as "idle".
+//! after which its window drains to empty and reads zero. A drained
+//! window says nothing about the node, so consumers must not take its
+//! zero for "idle" (the dispatcher only ever raises the instantaneous
+//! load toward it).
 
 use crate::cluster::NodeId;
 use crate::engine::ClusterEngine;
@@ -40,22 +43,19 @@ pub const REPORT_PERIOD_SECS: f64 = 30.0;
 struct Report {
     at_secs: f64,
     cpu_load: f64,
-    used_memory_gb: f64,
 }
 
 /// A sliding-window view of one node.
 ///
-/// Both windowed means are memoized behind a dirty flag: schedulers query
-/// `windowed_cpu`/`windowed_used_memory` for every node on every placement
-/// decision, but the window contents only change on (throttled)
-/// observations. The cached values are recomputed with the same
-/// front-to-back summation a direct scan performs, so memoization never
-/// changes a single output bit.
+/// The windowed mean is memoized behind a dirty flag: schedulers query
+/// `windowed_cpu` for every node on every placement decision, but the
+/// window contents only change on (throttled) observations. The cached
+/// value is recomputed with the same front-to-back summation a direct
+/// scan performs, so memoization never changes a single output bit.
 #[derive(Debug, Clone, Default)]
 struct NodeWindow {
     reports: VecDeque<Report>,
     cached_cpu: Cell<f64>,
-    cached_mem: Cell<f64>,
     dirty: Cell<bool>,
 }
 
@@ -81,8 +81,8 @@ impl NodeWindow {
         }
     }
 
-    /// Recomputes both cached means in one front-to-back pass. Per field,
-    /// the additions happen in exactly the order
+    /// Recomputes the cached mean in one front-to-back pass: the
+    /// additions happen in exactly the order
     /// `reports.iter().map(..).sum::<f64>()` performs them (left fold from
     /// `0.0`), which pins the float summation order the bit-identity
     /// guarantee depends on.
@@ -92,17 +92,12 @@ impl NodeWindow {
         }
         if self.reports.is_empty() {
             self.cached_cpu.set(0.0);
-            self.cached_mem.set(0.0);
         } else {
             let mut cpu = 0.0_f64;
-            let mut mem = 0.0_f64;
             for r in &self.reports {
                 cpu += r.cpu_load;
-                mem += r.used_memory_gb;
             }
-            let len = self.reports.len() as f64;
-            self.cached_cpu.set(cpu / len);
-            self.cached_mem.set(mem / len);
+            self.cached_cpu.set(cpu / self.reports.len() as f64);
         }
         self.dirty.set(false);
     }
@@ -112,22 +107,14 @@ impl NodeWindow {
         self.cached_cpu.get()
     }
 
-    fn mean_used_memory(&self) -> f64 {
-        self.refresh();
-        self.cached_mem.get()
-    }
-
     /// Uncached reference computation, kept verbatim from the
     /// pre-memoization implementation as the oracle for property tests.
     #[cfg(test)]
-    fn naive_means(&self) -> (f64, f64) {
+    fn naive_mean_cpu(&self) -> f64 {
         if self.reports.is_empty() {
-            return (0.0, 0.0);
+            return 0.0;
         }
-        let cpu = self.reports.iter().map(|r| r.cpu_load).sum::<f64>() / self.reports.len() as f64;
-        let mem =
-            self.reports.iter().map(|r| r.used_memory_gb).sum::<f64>() / self.reports.len() as f64;
-        (cpu, mem)
+        self.reports.iter().map(|r| r.cpu_load).sum::<f64>() / self.reports.len() as f64
     }
 }
 
@@ -200,12 +187,9 @@ impl ResourceMonitor {
                 // above lets the window age toward staleness.
                 continue;
             }
-            let node = NodeId(i);
-            let spec = engine.cluster().node(node).spec();
             let report = Report {
                 at_secs: now_secs,
-                cpu_load: engine.node_cpu_load(node),
-                used_memory_gb: spec.ram_gb - engine.node_free_memory(node),
+                cpu_load: engine.node_cpu_load(NodeId(i)),
             };
             window.push(report, window_secs);
         }
@@ -230,18 +214,6 @@ impl ResourceMonitor {
         *slot = slot.max(until_secs);
     }
 
-    /// Whether a node's window holds **no** reports — the scheduler must
-    /// treat such a node's resource view as *unknown*, not as zero load
-    /// (a silent daemon is indistinguishable from a saturated one).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a node id outside the monitored cluster.
-    #[must_use]
-    pub fn is_stale(&self, node: NodeId) -> bool {
-        self.windows[node.index()].reports.is_empty()
-    }
-
     /// Windowed average CPU load of a node, in `[0, 1]`.
     ///
     /// # Panics
@@ -250,26 +222,6 @@ impl ResourceMonitor {
     #[must_use]
     pub fn windowed_cpu(&self, node: NodeId) -> f64 {
         self.windows[node.index()].mean_cpu()
-    }
-
-    /// Windowed average used memory of a node, GB.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a node id outside the monitored cluster.
-    #[must_use]
-    pub fn windowed_used_memory(&self, node: NodeId) -> f64 {
-        self.windows[node.index()].mean_used_memory()
-    }
-
-    /// Number of reports currently inside a node's window.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a node id outside the monitored cluster.
-    #[must_use]
-    pub fn reports_in_window(&self, node: NodeId) -> usize {
-        self.windows[node.index()].reports.len()
     }
 }
 
@@ -309,38 +261,51 @@ mod tests {
         (engine, node)
     }
 
+    fn idle_engine() -> ClusterEngine {
+        ClusterEngine::new(ClusterSpec::small(1), InterferenceModel::default())
+    }
+
     #[test]
     fn windowed_values_track_load() {
         let (engine, node) = engine_with_load();
         let mut monitor = ResourceMonitor::new(1, MonitorConfig::default());
         monitor.observe(&engine, 0.0);
+        // A one-report mean is exactly that report.
         assert!((monitor.windowed_cpu(node) - 0.4).abs() < 1e-12);
-        assert!((monitor.windowed_used_memory(node) - 11.0).abs() < 1e-12);
     }
 
     #[test]
     fn reporting_period_throttles_observations() {
         let (engine, node) = engine_with_load();
+        let idle = idle_engine();
         let mut monitor = ResourceMonitor::new(1, MonitorConfig::default());
         assert_eq!(monitor.observations(), 0);
         monitor.observe(&engine, 0.0);
-        monitor.observe(&engine, 5.0); // within the 30 s period: ignored
-        assert_eq!(monitor.reports_in_window(node), 1);
+        monitor.observe(&idle, 5.0); // within the 30 s period: ignored
+        assert!((monitor.windowed_cpu(node) - 0.4).abs() < 1e-12);
         assert_eq!(monitor.observations(), 1, "a throttled call is not counted");
-        monitor.observe(&engine, 31.0);
-        assert_eq!(monitor.reports_in_window(node), 2);
+        monitor.observe(&idle, 31.0);
+        assert!((monitor.windowed_cpu(node) - 0.2).abs() < 1e-12);
         assert_eq!(monitor.observations(), 2);
     }
 
     #[test]
     fn window_evicts_stale_reports() {
         let (engine, node) = engine_with_load();
+        let idle = idle_engine();
         let mut monitor = ResourceMonitor::new(1, MonitorConfig { window_secs: 60.0 });
-        for t in [0.0, 30.0, 60.0, 90.0, 120.0] {
-            monitor.observe(&engine, t);
+        for (t, e) in [
+            (0.0, &engine),
+            (30.0, &idle),
+            (60.0, &engine),
+            (90.0, &idle),
+        ] {
+            monitor.observe(e, t);
         }
-        // Window of 60 s from t = 120: reports at 60, 90, 120.
-        assert_eq!(monitor.reports_in_window(node), 3);
+        monitor.observe(&engine, 120.0);
+        // Window of 60 s from t = 120: the reports at 60, 90 and 120 (0.4,
+        // 0, 0.4); with any older one kept the mean would be 0.2 or 0.24.
+        assert!((monitor.windowed_cpu(node) - 0.8 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -369,80 +334,54 @@ mod tests {
     }
 
     #[test]
-    fn empty_window_is_stale_and_reads_zero() {
-        // Edge case: no reports at all. The numeric views read zero (the
-        // legacy behaviour callers may rely on) but `is_stale` flags the
-        // window so schedulers can refuse to trust the zeros.
-        let monitor = ResourceMonitor::new(1, MonitorConfig::default());
-        let node = NodeId::from_index_for_tests(0);
-        assert_eq!(monitor.reports_in_window(node), 0);
-        assert!(monitor.is_stale(node));
-        assert_eq!(monitor.windowed_cpu(node), 0.0);
-        assert_eq!(monitor.windowed_used_memory(node), 0.0);
-    }
-
-    #[test]
-    fn single_report_window_is_its_own_mean() {
-        let (engine, node) = engine_with_load();
-        let mut monitor = ResourceMonitor::new(1, MonitorConfig::default());
-        monitor.observe(&engine, 0.0);
-        assert_eq!(monitor.reports_in_window(node), 1);
-        assert!(!monitor.is_stale(node));
-        // A one-report mean is exactly that report.
-        assert!((monitor.windowed_cpu(node) - 0.4).abs() < 1e-12);
-        assert!((monitor.windowed_used_memory(node) - 11.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn report_exactly_at_window_boundary_is_kept() {
         // Eviction drops reports strictly OLDER than the window: a report
         // whose age equals `window_secs` exactly stays in (the `>` in
         // `NodeWindow::evict`). Pin that boundary.
         let (engine, node) = engine_with_load();
+        let idle = idle_engine();
         let mut monitor = ResourceMonitor::new(1, MonitorConfig { window_secs: 60.0 });
         monitor.observe(&engine, 0.0);
-        monitor.observe(&engine, 60.0); // age of first = window exactly
-        assert_eq!(monitor.reports_in_window(node), 2);
-        monitor.observe(&engine, 90.0); // age of first = 90 > 60: evicted
-        assert_eq!(monitor.reports_in_window(node), 2);
+        monitor.observe(&idle, 60.0); // age of first = window exactly
+        assert!((monitor.windowed_cpu(node) - 0.2).abs() < 1e-12);
+        monitor.observe(&idle, 90.0); // age of first = 90 > 60: evicted
+        assert_eq!(monitor.windowed_cpu(node), 0.0);
     }
 
     #[test]
-    fn dropout_drains_the_window_to_stale() {
+    fn dropout_drains_the_window() {
         let (engine, node) = engine_with_load();
         let mut monitor = ResourceMonitor::new(1, MonitorConfig { window_secs: 60.0 });
         monitor.observe(&engine, 0.0);
-        assert!(!monitor.is_stale(node));
         monitor.drop_reports(node, 300.0);
-        // Observations during the dropout add nothing; once the last real
-        // report ages past the window the node reads as stale, not zero.
+        // Observations during the dropout add nothing (the window would
+        // still read 0.4 with a fresh report) and evict as usual: once the
+        // last real report ages past the window the node reads zero.
         monitor.observe(&engine, 30.0);
-        assert_eq!(monitor.reports_in_window(node), 1);
+        assert!((monitor.windowed_cpu(node) - 0.4).abs() < 1e-12);
         monitor.observe(&engine, 90.0);
-        assert_eq!(monitor.reports_in_window(node), 0);
-        assert!(monitor.is_stale(node));
+        assert_eq!(monitor.windowed_cpu(node), 0.0);
         // After the dropout deadline the daemon reports again.
         monitor.observe(&engine, 301.0);
-        assert_eq!(monitor.reports_in_window(node), 1);
-        assert!(!monitor.is_stale(node));
+        assert!((monitor.windowed_cpu(node) - 0.4).abs() < 1e-12);
     }
 
     proptest::proptest! {
-        /// The memoized window means are bit-identical to the uncached
+        /// The memoized window mean is bit-identical to the uncached
         /// reference computation under arbitrary report / eviction / query
         /// interleavings — queries between mutations must not perturb the
         /// cache, and every mutation must re-dirty it.
         #[test]
         fn memoized_means_match_naive(
             ops in proptest::collection::vec(
-                (0u8..4, 0.0f64..1.0, 0.0f64..64.0, 0.1f64..120.0),
+                (0u8..4, 0.0f64..1.0, 0.1f64..120.0),
                 1..100,
             ),
         ) {
             let window_secs = 300.0;
             let mut w = NodeWindow::default();
             let mut now = 0.0_f64;
-            for &(op, cpu, mem, dt) in &ops {
+            for &(op, cpu, dt) in &ops {
                 match op {
                     0 | 1 => {
                         now += dt;
@@ -450,7 +389,6 @@ mod tests {
                             Report {
                                 at_secs: now,
                                 cpu_load: cpu,
-                                used_memory_gb: mem,
                             },
                             window_secs,
                         );
@@ -464,15 +402,11 @@ mod tests {
                         // Pure query op: exercised below like every other
                         // op, but with no mutation in between — the cache
                         // must serve the same bits twice.
-                        let first = (w.mean_cpu(), w.mean_used_memory());
-                        let again = (w.mean_cpu(), w.mean_used_memory());
-                        proptest::prop_assert_eq!(first.0.to_bits(), again.0.to_bits());
-                        proptest::prop_assert_eq!(first.1.to_bits(), again.1.to_bits());
+                        let first = w.mean_cpu();
+                        proptest::prop_assert_eq!(first.to_bits(), w.mean_cpu().to_bits());
                     }
                 }
-                let (naive_cpu, naive_mem) = w.naive_means();
-                proptest::prop_assert_eq!(w.mean_cpu().to_bits(), naive_cpu.to_bits());
-                proptest::prop_assert_eq!(w.mean_used_memory().to_bits(), naive_mem.to_bits());
+                proptest::prop_assert_eq!(w.mean_cpu().to_bits(), w.naive_mean_cpu().to_bits());
             }
         }
     }
@@ -484,8 +418,8 @@ mod tests {
         monitor.drop_reports(node, 100.0);
         monitor.drop_reports(node, 50.0); // shorter: must not shrink
         monitor.observe(&engine, 60.0);
-        assert_eq!(monitor.reports_in_window(node), 0);
+        assert_eq!(monitor.windowed_cpu(node), 0.0);
         monitor.observe(&engine, 101.0);
-        assert_eq!(monitor.reports_in_window(node), 1);
+        assert!((monitor.windowed_cpu(node) - 0.4).abs() < 1e-12);
     }
 }

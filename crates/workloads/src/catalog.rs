@@ -71,12 +71,6 @@ impl Benchmark {
         self.suite
     }
 
-    /// Base name without the suite prefix (e.g. `Sort`).
-    #[must_use]
-    pub fn base_name(&self) -> &'static str {
-        self.base
-    }
-
     /// Full display name (e.g. `HB.Sort`).
     #[must_use]
     pub fn name(&self) -> String {
@@ -268,15 +262,6 @@ impl Catalog {
         self.benchmarks.iter().find(|b| b.name() == name)
     }
 
-    /// Benchmarks of one suite, in catalog order.
-    #[must_use]
-    pub fn by_suite(&self, suite: Suite) -> Vec<&Benchmark> {
-        self.benchmarks
-            .iter()
-            .filter(|b| b.suite() == suite)
-            .collect()
-    }
-
     /// The 16 training benchmarks: HiBench + BigDataBench (§3.3).
     #[must_use]
     pub fn training_set(&self) -> Vec<&Benchmark> {
@@ -328,7 +313,7 @@ mod tests {
             Suite::SparkBench,
         ]
         .iter()
-        .map(|&s| c.by_suite(s).len())
+        .map(|&s| c.all().iter().filter(|b| b.suite() == s).count())
         .collect();
         assert_eq!(counts, vec![9, 7, 15, 13]);
         assert_eq!(counts.iter().sum::<usize>(), 44);

@@ -1,142 +1,11 @@
-//! Input datasets as RDDs: records, partitions and generation (§5.2:
-//! "Inputs were generated using the input generation tool provided by each
-//! benchmark suite").
+//! Input datasets as RDDs (§5.2: "Inputs were generated using the input
+//! generation tool provided by each benchmark suite").
 //!
 //! Spark inputs are not fluid: they are RDDs of records split into
 //! partitions (typically one HDFS block, 128 MB, each). Executors are
-//! handed whole partitions, so data slices are *quantized*. This module
-//! models that granularity; the dispatcher uses
-//! [`DatasetSpec::quantize_slice_gb`] to snap its memory-budgeted slice
-//! sizes to whole partitions.
-
-use crate::catalog::{Benchmark, Suite};
-use serde::{Deserialize, Serialize};
-use simkit::SimRng;
-
-/// A generated input dataset for one benchmark run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DatasetSpec {
-    /// Total size (GB).
-    pub size_gb: f64,
-    /// Number of partitions.
-    pub partitions: usize,
-    /// Average record size (bytes).
-    pub record_bytes: usize,
-    /// Number of records.
-    pub records: u64,
-    /// Partition-size skew: ratio of the largest to the mean partition
-    /// (text-ish inputs come out of generators slightly uneven).
-    pub skew: f64,
-}
+//! handed whole partitions, so data slices are *quantized*; the dispatcher
+//! snaps its memory-budgeted slices down to this grid
+//! (`colocate::scheduler::PARTITION_GB`).
 
 /// The HDFS block size partitioning defaults to (GB).
 pub const DEFAULT_PARTITION_GB: f64 = 0.128;
-
-impl DatasetSpec {
-    /// Average partition size (GB).
-    #[must_use]
-    pub fn partition_gb(&self) -> f64 {
-        self.size_gb / self.partitions as f64
-    }
-
-    /// Snaps a desired slice to a whole number of partitions (at least
-    /// one, at most the whole dataset).
-    #[must_use]
-    pub fn quantize_slice_gb(&self, desired_gb: f64) -> f64 {
-        let part = self.partition_gb();
-        if part <= 0.0 {
-            return desired_gb;
-        }
-        let parts = (desired_gb / part).floor().max(1.0);
-        (parts * part).min(self.size_gb)
-    }
-}
-
-/// Generates the input dataset for a benchmark at a given size, the way
-/// each suite's generator tool would (record sizes and skew differ by the
-/// kind of data the suite feeds its benchmarks).
-#[must_use]
-pub fn generate_dataset(bench: &Benchmark, size_gb: f64, rng: &mut SimRng) -> DatasetSpec {
-    // Record sizes: web-ish text for HiBench/BigDataBench, numeric vectors
-    // for Spark-Perf, mixed for Spark-Bench.
-    let (record_bytes, skew_range) = match bench.suite() {
-        Suite::HiBench => (200, (1.05, 1.3)),
-        Suite::BigDataBench => (350, (1.05, 1.4)),
-        Suite::SparkPerf => (64, (1.0, 1.1)),
-        Suite::SparkBench => (128, (1.0, 1.2)),
-    };
-    let partitions = ((size_gb / DEFAULT_PARTITION_GB).ceil() as usize).max(1);
-    let records = ((size_gb * 1e9) / record_bytes as f64) as u64;
-    let skew = rng.uniform(skew_range.0, skew_range.1);
-    DatasetSpec {
-        size_gb,
-        partitions,
-        record_bytes,
-        records,
-        skew,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::catalog::Catalog;
-
-    #[test]
-    fn partitions_follow_block_size() {
-        let catalog = Catalog::paper();
-        let bench = catalog.by_name("HB.Sort").unwrap();
-        let mut rng = SimRng::seed_from(1);
-        let ds = generate_dataset(bench, 30.0, &mut rng);
-        assert_eq!(ds.partitions, (30.0 / DEFAULT_PARTITION_GB).ceil() as usize);
-        assert!(ds.partition_gb() <= DEFAULT_PARTITION_GB + 1e-9);
-        assert!(ds.records > 0);
-    }
-
-    #[test]
-    fn tiny_inputs_get_one_partition() {
-        let catalog = Catalog::paper();
-        let bench = catalog.by_name("BDB.Grep").unwrap();
-        let mut rng = SimRng::seed_from(2);
-        let ds = generate_dataset(bench, 0.05, &mut rng);
-        assert_eq!(ds.partitions, 1);
-        assert_eq!(ds.quantize_slice_gb(0.01), 0.05);
-    }
-
-    #[test]
-    fn quantization_snaps_down_to_whole_partitions() {
-        let ds = DatasetSpec {
-            size_gb: 10.0,
-            partitions: 80, // 0.125 GB each
-            record_bytes: 100,
-            records: 1,
-            skew: 1.0,
-        };
-        let q = ds.quantize_slice_gb(1.0);
-        assert!((q - 1.0).abs() < 1e-9, "1.0 is already 8 partitions");
-        let q = ds.quantize_slice_gb(0.99);
-        assert!((q - 0.875).abs() < 1e-9, "snaps down to 7 partitions");
-        // Never below one partition; never above the dataset.
-        assert!((ds.quantize_slice_gb(0.001) - 0.125).abs() < 1e-9);
-        assert!((ds.quantize_slice_gb(1e9) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn suites_produce_different_record_shapes() {
-        let catalog = Catalog::paper();
-        let mut rng = SimRng::seed_from(3);
-        let hb = generate_dataset(catalog.by_name("HB.Sort").unwrap(), 1.0, &mut rng);
-        let sp = generate_dataset(catalog.by_name("SP.Kmeans").unwrap(), 1.0, &mut rng);
-        assert!(hb.record_bytes > sp.record_bytes);
-        assert!(hb.skew >= 1.0 && sp.skew >= 1.0);
-    }
-
-    #[test]
-    fn generation_is_seed_deterministic() {
-        let catalog = Catalog::paper();
-        let bench = catalog.by_name("SB.Hive").unwrap();
-        let a = generate_dataset(bench, 30.0, &mut SimRng::seed_from(9));
-        let b = generate_dataset(bench, 30.0, &mut SimRng::seed_from(9));
-        assert_eq!(a, b);
-    }
-}

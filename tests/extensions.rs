@@ -1,12 +1,11 @@
-//! Integration tests for the paper's extension points (§1, §3.4):
-//! registering new experts without retraining, multi-phase applications,
-//! and the windowed resource monitor.
+//! Integration tests for the paper's extension point (§1), registering
+//! new experts without retraining, and for the windowed resource monitor
+//! (§4.2).
 
 use mlkit::regression::{CurveFamily, FittedCurve};
 use moe_core::calibration::CalibratedModel;
 use moe_core::expert::{ExpertId, MemoryExpert};
 use moe_core::features::FeatureVector;
-use moe_core::phases::{PhaseProfile, PhasedModel};
 use moe_core::predictor::{MoePredictor, PredictorConfig, TrainingProgram};
 use moe_core::registry::ExpertRegistry;
 use moe_core::MoeError;
@@ -93,42 +92,6 @@ fn fourth_expert_joins_without_retraining_and_wins_only_where_it_should() {
         .unwrap();
     let predicted = model.curve().m * 30.0f64.powi(2) + model.curve().b;
     assert!((predicted - truth(30.0)).abs() < 1e-9);
-}
-
-#[test]
-fn phased_applications_compose_through_the_predictor() {
-    let predictor = base_predictor();
-    let lin = FittedCurve {
-        family: CurveFamily::Linear,
-        m: 0.8,
-        b: 0.5,
-    };
-    let exp = FittedCurve {
-        family: CurveFamily::Exponential,
-        m: 12.0,
-        b: 0.9,
-    };
-    let profiles = vec![
-        PhaseProfile {
-            name: "ingest".into(),
-            features: cluster_features(0, 0.0),
-            calibration: [(1.0, lin.eval(1.0)), (2.0, lin.eval(2.0))],
-        },
-        PhaseProfile {
-            name: "shuffle".into(),
-            features: cluster_features(1, 0.0),
-            calibration: [(1.0, exp.eval(1.0)), (2.0, exp.eval(2.0))],
-        },
-    ];
-    let model = PhasedModel::from_profiles(&predictor, &profiles).unwrap();
-    // Small inputs: the saturating shuffle dominates; large inputs: linear
-    // ingest dominates.
-    assert_eq!(model.dominant_phase(5.0).name, "shuffle");
-    assert_eq!(model.dominant_phase(50.0).name, "ingest");
-    // The composite budget answer is safe for both phases.
-    let x = model.max_input_for_budget(10.0).unwrap();
-    assert!(model.peak_footprint_gb(x) <= 10.0 * 1.01);
-    assert!(!model.any_low_confidence());
 }
 
 #[test]

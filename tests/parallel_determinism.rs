@@ -6,8 +6,7 @@
 //! produce.
 
 use colocate::harness::{
-    evaluate_scenario, evaluate_scenario_multi, isolated_times, BaselineCache, RunConfig,
-    ScenarioStats,
+    evaluate_scenario_multi, isolated_times, BaselineCache, RunConfig, ScenarioStats,
 };
 use colocate::scheduler::{PolicyKind, SchedulerConfig};
 use simkit::SimRng;
@@ -82,38 +81,6 @@ fn multi_policy_campaign_is_worker_count_invariant() {
         {
             assert_stats_identical(s, p, &format!("policy {pi}, {workers} workers"));
         }
-    }
-}
-
-#[test]
-fn converging_campaign_is_worker_count_invariant() {
-    // evaluate_scenario couples parallelism with the §5.2 early-exit rule;
-    // speculative replays past the convergence point must be discarded so
-    // even the *number of mixes folded* matches the serial run.
-    let catalog = Catalog::paper();
-    let scenario = MixScenario { label: 1, apps: 2 };
-    let serial = evaluate_scenario(
-        PolicyKind::Oracle,
-        scenario,
-        &catalog,
-        &config_with_workers(1),
-        2,
-        6,
-        11,
-    )
-    .unwrap();
-    for workers in [2, 5] {
-        let parallel = evaluate_scenario(
-            PolicyKind::Oracle,
-            scenario,
-            &catalog,
-            &config_with_workers(workers),
-            2,
-            6,
-            11,
-        )
-        .unwrap();
-        assert_stats_identical(&serial, &parallel, &format!("{workers} workers"));
     }
 }
 
